@@ -22,25 +22,14 @@ from __future__ import annotations
 from typing import Callable, NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import (
-    InternalConsistencyError,
     InvalidArgumentError,
     NumericalFailureError,
     StructureViolationError,
 )
-from .hodge import hodge_1d, hodge_golo_1d
-from .mesh import build_interval_mesh, incidence
-from .power_maps import (
-    RESIDUAL_TOL,
-    MapSet,
-    PfqParts,
-    _selector,
-    build_1d_maps,
-    power_residual,
-)
-from .statespace import PHModel, assemble_model
+from .sim import build_model
+from .statespace import PHModel
 
 #: bound on |Re(lambda)| for a model to count as conservative
 REAL_PART_TOL = 1e-9
@@ -82,88 +71,17 @@ def spectrum(model: PHModel) -> np.ndarray:
 
 
 def build_1d_model(N: int, alpha: float, L: float = 1.0) -> PHModel:
-    """Interval model with flow-map weight alpha: mesh, maps, Hodge, model."""
-    mesh = build_interval_mesh(N, L)
-    maps = build_1d_maps(N, alpha)
-    pair = hodge_1d(N, alpha, L / N)
-    meta = {"method": "mixed", "alpha": alpha, "N": N, "L": L}
-    return assemble_model(maps, incidence(mesh), pair, meta=meta)
-
-
-def _golo_maps(N: int, alpha_prime: float) -> MapSet:
-    """Identity flow maps + bidiagonal effort interpolation.
-
-    Power preservation holds exactly: writing the effort rows out, the
-    interior rows of d_p^T P_ep and P_eq^T d_q cancel pairwise and the two
-    boundary leftovers -e_0 and +e_N are absorbed by S_p = e_0^T and
-    S_q_hat = e_N^T through the trace terms.
-    """
-    a = alpha_prime
-    n_nodes = N + 1
-    eye = sp.identity(N, format="csr")
-
-    rows = np.repeat(np.arange(N), 2)
-    cols = np.column_stack([np.arange(N), np.arange(1, n_nodes)]).ravel()
-    P_ep = sp.csr_matrix(
-        (np.tile([1.0 - a, a], N), (rows, cols)), shape=(N, n_nodes)
-    )
-    P_eq = sp.csr_matrix(
-        (np.tile([a, 1.0 - a], N), (rows, cols)), shape=(N, n_nodes)
-    )
-
-    S_p = sp.csr_matrix(([1.0], ([0], [0])), shape=(1, n_nodes))
-    S_q_hat = sp.csr_matrix(([1.0], ([0], [N])), shape=(1, n_nodes))
-
-    zero = sp.csr_matrix((N, N))
-    return MapSet(
-        T_q=_selector([0], n_nodes),
-        T_p_hat=_selector([N], n_nodes, sign=-1.0),
-        P_eq=P_eq,
-        P_ep=P_ep,
-        P_fp=eye,
-        P_fq=eye,
-        S_p=S_p,
-        S_q_hat=S_q_hat,
-        parts=PfqParts(eye, zero, zero.copy(), 0.0, 0.0),
-        q_inputs=np.array([0]),
-        p_inputs=np.array([N]),
-        q_efforts=np.arange(N),
-        p_efforts=np.arange(N),
-        r=2,
-    )
+    """Interval model with flow-map weight alpha (see `sim.build_model`)."""
+    mesh = {"kind": "interval", "N": N, "L": L}
+    return build_model({"mesh": mesh, "alpha": alpha}).model
 
 
 def build_golo_1d_model(N: int, alpha_prime: float, L: float = 1.0) -> PHModel:
-    """Comparison model with effort-interpolation weight alpha'.
-
-    alpha' is accepted on (-1, 1): values below 0 leave the convex range
-    (the interpolation extrapolates) and are flagged as non_convex in the
-    model metadata; |alpha'| >= 1 makes the stacked effort map singular or
-    meaningless and is rejected.
-    """
-    if N < 2:
-        raise InvalidArgumentError(f"need N >= 2 edges, got {N}")
-    if not (-1.0 < alpha_prime < 1.0):
-        raise InvalidArgumentError(
-            f"alpha_prime must lie in (-1, 1), got {alpha_prime}"
-        )
-    mesh = build_interval_mesh(N, L)
-    inc = incidence(mesh)
-    maps = _golo_maps(N, alpha_prime)
-    resid = power_residual(maps, inc)
-    if resid > RESIDUAL_TOL:
-        raise InternalConsistencyError(
-            f"comparison maps violate power preservation: residual {resid:.3e}"
-        )
-    pair = hodge_golo_1d(N, L / N)
-    meta = {
-        "method": "golo",
-        "alpha_prime": alpha_prime,
-        "N": N,
-        "L": L,
-        "non_convex": bool(alpha_prime < 0.0),
-    }
-    return assemble_model(maps, inc, pair, meta=meta)
+    """Comparison model with effort-interpolation weight alpha' on (-1, 1);
+    values below 0 leave the convex range (the interpolation extrapolates)
+    and are flagged as non_convex in the model metadata."""
+    mesh = {"kind": "interval", "N": N, "L": L}
+    return build_model({"mesh": mesh, "method": "golo", "alpha_prime": alpha_prime}).model
 
 
 class EigTable(NamedTuple):

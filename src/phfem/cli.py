@@ -31,6 +31,9 @@ from .errors import (
 #: residual level at which `build` refuses to write a model
 STRUCTURE_GATE = 1e-10
 
+#: 1D model families; "ours" is an alias of "mixed"
+METHODS_1D = ("mixed", "ours", "golo")
+
 _THREAD_VARS = (
     "OMP_NUM_THREADS",
     "OPENBLAS_NUM_THREADS",
@@ -74,88 +77,21 @@ def load_config(path) -> dict:
     return obj
 
 
-def _require(cfg: dict, key: str, context: str):
-    if key not in cfg:
-        raise InvalidArgumentError(f"config is missing {context} key {key!r}")
-    return cfg[key]
-
-
 def _build_from_config(cfg: dict):
     """Assemble the model described by a config and run the structure gate.
 
     Returns (model, checks) where checks collects every residual and rank
     comparison; any residual above STRUCTURE_GATE raises.
     """
-    from . import analysis, whitney
-    from .hodge import hodge_2d
-    from .mesh import (
-        build_interval_mesh,
-        build_rect_mesh,
-        incidence,
-        partition_boundary,
-    )
-    from .power_maps import (
-        build_1d_maps,
-        build_2d_maps,
-        power_residual,
-        weights_from_config,
-    )
-    from .statespace import assemble_model, power_balance_residual
+    from . import whitney
+    from .power_maps import power_residual
+    from .sim import build_model
+    from .statespace import power_balance_residual
 
-    mesh_cfg = _require(cfg, "mesh", "top-level")
-    kind = _require(mesh_cfg, "kind", "mesh")
-
-    if kind == "rect":
-        N = int(_require(mesh_cfg, "N", "mesh"))
-        M = int(_require(mesh_cfg, "M", "mesh"))
-        h = float(mesh_cfg.get("h", 1.0))
-        mesh = build_rect_mesh(N, M, h)
-        part = partition_boundary(mesh, cfg.get("causality"))
-        inc = incidence(mesh)
-        w = weights_from_config(_require(cfg, "weights", "top-level"))
-        maps = build_2d_maps(mesh, part, w, inc)
-        pair = hodge_2d(mesh, maps.P_fp, maps.parts.perp, h, maps.q_efforts)
-        meta = {
-            "method": "mixed-2d",
-            "N": N,
-            "M": M,
-            "h": h,
-            "weights": {
-                "alpha_I": w.alpha_I,
-                "beta_I": w.beta_I,
-                "alpha_II": w.alpha_II,
-                "beta_II": w.beta_II,
-            },
-        }
-        model = assemble_model(maps, inc, pair, meta=meta)
-        spec = whitney.WAVE_2D
-    elif kind == "interval":
-        N = int(_require(mesh_cfg, "N", "mesh"))
-        L = float(mesh_cfg.get("L", 1.0))
-        method = cfg.get("method", "ours")
-        mesh = build_interval_mesh(N, L)
-        part = partition_boundary(mesh, cfg.get("causality"))
-        inc = incidence(mesh)
-        if method == "ours":
-            alpha = float(_require(cfg, "alpha", "interval-mesh"))
-            maps = build_1d_maps(N, alpha)
-            model = analysis.build_1d_model(N, alpha, L)
-        elif method == "golo":
-            alpha_prime = float(_require(cfg, "alpha_prime", "interval-mesh"))
-            model = analysis.build_golo_1d_model(N, alpha_prime, L)
-            maps = analysis._golo_maps(N, alpha_prime)
-        else:
-            raise InvalidArgumentError(
-                f"method must be 'ours' or 'golo', got {method!r}"
-            )
-        spec = whitney.WAVE_1D
-    else:
-        raise InvalidArgumentError(
-            f"mesh kind must be 'rect' or 'interval', got {kind!r}"
-        )
-
+    model, mesh, part, inc, maps = build_model(cfg)
+    spec = whitney.WAVE_2D if mesh.dim == 2 else whitney.WAVE_1D
     report = whitney.verify_structure(
-        whitney.assemble(mesh, part, spec), inc, spec, tol=STRUCTURE_GATE
+        mesh, whitney.assemble(mesh, part, spec), inc, spec, tol=STRUCTURE_GATE
     )
     residuals = dict(report.residuals)
     residuals["power_preservation"] = power_residual(maps, inc)
@@ -301,7 +237,7 @@ def cmd_eigs(args) -> int:
     else:
         alpha = args.alpha if args.alpha is not None else 0.0
         model = analysis.build_1d_model(args.n, alpha)
-        config = {"method": "ours", "alpha": alpha, "n": args.n}
+        config = {"method": "mixed", "alpha": alpha, "n": args.n}
 
     freqs = analysis.spectrum(model)
     with_exact = model.meta.get("method") in ("mixed", "golo")
@@ -353,7 +289,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_build.add_argument(
         "--alpha-prime", type=float, help="override comparison effort weight"
     )
-    p_build.add_argument("--method", choices=("ours", "golo"), help="1D model family")
+    p_build.add_argument(
+        "--method", choices=METHODS_1D, help="1D model family ('ours' = 'mixed')"
+    )
     p_build.set_defaults(func=cmd_build)
 
     p_sim = sub.add_parser("simulate", help="integrate a built model (zero input)")
@@ -375,7 +313,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_eigs.add_argument("--alpha", type=float, help="1D flow-map weight")
     p_eigs.add_argument("--alpha-prime", type=float, help="comparison effort weight")
     p_eigs.add_argument(
-        "--method", choices=("ours", "golo"), default="ours", help="1D model family"
+        "--method",
+        choices=METHODS_1D,
+        default="mixed",
+        help="1D model family ('ours' = 'mixed')",
     )
     p_eigs.add_argument("--out", required=True, help="output directory")
     p_eigs.set_defaults(func=cmd_eigs)

@@ -25,7 +25,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import InvalidArgumentError, SingularHodgeError
-from .mesh import SimplexMesh, edge_kind
+from .mesh import SimplexMesh
 
 WEIGHT_FLOOR = 1e-14
 
@@ -86,9 +86,7 @@ def hodge_2d(
             f"absolute sum {abs_sums[bad]:.3e}; no flux information crosses "
             "this effort edge"
         )
-    factor = np.array(
-        [2.0 if edge_kind(mesh, int(e)) == "d" else 1.0 for e in q_efforts]
-    )
+    factor = np.where(mesh.edge_class[q_efforts] == "d", 2.0, 1.0)
     Q_q = sp.diags(factor / abs_sums, format="csr")
     return HodgePair(Q_p, Q_q)
 

@@ -40,6 +40,8 @@ from .errors import InvalidArgumentError
 
 NUMBERING_VERSION = "grouped-lower-upper/v1"
 
+_SIDES = ("bottom", "right", "top", "left")
+
 
 class SimplexMesh(NamedTuple):
     """Immutable mesh container.
@@ -52,6 +54,10 @@ class SimplexMesh(NamedTuple):
     face_signs  -- (n_faces, 3) int array of +-1 traversal signs; None in 1D
     h           -- uniform mesh size (cell side in 2D, edge length in 1D)
     grid_shape  -- (N, M) cells in 2D, (N,) edges in 1D
+    face_nodes  -- (n_faces, 3) int array of CCW vertex ids per face (2D);
+                   None in 1D
+    edge_class  -- (n_edges,) array of "h" / "v" / "d" per edge (2D); None
+                   in 1D
     """
 
     dim: int
@@ -61,6 +67,8 @@ class SimplexMesh(NamedTuple):
     face_signs: np.ndarray | None
     h: float
     grid_shape: tuple
+    face_nodes: np.ndarray | None = None
+    edge_class: np.ndarray | None = None
 
 
 class IncidencePair(NamedTuple):
@@ -111,50 +119,37 @@ def build_rect_mesh(N: int, M: int, h: float) -> SimplexMesh:
     if not (h > 0):
         raise InvalidArgumentError(f"cell size must be positive, got h={h}")
 
-    def node(i, j):
-        return j * (N + 1) + i
-
-    n_hor = N * (M + 1)
-    n_ver = (N + 1) * M
-
-    def hor(i, j):
-        return j * N + i
-
-    def ver(i, j):
-        return n_hor + j * (N + 1) + i
-
-    def dia(i, j):
-        return n_hor + n_ver + j * N + i
-
     ii, jj = np.meshgrid(np.arange(N + 1), np.arange(M + 1), indexing="xy")
     coords = np.column_stack([ii.ravel() * h, jj.ravel() * h]).astype(float)
 
-    n_edges = n_hor + n_ver + N * M
-    edges = np.empty((n_edges, 2), dtype=np.int64)
-    for j in range(M + 1):
-        for i in range(N):
-            edges[hor(i, j)] = (node(i + 1, j), node(i, j))
-    for j in range(M):
-        for i in range(N + 1):
-            edges[ver(i, j)] = (node(i, j), node(i, j + 1))
-    for j in range(M):
-        for i in range(N):
-            edges[dia(i, j)] = (node(i + 1, j + 1), node(i, j))
+    # entity ids as [j, i] grids, in the numbering of the module docstring
+    node = np.arange((N + 1) * (M + 1)).reshape(M + 1, N + 1)
+    n_hor, n_ver = N * (M + 1), (N + 1) * M
+    hor = np.arange(n_hor).reshape(M + 1, N)
+    ver = n_hor + np.arange(n_ver).reshape(M, N + 1)
+    dia = n_hor + n_ver + np.arange(N * M).reshape(M, N)
 
-    # lower triangles first, then upper; CCW boundary traversal of each
-    n_faces = 2 * N * M
-    faces = np.empty((n_faces, 3), dtype=np.int64)
-    signs = np.empty((n_faces, 3), dtype=np.int64)
-    for j in range(M):
-        for i in range(N):
-            # lower: (i,j) -> (i+1,j) -> (i+1,j+1) -> (i,j)
-            faces[j * N + i] = (hor(i, j), ver(i + 1, j), dia(i, j))
-            signs[j * N + i] = (-1, +1, +1)
-            # upper: (i,j) -> (i+1,j+1) -> (i,j+1) -> (i,j)
-            faces[N * M + j * N + i] = (dia(i, j), hor(i, j + 1), ver(i, j))
-            signs[N * M + j * N + i] = (-1, +1, -1)
+    def rows(*grids):
+        return np.column_stack([g.ravel() for g in grids]).astype(np.int64)
 
-    return SimplexMesh(2, coords, edges, faces, signs, float(h), (N, M))
+    edges = np.concatenate([
+        rows(node[:, 1:], node[:, :-1]),
+        rows(node[:-1, :], node[1:, :]),
+        rows(node[1:, 1:], node[:-1, :-1]),
+    ])
+    edge_class = np.repeat(np.array(["h", "v", "d"]), [n_hor, n_ver, N * M])
+
+    # lower triangles first, then upper; CCW boundary traversal of each:
+    # lower (i,j) -> (i+1,j) -> (i+1,j+1), upper (i,j) -> (i+1,j+1) -> (i,j+1)
+    bot, top, left, right = hor[:-1], hor[1:], ver[:, :-1], ver[:, 1:]
+    faces = np.concatenate([rows(bot, right, dia), rows(dia, top, left)])
+    signs = np.repeat(np.array([[-1, 1, 1], [-1, 1, -1]], dtype=np.int64), N * M, axis=0)
+    sw, se, ne, nw = node[:-1, :-1], node[:-1, 1:], node[1:, 1:], node[1:, :-1]
+    face_nodes = np.concatenate([rows(sw, se, ne), rows(sw, ne, nw)])
+
+    return SimplexMesh(
+        2, coords, edges, faces, signs, float(h), (N, M), face_nodes, edge_class
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -177,45 +172,18 @@ def grid_counts(mesh: SimplexMesh) -> dict:
     }
 
 
-def edge_kind(mesh: SimplexMesh, e: int) -> str:
-    """'h' / 'v' / 'd' for a 2D edge index."""
-    N, M = mesh.grid_shape
-    n_hor = N * (M + 1)
-    n_ver = (N + 1) * M
-    if e < n_hor:
-        return "h"
-    if e < n_hor + n_ver:
-        return "v"
-    return "d"
-
-
 def boundary_nodes(mesh: SimplexMesh) -> np.ndarray:
     if mesh.dim == 1:
         N = mesh.grid_shape[0]
         return np.array([0, N], dtype=np.int64)
-    N, M = mesh.grid_shape
-    out = []
-    for j in range(M + 1):
-        for i in range(N + 1):
-            if i in (0, N) or j in (0, M):
-                out.append(j * (N + 1) + i)
-    return np.array(sorted(out), dtype=np.int64)
+    return np.unique(np.concatenate([boundary_side_nodes(mesh, s) for s in _SIDES]))
 
 
 def boundary_edges(mesh: SimplexMesh) -> np.ndarray:
     """2D boundary edge indices (bottom/top horizontals, left/right verticals)."""
     if mesh.dim == 1:
         raise InvalidArgumentError("boundary edges are a 2D notion")
-    N, M = mesh.grid_shape
-    n_hor = N * (M + 1)
-    out = []
-    for i in range(N):
-        out.append(i)                    # bottom row, j = 0
-        out.append(M * N + i)            # top row, j = M
-    for j in range(M):
-        out.append(n_hor + j * (N + 1))          # left column, i = 0
-        out.append(n_hor + j * (N + 1) + N)      # right column, i = N
-    return np.array(sorted(out), dtype=np.int64)
+    return np.sort(np.concatenate([boundary_side_edges(mesh, s) for s in _SIDES]))
 
 
 def boundary_side_nodes(mesh: SimplexMesh, side: str) -> np.ndarray:
@@ -276,9 +244,6 @@ def incidence(mesh: SimplexMesh) -> IncidencePair:
 
 # ---------------------------------------------------------------------------
 # boundary causality partitions
-
-
-_SIDES = ("bottom", "right", "top", "left")
 
 
 def partition_boundary(mesh: SimplexMesh, causality: dict | None) -> BoundaryPartition:

@@ -41,6 +41,7 @@ from .mesh import (
     BoundaryPartition,
     IncidencePair,
     SimplexMesh,
+    build_interval_mesh,
     incidence,
     p_input_nodes,
     q_input_edges,
@@ -221,46 +222,20 @@ def build_selectors(mesh: SimplexMesh, partition: BoundaryPartition):
 # 2D flow maps
 
 
-def _cell_edges(mesh: SimplexMesh, i: int, j: int) -> dict:
-    N, M = mesh.grid_shape
-    n_hor = N * (M + 1)
-    n_ver = (N + 1) * M
-    return {
-        "bot": j * N + i,
-        "top": (j + 1) * N + i,
-        "left": n_hor + j * (N + 1) + i,
-        "right": n_hor + j * (N + 1) + i + 1,
-        "diag": n_hor + n_ver + j * N + i,
-    }
-
-
 def _build_Pfp_full(mesh: SimplexMesh, w: TriangleWeights) -> sp.csr_matrix:
-    """All-node flow map (nodes x faces): per-face vertex weights."""
-    N, M = mesh.grid_shape
+    """All-node flow map (nodes x faces): per-face vertex weights, placed on
+    the CCW vertices of each face (lower triangles first, then upper)."""
     n_nodes = mesh.node_coords.shape[0]
     n_faces = mesh.faces.shape[0]
-
-    def node(i, j):
-        return j * (N + 1) + i
-
-    rows, cols, vals = [], [], []
-    for j in range(M):
-        for i in range(N):
-            lower = j * N + i
-            upper = N * M + j * N + i
-            for nd, wt in (
-                (node(i, j), w.alpha_I),
-                (node(i + 1, j), w.gamma_I),
-                (node(i + 1, j + 1), w.beta_I),
-            ):
-                rows.append(nd), cols.append(lower), vals.append(wt)
-            for nd, wt in (
-                (node(i, j), w.beta_II),
-                (node(i + 1, j + 1), w.alpha_II),
-                (node(i, j + 1), w.gamma_II),
-            ):
-                rows.append(nd), cols.append(upper), vals.append(wt)
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n_nodes, n_faces))
+    vals = np.repeat(
+        [[w.alpha_I, w.gamma_I, w.beta_I], [w.beta_II, w.alpha_II, w.gamma_II]],
+        n_faces // 2,
+        axis=0,
+    )
+    cols = np.repeat(np.arange(n_faces), 3)
+    return sp.csr_matrix(
+        (vals.ravel(), (mesh.face_nodes.ravel(), cols)), shape=(n_nodes, n_faces)
+    )
 
 
 def build_Pfp(
@@ -293,7 +268,6 @@ def solve_Pfq_and_outputs(
     fixed by the canonical perp/parallel/rot stencils.
     """
     r = 3  # 2D wave setting (p, q) = (2, 1)
-    N, M = mesh.grid_shape
     n_edges = mesh.edges.shape[0]
 
     full_Pfp = _build_Pfp_full(mesh, w)
@@ -327,35 +301,38 @@ def solve_Pfq_and_outputs(
         if k is not None and val != 0.0:
             mat[k, int(col)] += val
 
-    for j in range(M):
-        for i in range(N):
-            e = _cell_edges(mesh, i, j)
-            # lower triangle (class I): transverse + parallel couplings
-            add(perp, e["bot"], e["right"], -w.beta_I)
-            add(par, e["bot"], e["bot"], 0.5 - w.alpha_I)
-            add(perp, e["right"], e["bot"], w.alpha_I)
-            add(par, e["right"], e["right"], w.beta_I - 0.5)
-            add(perp, e["diag"], e["bot"], -w.gamma_I / 2)
-            add(perp, e["diag"], e["right"], -w.gamma_I / 2)
-            add(par, e["diag"], e["diag"], (w.alpha_I - w.beta_I) / 2)
-            # upper triangle (class II)
-            add(perp, e["top"], e["left"], -w.beta_II)
-            add(par, e["top"], e["top"], 0.5 - w.alpha_II)
-            add(perp, e["left"], e["top"], w.alpha_II)
-            add(par, e["left"], e["left"], w.beta_II - 0.5)
-            add(perp, e["diag"], e["top"], -w.gamma_II / 2)
-            add(perp, e["diag"], e["left"], -w.gamma_II / 2)
-            add(par, e["diag"], e["diag"], (w.alpha_II - w.beta_II) / 2)
-            # rotational cycle of the cell: -bot + right + top - left
-            cycle = ((e["bot"], -1.0), (e["right"], +1.0), (e["top"], +1.0), (e["left"], -1.0))
-            for row_edge, coef in (
-                (e["right"], w.delta_I),
-                (e["left"], -w.delta_II),
-                (e["bot"], w.eps_I),
-                (e["top"], -w.eps_II),
-            ):
-                for col, s in cycle:
-                    add(rot, row_edge, col, coef * s)
+    # cell by cell: the lower face's edges are (bot, right, diag), the upper
+    # face's (diag, top, left)
+    n_cells = mesh.faces.shape[0] // 2
+    for (bot, right, diag), (_, top, left) in zip(
+        mesh.faces[:n_cells].tolist(), mesh.faces[n_cells:].tolist()
+    ):
+        # lower triangle (class I): transverse + parallel couplings
+        add(perp, bot, right, -w.beta_I)
+        add(par, bot, bot, 0.5 - w.alpha_I)
+        add(perp, right, bot, w.alpha_I)
+        add(par, right, right, w.beta_I - 0.5)
+        add(perp, diag, bot, -w.gamma_I / 2)
+        add(perp, diag, right, -w.gamma_I / 2)
+        add(par, diag, diag, (w.alpha_I - w.beta_I) / 2)
+        # upper triangle (class II)
+        add(perp, top, left, -w.beta_II)
+        add(par, top, top, 0.5 - w.alpha_II)
+        add(perp, left, top, w.alpha_II)
+        add(par, left, left, w.beta_II - 0.5)
+        add(perp, diag, top, -w.gamma_II / 2)
+        add(perp, diag, left, -w.gamma_II / 2)
+        add(par, diag, diag, (w.alpha_II - w.beta_II) / 2)
+        # rotational cycle of the cell: -bot + right + top - left
+        cycle = ((bot, -1.0), (right, +1.0), (top, +1.0), (left, -1.0))
+        for row_edge, coef in (
+            (right, w.delta_I),
+            (left, -w.delta_II),
+            (bot, w.eps_I),
+            (top, -w.eps_II),
+        ):
+            for col, s in cycle:
+                add(rot, row_edge, col, coef * s)
 
     perp = perp.tocsr()
     par = par.tocsr()
@@ -492,12 +469,69 @@ def build_1d_maps(N: int, alpha: float) -> MapSet:
         p_efforts=np.arange(N),
         r=2,
     )
-    from .mesh import build_interval_mesh
+    return _checked_1d(maps, N)
 
+
+def build_golo_1d_maps(N: int, alpha_prime: float) -> MapSet:
+    """Comparison-scheme map set: identity flow maps + bidiagonal effort
+    interpolation (the p effort on edge i weights node i with 1 - alpha'
+    and node i + 1 with alpha', the q effort mirrors this).
+
+    alpha' is accepted on (-1, 1); |alpha'| >= 1 makes the stacked effort
+    map singular or meaningless.  Power preservation holds exactly: writing
+    the effort rows out, the interior rows of d_p^T P_ep and P_eq^T d_q
+    cancel pairwise and the two boundary leftovers -e_0 and +e_N are
+    absorbed by S_p = e_0^T and S_q_hat = e_N^T through the trace terms.
+    """
+    if N < 2:
+        raise InvalidArgumentError(f"need N >= 2 edges, got {N}")
+    if not (-1.0 < alpha_prime < 1.0):
+        raise InvalidArgumentError(
+            f"alpha_prime must lie in (-1, 1), got {alpha_prime}"
+        )
+    a = alpha_prime
+    n_nodes = N + 1
+    eye = sp.identity(N, format="csr")
+
+    rows = np.repeat(np.arange(N), 2)
+    cols = np.column_stack([np.arange(N), np.arange(1, n_nodes)]).ravel()
+    P_ep = sp.csr_matrix(
+        (np.tile([1.0 - a, a], N), (rows, cols)), shape=(N, n_nodes)
+    )
+    P_eq = sp.csr_matrix(
+        (np.tile([a, 1.0 - a], N), (rows, cols)), shape=(N, n_nodes)
+    )
+
+    S_p = sp.csr_matrix(([1.0], ([0], [0])), shape=(1, n_nodes))
+    S_q_hat = sp.csr_matrix(([1.0], ([0], [N])), shape=(1, n_nodes))
+
+    zero = sp.csr_matrix((N, N))
+    maps = MapSet(
+        T_q=_selector([0], n_nodes),
+        T_p_hat=_selector([N], n_nodes, sign=-1.0),
+        P_eq=P_eq,
+        P_ep=P_ep,
+        P_fp=eye,
+        P_fq=eye,
+        S_p=S_p,
+        S_q_hat=S_q_hat,
+        parts=PfqParts(eye, zero, zero.copy(), 0.0, 0.0),
+        q_inputs=np.array([0]),
+        p_inputs=np.array([N]),
+        q_efforts=np.arange(N),
+        p_efforts=np.arange(N),
+        r=2,
+    )
+    return _checked_1d(maps, N)
+
+
+def _checked_1d(maps: MapSet, N: int) -> MapSet:
+    """Return a 1D map set after checking power preservation on the N-edge
+    chain."""
     resid = power_residual(maps, incidence(build_interval_mesh(N, 1.0)))
     if resid > RESIDUAL_TOL:
         raise InternalConsistencyError(
-            f"1D power-preservation residual {resid:.3e} exceeds {RESIDUAL_TOL}"
+            f"1D maps violate power preservation: residual {resid:.3e}"
         )
     return maps
 

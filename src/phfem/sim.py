@@ -1,4 +1,9 @@
-"""Time integration, energy accounting, and the 2D wave experiment.
+"""Model construction from a config, time integration, energy accounting,
+and the 2D wave experiment.
+
+`build_model` is the one path from a config (the `phfem build` JSON schema)
+to a PH model: mesh -> boundary partition -> incidence -> power-preserving
+maps -> diagonal Hodge -> explicit state space.
 
 The integrator is the implicit midpoint rule,
 
@@ -23,22 +28,121 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import InvalidArgumentError, NumericalFailureError
-from .hodge import hodge_2d
-from .mesh import build_rect_mesh, incidence, mesh_summary, partition_boundary
-from .power_maps import PRESETS, build_2d_maps, weights_from_config
+from .hodge import hodge_1d, hodge_2d, hodge_golo_1d
+from .mesh import (
+    BoundaryPartition,
+    IncidencePair,
+    SimplexMesh,
+    build_interval_mesh,
+    build_rect_mesh,
+    incidence,
+    mesh_summary,
+    partition_boundary,
+)
+from .power_maps import (
+    MapSet,
+    build_1d_maps,
+    build_2d_maps,
+    build_golo_1d_maps,
+    weights_from_config,
+)
 from .statespace import PHModel, assemble_model
+
+
+class BuiltModel(NamedTuple):
+    """A PH model together with the pipeline stages it was built from."""
+
+    model: PHModel
+    mesh: SimplexMesh
+    partition: BoundaryPartition
+    inc: IncidencePair
+    maps: MapSet
+
+
+def _require(cfg: dict, key: str, context: str):
+    if key not in cfg:
+        raise InvalidArgumentError(f"config is missing {context} key {key!r}")
+    return cfg[key]
+
+
+def build_model(config: dict) -> BuiltModel:
+    """Build the model a config describes (the `phfem build` JSON schema).
+
+    "mesh" is {"kind": "rect", "N", "M", "h" (default 1)} or {"kind":
+    "interval", "N", "L" (default 1)}; "causality" is passed to
+    `mesh.partition_boundary`.  Rectangles need "weights"; intervals take
+    "method" ("mixed", default, alias "ours"; or "golo") with "alpha" or
+    "alpha_prime" respectively.
+    """
+    mesh_cfg = _require(config, "mesh", "top-level")
+    kind = _require(mesh_cfg, "kind", "mesh")
+    if kind == "rect":
+        N = int(_require(mesh_cfg, "N", "mesh"))
+        M = int(_require(mesh_cfg, "M", "mesh"))
+        h = float(mesh_cfg.get("h", 1.0))
+        mesh = build_rect_mesh(N, M, h)
+    elif kind == "interval":
+        N = int(_require(mesh_cfg, "N", "mesh"))
+        L = float(mesh_cfg.get("L", 1.0))
+        mesh = build_interval_mesh(N, L)
+    else:
+        raise InvalidArgumentError(
+            f"mesh kind must be 'rect' or 'interval', got {kind!r}"
+        )
+    part = partition_boundary(mesh, config.get("causality"))
+    inc = incidence(mesh)
+
+    if mesh.dim == 2:
+        w = weights_from_config(_require(config, "weights", "top-level"))
+        maps = build_2d_maps(mesh, part, w, inc)
+        pair = hodge_2d(mesh, maps.P_fp, maps.parts.perp, h, maps.q_efforts)
+        meta = {
+            "method": "mixed-2d",
+            "N": N,
+            "M": M,
+            "h": h,
+            "weights": {
+                "alpha_I": w.alpha_I,
+                "beta_I": w.beta_I,
+                "alpha_II": w.alpha_II,
+                "beta_II": w.beta_II,
+            },
+        }
+    else:
+        method = config.get("method", "mixed")
+        if method in ("mixed", "ours"):
+            alpha = float(_require(config, "alpha", "interval-mesh"))
+            maps = build_1d_maps(N, alpha)
+            pair = hodge_1d(N, alpha, L / N)
+            meta = {"method": "mixed", "alpha": alpha, "N": N, "L": L}
+        elif method == "golo":
+            alpha_prime = float(_require(config, "alpha_prime", "interval-mesh"))
+            maps = build_golo_1d_maps(N, alpha_prime)
+            pair = hodge_golo_1d(N, L / N)
+            meta = {
+                "method": "golo",
+                "alpha_prime": alpha_prime,
+                "N": N,
+                "L": L,
+                "non_convex": bool(alpha_prime < 0.0),
+            }
+        else:
+            raise InvalidArgumentError(
+                f"method must be 'mixed' (alias 'ours') or 'golo', got {method!r}"
+            )
+    model = assemble_model(maps, inc, pair, meta=meta)
+    return BuiltModel(model, mesh, part, inc, maps)
 
 
 class SimConfig(NamedTuple):
     """Run parameters: step size, horizon, per-port input signal, snapshot
-    times, optional output directory."""
+    times."""
 
     dt: float
     T: float
     input: Callable[[float], np.ndarray] | None = None
     x0: np.ndarray | None = None
     snapshot_times: tuple = ()
-    outdir: str | None = None
 
     def validate(self) -> None:
         if not self.dt > 0:
@@ -190,34 +294,23 @@ def wave2d_experiment(
         raise InvalidArgumentError(
             f"the wave experiment runs on square cells; got N = {N}, M = {M}"
         )
-    if isinstance(weights, str) and weights not in PRESETS:
-        raise InvalidArgumentError(
-            f"unknown weight preset {weights!r}; have {sorted(PRESETS)}"
-        )
-    w = weights_from_config(weights)
-
-    side = 20.0
-    h = side / N
-    mesh = build_rect_mesh(N, M, h)
-    part = partition_boundary(mesh, {"p_nodes": [0], "q_edges": "rest"})
-    inc = incidence(mesh)
-    maps = build_2d_maps(mesh, part, w, inc)
-    pair = hodge_2d(mesh, maps.P_fp, maps.parts.perp, h, maps.q_efforts)
+    h = 20.0 / N
+    model, mesh, _, _, maps = build_model(
+        {
+            "mesh": {"kind": "rect", "N": N, "M": N, "h": h},
+            "causality": {"p_nodes": [0], "q_edges": "rest"},
+            "weights": weights,
+        }
+    )
     meta = {
         "experiment": "wave2d",
         "mesh": mesh_summary(mesh),
         "h": h,
         "dt": dt,
         "T": T,
-        "weights": {
-            "alpha_I": w.alpha_I,
-            "beta_I": w.beta_I,
-            "alpha_II": w.alpha_II,
-            "beta_II": w.beta_II,
-        },
+        "weights": model.meta["weights"],
         "reference": "circle with radius 14 at t = 18",
     }
-    model = assemble_model(maps, inc, pair, meta=meta)
 
     m_b = maps.T_q.shape[0]
 
@@ -230,12 +323,12 @@ def wave2d_experiment(
     cfg = SimConfig(dt=dt, T=T, input=u_of_t, snapshot_times=tuple(snap_set))
     traj = simulate(model, cfg)
 
-    Q_p = pair.Q_p
+    Q_p = model.Q[: model.n_p, : model.n_p]
     snapshots = {}
     for t_snap in snap_set:
         k = int(round(t_snap / dt))
         k = min(k, len(traj.t) - 1)
-        e_p = Q_p @ traj.x[k, : maps.P_fp.shape[0]]
+        e_p = Q_p @ traj.x[k, : model.n_p]
         grid = np.empty((M + 1) * (N + 1))
         grid[maps.p_efforts] = e_p
         grid[maps.p_inputs] = corner_pulse(traj.t[k])

@@ -94,40 +94,10 @@ def _sigma(u: int, v: int) -> int:
     return +1 if (v - u) % 3 == 1 else -1
 
 
-def _face_vertices(mesh: SimplexMesh) -> np.ndarray:
-    """(n_faces, 3) global node indices in CCW local order 0,1,2."""
-    N, M = mesh.grid_shape
-    n_lower = N * M
-
-    def node(i, j):
-        return j * (N + 1) + i
-
-    out = np.empty((2 * N * M, 3), dtype=np.int64)
-    for j in range(M):
-        for i in range(N):
-            out[j * N + i] = (node(i, j), node(i + 1, j), node(i + 1, j + 1))
-            out[n_lower + j * N + i] = (node(i, j), node(i + 1, j + 1), node(i, j + 1))
-    return out
-
-
 def _local_edge_vertices(face_nodes: np.ndarray, tail: int, head: int) -> tuple:
     """Local vertex ids (0,1,2) of a global edge inside one face."""
     loc = {g: l for l, g in enumerate(face_nodes)}
     return loc[int(tail)], loc[int(head)]
-
-
-def _boundary_orientation_sign(mesh: SimplexMesh, e: int) -> int:
-    """+1 if edge e's orientation agrees with the CCW-induced boundary
-    orientation of the rectangle, else -1."""
-    N, M = mesh.grid_shape
-    n_hor = N * (M + 1)
-    if e < n_hor:              # horizontal: bottom row runs against CCW
-        j = e // N
-        return -1 if j == 0 else +1
-    if e < n_hor + (N + 1) * M:  # vertical: left column runs against CCW
-        i = (e - n_hor) % (N + 1)
-        return -1 if i == 0 else +1
-    raise InvalidArgumentError(f"edge {e} is not a boundary edge")
 
 
 def assemble(
@@ -146,7 +116,6 @@ def assemble(
 
 
 def _assemble_2d(mesh, partition, spec):
-    N, M = mesh.grid_shape
     n_nodes = mesh.node_coords.shape[0]
     n_edges = mesh.edges.shape[0]
     n_faces = mesh.faces.shape[0]
@@ -156,15 +125,13 @@ def _assemble_2d(mesh, partition, spec):
     sgn_lp = (-1) ** (spec.r + spec.q)      # +1
     sgn_lq = (-1) ** spec.p                 # +1
 
-    fverts = _face_vertices(mesh)
-
     mp_r, mp_c, mp_v = [], [], []
     mq_r, mq_c, mq_v = [], [], []
     kp_r, kp_c, kp_v = [], [], []
     kq_r, kq_c, kq_v = [], [], []
 
     for f in range(n_faces):
-        nodes = fverts[f]
+        nodes = mesh.face_nodes[f]
         edges = mesh.faces[f]
         # local (tail, head) vertex ids of the three edges of this face
         locs = [_local_edge_vertices(nodes, *mesh.edges[e]) for e in edges]
@@ -213,16 +180,19 @@ def _assemble_2d(mesh, partition, spec):
 
     # boundary pairings: the tangential trace of an edge form vanishes on
     # every boundary edge except its own, where it integrates to 1/2 against
-    # either endpoint hat (signed by the induced CCW orientation)
+    # either endpoint hat (signed by the induced CCW orientation).  Interior
+    # edges appear in two faces with opposite traversal signs, so the summed
+    # signs are +-1 exactly on the boundary: the orientation sign there.
+    orientation = np.bincount(
+        mesh.faces.ravel(), weights=mesh.face_signs.ravel(), minlength=n_edges
+    )
+
     def edge_pairing(edge_list):
-        rows, cols, vals = [], [], []
-        for e in edge_list:
-            s = _boundary_orientation_sign(mesh, int(e))
-            for nd in mesh.edges[e]:
-                rows.append(int(nd))
-                cols.append(int(e))
-                vals.append(s / 2.0)
-        return sp.csr_matrix((vals, (rows, cols)), shape=(n_nodes, n_edges))
+        e = np.asarray(edge_list, dtype=np.int64)
+        vals = np.repeat(orientation[e] / 2.0, 2)
+        return sp.csr_matrix(
+            (vals, (mesh.edges[e].ravel(), np.repeat(e, 2))), shape=(n_nodes, n_edges)
+        )
 
     all_bedges = boundary_edges(mesh)
     pairing_full = edge_pairing(all_bedges)
@@ -291,81 +261,6 @@ def _assemble_1d(mesh, partition, spec):
 
 
 # ---------------------------------------------------------------------------
-# pointwise evaluation (used by tests and field reconstruction)
-
-
-def eval_whitney(mesh: SimplexMesh, kind: str, index: int, points: np.ndarray):
-    """Evaluate one Whitney basis form at physical points.
-
-    kind  -- "node" (0-form, scalar), "edge" (1-form; (..,2) vector in 2D,
-             scalar density in 1D), "face" (2-form density, 2D only)
-    Points outside the form's support evaluate to zero.
-    """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if mesh.dim == 1:
-        return _eval_whitney_1d(mesh, kind, index, pts)
-    return _eval_whitney_2d(mesh, kind, index, pts)
-
-
-def _eval_whitney_1d(mesh, kind, index, pts):
-    x = pts[:, 0]
-    h = mesh.h
-    N = mesh.grid_shape[0]
-    if kind == "node":
-        xi = mesh.node_coords[index, 0]
-        return np.clip(1.0 - np.abs(x - xi) / h, 0.0, None)
-    if kind == "edge":
-        t, hd = mesh.edges[index]
-        x0, x1 = mesh.node_coords[t, 0], mesh.node_coords[hd, 0]
-        inside = (x >= min(x0, x1)) & (x <= max(x0, x1))
-        return np.where(inside, 1.0 / h, 0.0)
-    raise InvalidArgumentError(f"unknown 1D form kind {kind!r}")
-
-
-def _eval_whitney_2d(mesh, kind, index, pts):
-    N, M = mesh.grid_shape
-    h = mesh.h
-    fverts = _face_vertices(mesh)
-
-    # containing cell and triangle of each point
-    i = np.clip(np.floor(pts[:, 0] / h).astype(int), 0, N - 1)
-    j = np.clip(np.floor(pts[:, 1] / h).astype(int), 0, M - 1)
-    xi = pts[:, 0] / h - i
-    eta = pts[:, 1] / h - j
-    lower = eta <= xi
-    face = np.where(lower, j * N + i, N * M + j * N + i)
-    in_dom = (pts[:, 0] >= 0) & (pts[:, 0] <= N * h) & (pts[:, 1] >= 0) & (pts[:, 1] <= M * h)
-
-    if kind == "face":
-        return np.where(in_dom & (face == index), 2.0 / (h * h), 0.0)
-
-    scalar = kind == "node"
-    out = np.zeros(pts.shape[0]) if scalar else np.zeros((pts.shape[0], 2))
-    for k in range(pts.shape[0]):
-        if not in_dom[k]:
-            continue
-        f = int(face[k])
-        nodes = fverts[f]
-        coords = mesh.node_coords[nodes]
-        # barycentric coefficients lam_l(x,y) = a x + b y + c per local vertex
-        Amat = np.column_stack([coords, np.ones(3)])
-        coef = np.linalg.solve(Amat, np.eye(3))  # columns: per-vertex (a,b,c)
-        lam = coef.T @ np.array([pts[k, 0], pts[k, 1], 1.0])
-        grads = coef[:2].T  # (3, 2) gradients of the three barycentrics
-        if scalar:
-            loc = np.nonzero(nodes == index)[0]
-            if loc.size:
-                out[k] = lam[loc[0]]
-        else:
-            edges = mesh.faces[f]
-            loc = np.nonzero(edges == index)[0]
-            if loc.size:
-                t, hd = _local_edge_vertices(nodes, *mesh.edges[index])
-                out[k] = lam[t] * grads[hd] - lam[hd] * grads[t]
-    return out
-
-
-# ---------------------------------------------------------------------------
 # structure verification
 
 
@@ -383,6 +278,7 @@ class StructureReport(NamedTuple):
 
 
 def verify_structure(
+    mesh: SimplexMesh,
     g: GalerkinMatrices,
     inc: IncidencePair,
     spec: FormDegreeSpec,
@@ -391,6 +287,8 @@ def verify_structure(
 ) -> StructureReport:
     """Check the factorization identities and (optionally) the rank table.
 
+    By default the rank table runs on 2D grids with at most 3000 nodes; it
+    applies only when min(N, M) > 2 (N, M read from mesh.grid_shape).
     Never raises on failure -- returns the report with passed=False so
     callers can decide (the CLI turns failures into exit code 1).
     """
@@ -416,14 +314,9 @@ def verify_structure(
     if check_ranks is None:
         check_ranks = spec.n == 2 and n_nodes <= 3000
     if check_ranks and spec.n == 2:
+        N, M = mesh.grid_shape
         n_faces = g.M_p.shape[1]
-        # recover the grid dimensions from the entity counts
-        s = n_nodes - n_faces // 2 - 1          # N + M
-        prod = n_faces // 2                     # N * M
-        disc = s * s - 4 * prod
-        root = int(round(np.sqrt(disc))) if disc >= 0 else -1
-        applicable = disc >= 0 and root * root == disc and (s - root) // 2 > 2
-        if applicable:
+        if min(N, M) > 2:
             ranks = {
                 "M_p": (
                     int(np.linalg.matrix_rank(g.M_p.toarray())),
@@ -435,7 +328,7 @@ def verify_structure(
                 ),
                 "L_p": (
                     int(np.linalg.matrix_rank(g.L_p.toarray())),
-                    2 * s - 1,
+                    2 * (N + M) - 1,
                 ),
                 "K_p+L_p": (
                     int(np.linalg.matrix_rank((g.K_p + g.L_p).toarray())),

@@ -140,6 +140,51 @@ def quad_boundary_trace(
 
 
 # ---------------------------------------------------------------------------
+# pointwise evaluation of Whitney basis forms
+
+
+def eval_whitney(mesh, kind: str, index: int, points) -> np.ndarray:
+    """Evaluate one Whitney basis form of a mesh at physical points.
+
+    kind  -- "node" (0-form, scalar), "edge" (1-form; (n, 2) vector in 2D,
+             scalar density in 1D), "face" (2-form density, 2D only)
+    Points outside the form's support evaluate to zero.  In 2D the
+    containing triangle is found by a barycentric search over
+    mesh.face_nodes, not from the grid numbering.
+    """
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if mesh.dim == 1:
+        x = pts[:, 0]
+        if kind == "node":
+            dist = np.abs(x - mesh.node_coords[index, 0])
+            return np.clip(1.0 - dist / mesh.h, 0.0, None)
+        if kind == "edge":
+            x0, x1 = sorted(mesh.node_coords[mesh.edges[index], 0])
+            return np.where((x >= x0) & (x <= x1), 1.0 / mesh.h, 0.0)
+        raise ValueError(f"unknown 1D form kind {kind!r}")
+    if kind not in ("node", "edge", "face"):
+        raise ValueError(f"unknown 2D form kind {kind!r}")
+
+    out = np.zeros((pts.shape[0], 2) if kind == "edge" else pts.shape[0])
+    for k, p in enumerate(pts):
+        for f, nodes in enumerate(mesh.face_nodes):
+            tri = TriangleFrame(mesh.node_coords[nodes])
+            lam = tri.lam(p)[0]
+            if lam.min() >= -1e-12:
+                break
+        else:
+            continue  # outside the domain
+        if kind == "face":
+            out[k] = tri.w_face() if f == index else 0.0
+        elif kind == "node" and index in nodes:
+            out[k] = lam[list(nodes).index(index)]
+        elif kind == "edge" and index in mesh.faces[f]:
+            t, hd = (list(nodes).index(v) for v in mesh.edges[index])
+            out[k] = tri.w_edge(t, hd, p)[0]
+    return out
+
+
+# ---------------------------------------------------------------------------
 # independent 1D staggered finite-volume model (alpha = 0 case)
 
 

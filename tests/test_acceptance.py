@@ -281,7 +281,7 @@ class TestStructureBattery:
                     tag = f"{N}x{M} {preset} {causality}"
                     part = msh.partition_boundary(mesh, causality)
                     g = whitney.assemble(mesh, part, whitney.WAVE_2D)
-                    report = whitney.verify_structure(g, inc, whitney.WAVE_2D)
+                    report = whitney.verify_structure(mesh, g, inc, whitney.WAVE_2D)
                     fold(tag, report.residuals)
                     if report.ranks is not None:
                         rank_cases += 1
@@ -308,7 +308,7 @@ class TestStructureBattery:
             inc = msh.incidence(mesh)
             part = msh.partition_boundary(mesh, None)
             g = whitney.assemble(mesh, part, whitney.WAVE_1D)
-            report = whitney.verify_structure(g, inc, whitney.WAVE_1D)
+            report = whitney.verify_structure(mesh, g, inc, whitney.WAVE_1D)
             fold(f"1d N={N}", report.residuals)
             for alpha in cls.ALPHAS_1D:
                 cases += 1

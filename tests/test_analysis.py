@@ -59,7 +59,7 @@ class TestSpectrum:
 class TestComparisonScheme:
     @pytest.mark.parametrize("a", [0.0, 1 / 12, -1 / 6, 0.45, -0.6])
     def test_power_preservation(self, a):
-        maps = an._golo_maps(12, a)
+        maps = pm.build_golo_1d_maps(12, a)
         inc = incidence(build_interval_mesh(12, 1.0))
         assert pm.power_residual(maps, inc) <= 1e-12
 

@@ -8,8 +8,9 @@ import sys
 import numpy as np
 import pytest
 
-from phfem import cli
+from phfem import cli, sim
 from phfem.errors import StructureViolationError
+from phfem.statespace import load_model
 
 MIXED_2X1 = {
     "mesh": {"kind": "rect", "N": 2, "M": 1, "h": 1.0},
@@ -69,6 +70,38 @@ class TestBuild:
         assert cli.main(["build", "--config", str(cfg), "--out", str(out)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["meta"]["method"] == "golo"
+
+    def test_export_equals_build_model(self, tmp_path):
+        config = {
+            "mesh": {"kind": "rect", "N": 4, "M": 3, "h": 0.5},
+            "causality": {"p_sides": ["bottom"], "q_edges": "rest"},
+            "weights": {"alpha_I": 0.5, "beta_I": 0.2, "alpha_II": 0.3, "beta_II": 0.4},
+        }
+        out = tmp_path / "m"
+        cfg = write_cfg(tmp_path, config)
+        assert cli.main(["build", "--config", str(cfg), "--out", str(out)]) == 0
+        loaded = load_model(out)
+        built = sim.build_model(config).model
+        for name in ("J", "Q", "B", "C", "D"):
+            a, b = getattr(loaded, name), getattr(built, name)
+            assert a.shape == b.shape, name
+            assert np.array_equal(a.toarray(), b.toarray()), name
+        assert (loaded.n_p, loaded.n_q, loaded.m_hat, loaded.m) == (
+            built.n_p, built.n_q, built.m_hat, built.m
+        )
+        assert loaded.meta == built.meta
+
+    def test_ours_is_alias_of_mixed(self, tmp_path):
+        outs = []
+        for method in ("ours", "mixed"):
+            cfg = write_cfg(tmp_path, dict(INTERVAL, method=method, alpha=1 / 6),
+                            f"{method}.json")
+            outs.append(tmp_path / method)
+            assert cli.main(["build", "--config", str(cfg), "--out", str(outs[-1])]) == 0
+        for name in ("J", "Q", "B", "C", "D"):
+            assert (outs[0] / f"{name}.mtx").read_bytes() == (
+                outs[1] / f"{name}.mtx"
+            ).read_bytes()
 
     def test_malformed_json(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -133,6 +166,17 @@ class TestEigs:
         assert len(rows) == 21
         assert float(rows[1][1]) == pytest.approx(1.5321, abs=5e-4)
         assert float(rows[1][2]) == pytest.approx(np.pi / 2)
+
+    def test_ours_is_alias_of_mixed(self, tmp_path):
+        tables = []
+        for method in ("ours", "mixed"):
+            out = tmp_path / method
+            assert cli.main(
+                ["eigs", "--method", method, "--alpha", "0.25", "--n", "10",
+                 "--out", str(out)]
+            ) == 0
+            tables.append((out / "eigs.csv").read_bytes())
+        assert tables[0] == tables[1]
 
     def test_golo_method(self, tmp_path):
         out = tmp_path / "e"

@@ -42,7 +42,7 @@ class TestFrozenValues2D:
         assert np.isclose(pair.Q_p.diagonal()[row], 1 / h**2)
 
         qd = pair.Q_q.diagonal()
-        kinds = {e: msh.edge_kind(m, int(e)) for e in maps.q_efforts}
+        kinds = {e: m.edge_class[int(e)] for e in maps.q_efforts}
         # interior horizontal edge 4 = hor(1,1), interior vertical,
         # any diagonal: frozen equal-weight values 3/2, 3/2, 3
         interior_hor = 4

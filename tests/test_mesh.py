@@ -81,7 +81,7 @@ def test_boundary_sets():
     assert len(bn) == 2 * (3 + 2)  # 2(N+M) boundary nodes
     assert len(be) == 2 * (3 + 2)  # 2(N+M) boundary edges
     # diagonals never lie on the boundary
-    assert all(msh.edge_kind(m, e) in ("h", "v") for e in be)
+    assert all(m.edge_class[e] in ("h", "v") for e in be)
     # side decompositions tile the boundary
     all_side_edges = np.concatenate(
         [msh.boundary_side_edges(m, s) for s in ("bottom", "right", "top", "left")]
@@ -167,3 +167,64 @@ def test_summary_and_hash_deterministic():
     assert msh.mesh_hash(m1) != msh.mesh_hash(m3)
     s = msh.mesh_summary(m1)
     assert s["counts"]["edges"] == 4 * 4 + 5 * 3 + 12
+
+
+def loop_rect_numbering(N, M):
+    """Edges, faces and traversal signs entity by entity from the numbering
+    formulas of the mesh module docstring (reference for the vectorized
+    construction)."""
+    node = lambda i, j: j * (N + 1) + i
+    n_hor, n_ver = N * (M + 1), (N + 1) * M
+    hor = lambda i, j: j * N + i
+    ver = lambda i, j: n_hor + j * (N + 1) + i
+    dia = lambda i, j: n_hor + n_ver + j * N + i
+    edges = np.empty((n_hor + n_ver + N * M, 2), dtype=np.int64)
+    for j in range(M + 1):
+        for i in range(N):
+            edges[hor(i, j)] = (node(i + 1, j), node(i, j))
+    for j in range(M):
+        for i in range(N + 1):
+            edges[ver(i, j)] = (node(i, j), node(i, j + 1))
+    for j in range(M):
+        for i in range(N):
+            edges[dia(i, j)] = (node(i + 1, j + 1), node(i, j))
+    faces = np.empty((2 * N * M, 3), dtype=np.int64)
+    signs = np.empty((2 * N * M, 3), dtype=np.int64)
+    for j in range(M):
+        for i in range(N):
+            faces[j * N + i] = (hor(i, j), ver(i + 1, j), dia(i, j))
+            signs[j * N + i] = (-1, +1, +1)
+            faces[N * M + j * N + i] = (dia(i, j), hor(i, j + 1), ver(i, j))
+            signs[N * M + j * N + i] = (-1, +1, -1)
+    return edges, faces, signs
+
+
+@pytest.mark.parametrize("N,M", [(1, 1), (3, 2), (2, 5), (7, 7)])
+def test_rect_mesh_numbering_and_invariants(N, M):
+    m = msh.build_rect_mesh(N, M, 0.7)
+    edges, faces, signs = loop_rect_numbering(N, M)
+    assert np.array_equal(m.edges, edges) and m.edges.dtype == edges.dtype
+    assert np.array_equal(m.faces, faces) and m.faces.dtype == faces.dtype
+    assert np.array_equal(m.face_signs, signs)
+
+    # face_nodes: CCW (positive signed area) and the endpoints of the face's edges
+    p0, p1, p2 = (m.node_coords[m.face_nodes[:, k]] for k in range(3))
+    d1, d2 = p1 - p0, p2 - p0
+    assert np.all(d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0] > 0)
+    for f in range(m.faces.shape[0]):
+        assert set(m.face_nodes[f].tolist()) == set(m.edges[m.faces[f]].ravel().tolist())
+
+    # edge_class marks exactly the non-axis-aligned edges as diagonals
+    vec = m.node_coords[m.edges[:, 1]] - m.node_coords[m.edges[:, 0]]
+    assert np.array_equal(m.edge_class == "d", np.all(vec != 0, axis=1))
+    assert np.array_equal(m.edge_class == "h", vec[:, 1] == 0)
+
+    # summed face traversal signs are +-1 exactly on the boundary edges
+    summed = np.bincount(m.faces.ravel(), weights=m.face_signs.ravel())
+    assert np.array_equal(np.nonzero(summed)[0], msh.boundary_edges(m))
+    assert np.all(np.abs(summed[msh.boundary_edges(m)]) == 1)
+
+
+def test_interval_mesh_has_no_2d_fields():
+    m = msh.build_interval_mesh(4, 1.0)
+    assert m.face_nodes is None and m.edge_class is None

@@ -160,6 +160,20 @@ class TestWaveExperiment:
         after = res.trajectory.energy[t >= 8.0 + 1e-9]
         assert np.abs(after - after[0]).max() <= 1e-10 * max(after[0], 1e-30)
 
+    def test_model_is_build_model_of_wave_config(self):
+        res = sim.wave2d_experiment(8, weights="set4", dt=0.2, T=0.4,
+                                    snapshot_times=(0.0,))
+        built = sim.build_model(
+            {"mesh": {"kind": "rect", "N": 8, "M": 8, "h": 20.0 / 8},
+             "causality": {"p_nodes": [0], "q_edges": "rest"},
+             "weights": "set4"}
+        )
+        assert res.model.meta == built.model.meta
+        for name in ("J", "Q", "B", "C", "D"):
+            a, b = getattr(res.model, name), getattr(built.model, name)
+            assert a.shape == b.shape and (a != b).nnz == 0, name
+        assert res.meta["weights"] == built.model.meta["weights"]
+
     def test_invalid_arguments(self):
         with pytest.raises(InvalidArgumentError):
             sim.wave2d_experiment(8, weights="set9")

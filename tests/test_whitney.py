@@ -7,6 +7,7 @@ from phfem.errors import InvalidArgumentError, UnsupportedSpecError
 
 from oracles import (
     TriangleFrame,
+    eval_whitney,
     quad_boundary_trace,
     quad_wedge_dnode_edge,
     quad_wedge_edge_edge,
@@ -25,7 +26,7 @@ def oracle_assemble_2d(m):
     Mq = np.zeros((ne, ne))
     Kp = np.zeros((nn, ne))
     Kq = np.zeros((ne, nn))
-    fverts = wh._face_vertices(m)
+    fverts = m.face_nodes
     for f in range(nf):
         nodes = fverts[f]
         tri = TriangleFrame(m.node_coords[nodes])
@@ -59,7 +60,7 @@ def test_boundary_pairing_matches_trace_quadrature():
     # triangle, traversed in the CCW-induced direction
     m = msh.build_rect_mesh(2, 2, 0.8)
     g = wh.assemble(m, msh.partition_boundary(m, None), wh.WAVE_2D)
-    fverts = wh._face_vertices(m)
+    fverts = m.face_nodes
     L_oracle = np.zeros(g.L_p.shape)
     for e in msh.boundary_edges(m).tolist():
         # the unique adjacent face
@@ -129,7 +130,7 @@ def test_structure_battery_2d(N, M):
     m = msh.build_rect_mesh(N, M, 0.5)
     inc = msh.incidence(m)
     g = wh.assemble(m, msh.partition_boundary(m, None), wh.WAVE_2D)
-    rep = wh.verify_structure(g, inc, wh.WAVE_2D)
+    rep = wh.verify_structure(m, g, inc, wh.WAVE_2D)
     assert rep.passed
     assert max(rep.residuals.values()) <= 1e-12
     if N > 2 and M > 2:
@@ -146,7 +147,7 @@ def test_structure_battery_2d(N, M):
 def test_structure_battery_1d(N):
     m = msh.build_interval_mesh(N, 1.0)
     g = wh.assemble(m, msh.partition_boundary(m, None), wh.WAVE_1D)
-    rep = wh.verify_structure(g, msh.incidence(m), wh.WAVE_1D)
+    rep = wh.verify_structure(m, g, msh.incidence(m), wh.WAVE_1D)
     assert rep.passed
     assert max(rep.residuals.values()) <= 1e-12
 
@@ -210,22 +211,22 @@ def test_spec_validation():
 def test_eval_whitney_support():
     m = msh.build_rect_mesh(2, 2, 1.0)
     # node form: 1 at its node, 0 at other nodes, 0 outside support
-    v = wh.eval_whitney(m, "node", 4, m.node_coords)
+    v = eval_whitney(m, "node", 4, m.node_coords)
     expect = np.zeros(9)
     expect[4] = 1.0
     assert np.allclose(v, expect)
-    assert wh.eval_whitney(m, "node", 0, np.array([[1.9, 1.9]]))[0] == 0.0
+    assert eval_whitney(m, "node", 0, np.array([[1.9, 1.9]]))[0] == 0.0
     # face form integrates-to-one density inside its own triangle only
-    d = wh.eval_whitney(m, "face", 0, np.array([[0.6, 0.1], [0.1, 0.6]]))
+    d = eval_whitney(m, "face", 0, np.array([[0.6, 0.1], [0.1, 0.6]]))
     assert d[0] == pytest.approx(2.0)  # 1/area with h=1
     assert d[1] == 0.0
     # edge form: tangential component along own edge is 1/h at midpoint
     t, hd = m.edges[0]
     mid = 0.5 * (m.node_coords[t] + m.node_coords[hd]) + [0, 1e-9]
-    vec = wh.eval_whitney(m, "edge", 0, np.array([mid]))
+    vec = eval_whitney(m, "edge", 0, np.array([mid]))
     tang = (m.node_coords[hd] - m.node_coords[t]) / 1.0
     assert float(vec[0] @ tang) == pytest.approx(1.0, abs=1e-6)
 
     m1 = msh.build_interval_mesh(4, 1.0)
-    assert wh.eval_whitney(m1, "node", 2, np.array([[0.5]]))[0] == 1.0
-    assert wh.eval_whitney(m1, "edge", 0, np.array([[0.9]]))[0] == 0.0
+    assert eval_whitney(m1, "node", 2, np.array([[0.5]]))[0] == 1.0
+    assert eval_whitney(m1, "edge", 0, np.array([[0.9]]))[0] == 0.0
