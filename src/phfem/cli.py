@@ -196,6 +196,7 @@ def cmd_simulate(args) -> int:
     write_energy_csv(traj, outdir / "energy.csv")
     scale = max(abs(traj.energy[0]), 1e-30)
     drift = abs(traj.energy[-1] - traj.energy[0]) / scale
+    max_drift = float(np.abs(traj.energy - traj.energy[0]).max()) / scale
     _write_manifest(
         outdir,
         _run_info(
@@ -208,7 +209,11 @@ def cmd_simulate(args) -> int:
                 "seed": args.seed,
             },
             outdir,
-            {"relative_energy_drift": drift},
+            {
+                "relative_energy_drift": drift,
+                "max_relative_energy_drift": max_drift,
+                "stepper": traj.route,
+            },
         ),
     )
     print(f"simulated {len(traj.t) - 1} steps; relative energy drift {drift:.3e}")

@@ -98,6 +98,8 @@ def hodge_1d(N: int, alpha: float, h: float) -> HodgePair:
         raise InvalidArgumentError(f"need N >= 1, got {N}")
     if h <= 0:
         raise InvalidArgumentError(f"mesh size h must be positive, got {h}")
+    if not np.isfinite(alpha):
+        raise InvalidArgumentError(f"alpha must be finite, got {alpha}")
     if alpha >= 1:
         raise SingularHodgeError(
             f"alpha = {alpha}: the boundary Hodge entry 1/(1-alpha) degenerates"

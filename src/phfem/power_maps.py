@@ -290,59 +290,65 @@ def solve_Pfq_and_outputs(
     S_p = (T_q @ G).tocsr()
 
     q_eff = np.setdiff1d(np.arange(n_edges), q_input_edges(partition))
-    row_of = {int(e): k for k, e in enumerate(q_eff)}
+    row_of = np.full(n_edges, -1)
+    row_of[q_eff] = np.arange(len(q_eff))
 
-    perp = sp.lil_matrix((len(q_eff), n_edges))
-    par = sp.lil_matrix((len(q_eff), n_edges))
-    rot = sp.lil_matrix((len(q_eff), n_edges))
+    def stencil(entries) -> sp.csr_matrix:
+        """Sum the per-cell (row edge, column edge, value) entries over all
+        cells, keeping the rows of effort edges.  Every matrix entry gathers
+        at most two contributions, so the summation order cannot change it."""
+        rows = row_of[np.concatenate([r for r, _, _ in entries])]
+        cols = np.concatenate([c for _, c, _ in entries])
+        vals = np.concatenate([np.full(len(r), v) for r, _, v in entries])
+        keep = rows >= 0
+        mat = sp.csr_matrix(
+            (vals[keep], (rows[keep], cols[keep])), shape=(len(q_eff), n_edges)
+        )
+        mat.eliminate_zeros()
+        return mat
 
-    def add(mat, edge, col, val):
-        k = row_of.get(int(edge))
-        if k is not None and val != 0.0:
-            mat[k, int(col)] += val
-
-    # cell by cell: the lower face's edges are (bot, right, diag), the upper
+    # per cell: the lower face's edges are (bot, right, diag), the upper
     # face's (diag, top, left)
     n_cells = mesh.faces.shape[0] // 2
-    for (bot, right, diag), (_, top, left) in zip(
-        mesh.faces[:n_cells].tolist(), mesh.faces[n_cells:].tolist()
-    ):
-        # lower triangle (class I): transverse + parallel couplings
-        add(perp, bot, right, -w.beta_I)
-        add(par, bot, bot, 0.5 - w.alpha_I)
-        add(perp, right, bot, w.alpha_I)
-        add(par, right, right, w.beta_I - 0.5)
-        add(perp, diag, bot, -w.gamma_I / 2)
-        add(perp, diag, right, -w.gamma_I / 2)
-        add(par, diag, diag, (w.alpha_I - w.beta_I) / 2)
-        # upper triangle (class II)
-        add(perp, top, left, -w.beta_II)
-        add(par, top, top, 0.5 - w.alpha_II)
-        add(perp, left, top, w.alpha_II)
-        add(par, left, left, w.beta_II - 0.5)
-        add(perp, diag, top, -w.gamma_II / 2)
-        add(perp, diag, left, -w.gamma_II / 2)
-        add(par, diag, diag, (w.alpha_II - w.beta_II) / 2)
-        # rotational cycle of the cell: -bot + right + top - left
-        cycle = ((bot, -1.0), (right, +1.0), (top, +1.0), (left, -1.0))
+    bot, right, diag = mesh.faces[:n_cells].T
+    top, left = mesh.faces[n_cells:, 1], mesh.faces[n_cells:, 2]
+    # transverse couplings: lower triangle (class I), then upper (class II)
+    perp = stencil([
+        (bot, right, -w.beta_I),
+        (right, bot, w.alpha_I),
+        (diag, bot, -w.gamma_I / 2),
+        (diag, right, -w.gamma_I / 2),
+        (top, left, -w.beta_II),
+        (left, top, w.alpha_II),
+        (diag, top, -w.gamma_II / 2),
+        (diag, left, -w.gamma_II / 2),
+    ])
+    par = stencil([
+        (bot, bot, 0.5 - w.alpha_I),
+        (right, right, w.beta_I - 0.5),
+        (diag, diag, (w.alpha_I - w.beta_I) / 2),
+        (top, top, 0.5 - w.alpha_II),
+        (left, left, w.beta_II - 0.5),
+        (diag, diag, (w.alpha_II - w.beta_II) / 2),
+    ])
+    # rotational cycle of the cell: -bot + right + top - left
+    cycle = ((bot, -1.0), (right, +1.0), (top, +1.0), (left, -1.0))
+    rot = stencil([
+        (row_edge, col, coef * s)
         for row_edge, coef in (
             (right, w.delta_I),
             (left, -w.delta_II),
             (bot, w.eps_I),
             (top, -w.eps_II),
-        ):
-            for col, s in cycle:
-                add(rot, row_edge, col, coef * s)
-
-    perp = perp.tocsr()
-    par = par.tocsr()
-    rot = rot.tocsr()
+        )
+        for col, s in cycle
+    ])
     P_fq = (perp + par + rot).tocsr()
 
     defect = P_fq @ d_q - P_eq @ G
-    residual_full = float(np.abs(defect.toarray()).max()) if defect.nnz else 0.0
+    residual_full = float(np.abs(defect.data).max()) if defect.nnz else 0.0
     masked = defect @ P_ep.T
-    residual_map = float(np.abs(masked.toarray()).max()) if masked.nnz else 0.0
+    residual_map = float(np.abs(masked.data).max()) if masked.nnz else 0.0
     if residual_map > RESIDUAL_TOL:
         raise InternalConsistencyError(
             f"flow-map equation violated on effort columns: {residual_map:.3e}"
@@ -423,6 +429,8 @@ def build_1d_maps(N: int, alpha: float) -> MapSet:
     """
     if N < 2:
         raise InvalidArgumentError(f"need N >= 2 edges, got {N}")
+    if not np.isfinite(alpha):
+        raise InvalidArgumentError(f"alpha must be finite, got {alpha}")
     if alpha >= 1:
         raise InvalidArgumentError(
             f"alpha must be < 1 (Hodge weight 1/(1-alpha) singular), got {alpha}"

@@ -14,12 +14,27 @@ u = 0 (A = J Q with J skew).  With inputs, each step satisfies the exact
 discrete balance H_d(x_{k+1}) - H_d(x_k) = dt * u_mid^T y_mid, so energy
 bookkeeping against the grid-sampled trapezoid of y^T u has a defect of
 order dt^2 per unit time.
+
+`MidpointStepper` factors the stepping matrix once per run.  The mixed
+models have J = [[0, J_p], [-J_p^T, 0]] and a positive diagonal
+Q = diag(Q_p, Q_q); where that holds exactly (round-off in J_q + J_p^T
+rules a model out) the midpoint system reduces to the symmetric positive
+definite node system
+
+    (Q_p^-1 + (dt/2)^2 J_p Q_q J_p^T) z = r_p + dt/2 J_p Q_q r_q,
+
+after which x_p = Q_p^-1 z and x_q = r_q - dt/2 J_p^T z (the "schur"
+route, n_p unknowns instead of n_p + n_q).  Any other model takes a sparse
+LU of the full stepping matrix (the "lu" route).  Both routes finish each
+step with one residual correction against (I - dt/2 A), which keeps the
+unforced energy drift at round-off level over long runs.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 import pathlib
 from typing import Callable, NamedTuple, Sequence
 
@@ -145,8 +160,12 @@ class SimConfig(NamedTuple):
     snapshot_times: tuple = ()
 
     def validate(self) -> None:
-        if not self.dt > 0:
-            raise InvalidArgumentError(f"dt must be positive, got {self.dt}")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise InvalidArgumentError(
+                f"dt must be positive and finite, got {self.dt}"
+            )
+        if not math.isfinite(self.T):
+            raise InvalidArgumentError(f"horizon T must be finite, got {self.T}")
         if not self.T >= self.dt:
             raise InvalidArgumentError(
                 f"horizon T = {self.T} must cover at least one step dt = {self.dt}"
@@ -159,36 +178,98 @@ class SimConfig(NamedTuple):
 
 
 class Trajectory(NamedTuple):
-    """Time grid, states, grid-sampled outputs, energy series, and the
-    cumulative supplied energy (trapezoid of y^T u)."""
+    """Time grid, states, grid-sampled outputs, energy series, the
+    cumulative supplied energy (trapezoid of y^T u), and the stepper route
+    that produced them ("schur" or "lu", see `MidpointStepper`)."""
 
     t: np.ndarray
     x: np.ndarray
     y: np.ndarray
     energy: np.ndarray
     supplied: np.ndarray
+    route: str
 
     def energy_defect(self) -> np.ndarray:
         """|H_d(t) - H_d(0) - W(t)|: O(dt^2) per unit time."""
         return np.abs(self.energy - self.energy[0] - self.supplied)
 
 
+#: trajectory rows per block when energy and outputs are evaluated
+_POST_BLOCK = 32
+
+
+def _splu(mat: sp.spmatrix):
+    try:
+        return spla.splu(sp.csc_matrix(mat), permc_spec="MMD_AT_PLUS_A")
+    except RuntimeError as e:
+        raise NumericalFailureError(f"midpoint stepping matrix: {e}") from e
+
+
+def _node_blocks(model: PHModel):
+    """(J_p, diag Q_p, diag Q_q) when J = [[0, J_p], [-J_p^T, 0]] and Q is
+    diagonal with positive entries, all exactly; None otherwise."""
+    n_p = model.n_p
+    J = model.J.tocsr()
+    q = model.Q.diagonal()
+    J_p = J[:n_p, n_p:]
+    off_structure = (
+        J[:n_p, :n_p],
+        J[n_p:, n_p:],
+        J[n_p:, :n_p] + J_p.T,
+        model.Q - sp.diags(q),
+    )
+    if np.all(q > 0) and not any(b.count_nonzero() for b in off_structure):
+        return J_p.tocsr(), q[:n_p], q[n_p:]
+    return None
+
+
+class MidpointStepper:
+    """Implicit midpoint steps of one model at one step size dt, with the
+    stepping matrix factored once; `route` names the solve ("schur" or
+    "lu", see the module docstring)."""
+
+    def __init__(self, model: PHModel, dt: float):
+        if not (math.isfinite(dt) and dt > 0):
+            raise InvalidArgumentError(f"dt must be positive and finite, got {dt}")
+        h = dt / 2.0
+        A = model.A()
+        I = sp.identity(model.n, format="csr")
+        self.dt = dt
+        self.B = model.B
+        self.plus = (I + h * A).tocsr()
+        self.minus = (I - h * A).tocsr()
+        blocks = _node_blocks(model)
+        if blocks is None:
+            self.route = "lu"
+            self._solve = _splu(self.minus).solve
+            return
+        self.route = "schur"
+        n_p = model.n_p
+        J_p, q_p, q_q = blocks
+        J_p_Q_q = (J_p @ sp.diags(q_q)).tocsr()
+        J_p_T = J_p.T.tocsr()
+        lu = _splu(sp.diags(1.0 / q_p) + (h * h) * (J_p_Q_q @ J_p_T))
+
+        def solve(rhs: np.ndarray) -> np.ndarray:
+            r_p, r_q = rhs[:n_p], rhs[n_p:]
+            z = lu.solve(r_p + h * (J_p_Q_q @ r_q))
+            return np.concatenate([z / q_p, r_q - h * (J_p_T @ z)])
+
+        self._solve = solve
+
+    def step(self, x: np.ndarray, u_mid: np.ndarray) -> np.ndarray:
+        """x_{k+1} from x_k with the input held at its midpoint value."""
+        rhs = self.plus @ x + self.dt * (self.B @ u_mid)
+        x_next = self._solve(rhs)
+        return x_next + self._solve(rhs - self.minus @ x_next)
+
+
 def step_midpoint(model: PHModel, x, u_mid, dt: float) -> np.ndarray:
     """One implicit midpoint step with the input held at the interval
-    midpoint value u_mid."""
-    if not dt > 0:
-        raise InvalidArgumentError(f"dt must be positive, got {dt}")
-    x = np.asarray(x, dtype=float)
-    u_mid = np.asarray(u_mid, dtype=float)
-    A = model.A()
-    I = sp.identity(model.n, format="csr")
-    rhs = (I + (dt / 2.0) * A) @ x + dt * (model.B @ u_mid)
-    try:
-        lu = spla.splu(sp.csc_matrix(I - (dt / 2.0) * A))
-        x_next = lu.solve(rhs)
-    except RuntimeError as e:  # pragma: no cover - cannot occur for skew A
-        raise NumericalFailureError(f"midpoint solve failed: {e}") from e
-    return x_next
+    midpoint value u_mid (factors the stepping matrix on every call; use
+    `simulate` or `MidpointStepper` for runs)."""
+    stepper = MidpointStepper(model, dt)
+    return stepper.step(np.asarray(x, dtype=float), np.asarray(u_mid, dtype=float))
 
 
 def simulate(model: PHModel, cfg: SimConfig) -> Trajectory:
@@ -227,35 +308,33 @@ def simulate(model: PHModel, cfg: SimConfig) -> Trajectory:
             f"x0 has shape {x.shape}, model expects ({model.n},)"
         )
 
-    A = model.A()
-    I = sp.identity(model.n, format="csr")
-    lu = spla.splu(sp.csc_matrix(I - (cfg.dt / 2.0) * A))
-    plus = (I + (cfg.dt / 2.0) * A).tocsr()
-
+    stepper = MidpointStepper(model, cfg.dt)
     t = np.arange(n_steps + 1) * cfg.dt
     xs = np.empty((n_steps + 1, model.n))
-    ys = np.empty((n_steps + 1, model.n_u))
-    energy = np.empty(n_steps + 1)
     xs[0] = x
-    ys[0] = model.output(x, u_grid[0])
-    energy[0] = model.hamiltonian(x)
-
     for k in range(n_steps):
-        x = lu.solve(plus @ x + cfg.dt * (model.B @ u_mid[k]))
+        x = stepper.step(x, u_mid[k])
         if not np.all(np.isfinite(x)):
             raise NumericalFailureError(
                 f"non-finite state at step {k + 1} (t = {t[k + 1]:.6g}); "
                 f"max |x| before failure {np.abs(xs[k]).max():.3e}"
             )
         xs[k + 1] = x
-        ys[k + 1] = model.output(x, u_grid[k + 1])
-        energy[k + 1] = model.hamiltonian(x)
 
+    # energy and outputs after the loop, in row blocks so the effort
+    # temporaries stay small next to the trajectory itself
+    energy = np.empty(n_steps + 1)
+    ys = np.empty((n_steps + 1, model.n_u))
+    for lo in range(0, n_steps + 1, _POST_BLOCK):
+        rows = slice(lo, lo + _POST_BLOCK)
+        efforts = model.Q @ xs[rows].T
+        energy[rows] = 0.5 * np.einsum("ij,ji->i", xs[rows], efforts)
+        ys[rows] = (model.C @ efforts + model.D @ u_grid[rows].T).T
     power = np.einsum("ij,ij->i", ys, u_grid)
     supplied = np.concatenate(
         [[0.0], np.cumsum((power[1:] + power[:-1]) * cfg.dt / 2.0)]
     )
-    return Trajectory(t, xs, ys, energy, supplied)
+    return Trajectory(t, xs, ys, energy, supplied, stepper.route)
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ import scipy.sparse.linalg as spla
 from .errors import (
     InvalidArgumentError,
     MissingArtifactError,
+    SingularHodgeError,
     StructureViolationError,
 )
 from .hodge import HodgePair
@@ -84,26 +85,35 @@ def image_rep(maps: MapSet, inc: IncidencePair) -> ImageRep:
 
 
 class IORep(NamedTuple):
-    """Explicit blocks of the resolved Dirac structure."""
+    """Explicit (sparse) blocks of the resolved Dirac structure."""
 
-    J_p: np.ndarray
-    B_p: np.ndarray
-    C_q: np.ndarray
-    D_q: np.ndarray
-    J_q: np.ndarray
-    B_q: np.ndarray
-    C_p: np.ndarray
-    D_p: np.ndarray
+    J_p: sp.csr_matrix
+    B_p: sp.csr_matrix
+    C_q: sp.csr_matrix
+    D_q: sp.csr_matrix
+    J_q: sp.csr_matrix
+    B_q: sp.csr_matrix
+    C_p: sp.csr_matrix
+    D_p: sp.csr_matrix
 
 
-def _resolve(stack: sp.csr_matrix, Pi: sp.csr_matrix) -> np.ndarray:
-    """Right-multiply by Pi^{-1}; fast path when Pi is (sign-)orthogonal."""
+def _resolve(stack: sp.csr_matrix, Pi: sp.csr_matrix) -> sp.csr_matrix:
+    """Right-multiply by Pi^{-1}.
+
+    A (sign-)orthogonal Pi, the selector case of every mixed model, is its
+    own inverse transpose, so the product stays sparse; sorted indices keep
+    the exported entry order canonical.  Only the merely invertible effort
+    maps of the comparison scheme (1D, small) take a dense LU solve.
+    """
     gram = (Pi @ Pi.T - sp.identity(Pi.shape[0])).tocsr()
     gram.eliminate_zeros()
     if gram.nnz == 0 or np.abs(gram.data).max() <= 1e-14:
-        return (stack @ Pi.T).toarray()
+        X = (stack @ Pi.T).tocsr()
+        X.eliminate_zeros()
+        X.sort_indices()
+        return X
     lu = spla.splu(sp.csc_matrix(Pi.T))
-    return lu.solve(stack.toarray().T).T
+    return sp.csr_matrix(lu.solve(stack.toarray().T).T)
 
 
 def io_rep(maps: MapSet, inc: IncidencePair) -> IORep:
@@ -182,31 +192,25 @@ def assemble_model(
     n_p, n_q = rep.J_p.shape[0], rep.J_q.shape[0]
     m_hat, m = rep.B_q.shape[1], rep.B_p.shape[1]
 
-    J = sp.bmat(
-        [
-            [None, sp.csr_matrix(rep.J_p)],
-            [sp.csr_matrix(rep.J_q), None],
-        ],
-        format="csr",
-    )
+    J = sp.bmat([[None, rep.J_p], [rep.J_q, None]], format="csr")
     B = sp.bmat(
         [
-            [sp.csr_matrix((n_p, m_hat)), sp.csr_matrix(rep.B_p)],
-            [sp.csr_matrix(rep.B_q), sp.csr_matrix((n_q, m))],
+            [sp.csr_matrix((n_p, m_hat)), rep.B_p],
+            [rep.B_q, sp.csr_matrix((n_q, m))],
         ],
         format="csr",
     )
     C = sp.bmat(
         [
-            [sp.csr_matrix((m_hat, n_p)), sp.csr_matrix(rep.C_q)],
-            [sp.csr_matrix(rep.C_p), sp.csr_matrix((m, n_q))],
+            [sp.csr_matrix((m_hat, n_p)), rep.C_q],
+            [rep.C_p, sp.csr_matrix((m, n_q))],
         ],
         format="csr",
     )
     D = sp.bmat(
         [
-            [sp.csr_matrix((m_hat, m_hat)), sp.csr_matrix(rep.D_q)],
-            [sp.csr_matrix(rep.D_p), sp.csr_matrix((m, m))],
+            [sp.csr_matrix((m_hat, m_hat)), rep.D_q],
+            [rep.D_p, sp.csr_matrix((m, m))],
         ],
         format="csr",
     )
@@ -265,28 +269,59 @@ def export_model(model: PHModel, outdir) -> pathlib.Path:
 
 
 def load_model(indir) -> PHModel:
+    """Read a model written by `export_model` and re-validate it: the
+    matrix shapes must agree with the manifest dimensions, the power
+    balance must hold to SKEW_TOL and the diagonal of Q must be positive."""
     indir = pathlib.Path(indir)
     mf = indir / "manifest.json"
     if not mf.is_file():
         raise MissingArtifactError(f"no manifest.json under {indir}")
-    manifest = json.loads(mf.read_text())
+    try:
+        manifest = json.loads(mf.read_text())
+    except json.JSONDecodeError as exc:
+        raise InvalidArgumentError(
+            f"manifest parse error in {mf} at line {exc.lineno}, "
+            f"column {exc.colno}: {exc.msg}"
+        ) from None
+    try:
+        dims = {key: int(manifest[key]) for key in ("n_p", "n_q", "m_hat", "m")}
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InvalidArgumentError(
+            f"{mf} lacks a valid integer n_p, n_q, m_hat and m: {exc!r}"
+        ) from None
     from scipy.io import mmread
 
+    n, n_u = dims["n_p"] + dims["n_q"], dims["m_hat"] + dims["m"]
+    expected = {
+        "J": (n, n), "Q": (n, n), "B": (n, n_u), "C": (n_u, n), "D": (n_u, n_u)
+    }
     mats = {}
     for name in _MATRICES:
         path = indir / f"{name}.mtx"
         if not path.is_file():
             raise MissingArtifactError(f"model matrix file missing: {path}")
-        mats[name] = sp.csr_matrix(mmread(str(path)))
-    return PHModel(
-        J=mats["J"],
-        Q=mats["Q"],
-        B=mats["B"],
-        C=mats["C"],
-        D=mats["D"],
-        n_p=int(manifest["n_p"]),
-        n_q=int(manifest["n_q"]),
-        m_hat=int(manifest["m_hat"]),
-        m=int(manifest["m"]),
-        meta=manifest.get("meta", {}),
-    )
+        try:
+            mats[name] = sp.csr_matrix(mmread(str(path)))
+        except ValueError as exc:
+            raise InvalidArgumentError(
+                f"unreadable model matrix {path}: {exc}"
+            ) from None
+        if mats[name].shape != expected[name]:
+            raise InvalidArgumentError(
+                f"model matrix {path} has shape {mats[name].shape}, but the "
+                f"manifest dimensions {dims} require {expected[name]}"
+            )
+    model = PHModel(**mats, **dims, meta=manifest.get("meta", {}))
+    resid = power_balance_residual(model)
+    if not resid <= SKEW_TOL:
+        raise StructureViolationError(
+            f"loaded model {indir} violates power balance: residual {resid:.3e}"
+        )
+    q = model.Q.diagonal()
+    if not np.all(q > 0):
+        bad = int(np.flatnonzero(~(q > 0))[0])
+        raise SingularHodgeError(
+            f"model matrix {indir / 'Q.mtx'} has diagonal entry {bad} = "
+            f"{q[bad]:.6g}; the Hodge matrix must be positive definite"
+        )
+    return model

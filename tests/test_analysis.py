@@ -49,6 +49,11 @@ class TestSpectrum:
         assert power_balance_residual(permuted) <= 1e-12
         np.testing.assert_allclose(an.spectrum(permuted), ref, atol=1e-12)
 
+    @pytest.mark.parametrize("alpha", [np.nan, -np.inf])
+    def test_nonfinite_alpha_rejected(self, alpha):
+        with pytest.raises(InvalidArgumentError):
+            an.build_1d_model(10, alpha)
+
     def test_nonconservative_model_rejected(self):
         model = an.build_1d_model(8, 0.0)
         leak = sp.identity(model.n, format="csr") * 1e-6

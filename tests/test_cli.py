@@ -147,6 +147,34 @@ class TestSimulate:
         assert abs(energies[-1] - energies[0]) <= 1e-12 * energies[0]
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["run"]["relative_energy_drift"] <= 1e-12
+        drifts = np.abs(energies - energies[0]) / energies[0]
+        assert manifest["run"]["max_relative_energy_drift"] == pytest.approx(
+            drifts.max(), rel=1e-6, abs=1e-18
+        )
+        assert manifest["run"]["max_relative_energy_drift"] <= 1e-12
+        assert manifest["run"]["stepper"] == "schur"
+
+    def test_nonfinite_horizon_exits_2(self, tmp_path, capsys):
+        model_dir = tmp_path / "model"
+        cfg = write_cfg(tmp_path, INTERVAL)
+        assert cli.main(["build", "--config", str(cfg), "--out", str(model_dir)]) == 0
+        assert cli.main(
+            ["simulate", str(model_dir), "--dt", "0.01", "--t-end", "inf",
+             "--out", str(tmp_path / "r")]
+        ) == 2
+        err = capsys.readouterr().err
+        assert "finite" in err and "Traceback" not in err
+
+    def test_malformed_model_manifest_exits_2(self, tmp_path, capsys):
+        model_dir = tmp_path / "model"
+        cfg = write_cfg(tmp_path, INTERVAL)
+        assert cli.main(["build", "--config", str(cfg), "--out", str(model_dir)]) == 0
+        (model_dir / "manifest.json").write_text("{")
+        assert cli.main(
+            ["simulate", str(model_dir), "--dt", "0.01", "--t-end", "1.0",
+             "--out", str(tmp_path / "r")]
+        ) == 2
+        assert "line 1, column 2" in capsys.readouterr().err
 
     def test_missing_model_dir(self, tmp_path):
         assert cli.main(

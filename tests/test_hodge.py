@@ -150,6 +150,11 @@ class TestOneDimensional:
         with pytest.raises(SingularHodgeError):
             hg.hodge_1d(5, 1.2, 0.2)
 
+    @pytest.mark.parametrize("alpha", [np.nan, -np.inf])
+    def test_nonfinite_alpha_rejected(self, alpha):
+        with pytest.raises(InvalidArgumentError):
+            hg.hodge_1d(5, alpha, 0.2)
+
     def test_effort_averaged_variant(self):
         pair = hg.hodge_golo_1d(4, 0.25)
         assert np.allclose(pair.Q_p.diagonal(), 4.0)

@@ -2,9 +2,12 @@
 
 import csv
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 import oracles
 from phfem import hodge as hg
@@ -25,6 +28,43 @@ def model_1d(N, alpha, L=1.0):
 
 def gentle_pulse(t):
     return np.array([0.2 * np.sin(np.pi * t) ** 2, 0.0])
+
+
+def wave_config(N, causality=None, weights="set4"):
+    return {
+        "mesh": {"kind": "rect", "N": N, "M": N, "h": 20.0 / N},
+        "causality": causality or {"p_nodes": [0], "q_edges": "rest"},
+        "weights": weights,
+    }
+
+
+def reference_step(model, x, u_mid, dt):
+    """One midpoint step by a plain LU of the full stepping matrix."""
+    A = model.A()
+    I = sp.identity(model.n, format="csr")
+    rhs = (I + (dt / 2.0) * A) @ x + dt * (model.B @ u_mid)
+    return spla.splu(sp.csc_matrix(I - (dt / 2.0) * A)).solve(rhs)
+
+
+def unstructured_model(n=6, n_u=2, seed=5):
+    """A hand-built PH model with a full skew J and a non-diagonal SPD Q:
+    no zero diagonal blocks in J, so no node-system reduction applies."""
+    rng = np.random.default_rng(seed)
+    S = 0.3 * rng.standard_normal((n, n))
+    R = 0.3 * rng.standard_normal((n, n))
+    B = sp.csr_matrix(rng.standard_normal((n, n_u)))
+    return ss.PHModel(
+        J=sp.csr_matrix(S - S.T),
+        Q=sp.csr_matrix(np.eye(n) + R @ R.T),
+        B=B,
+        C=B.T.tocsr(),
+        D=sp.csr_matrix((n_u, n_u)),
+        n_p=n // 2,
+        n_q=n - n // 2,
+        m_hat=1,
+        m=n_u - 1,
+        meta={},
+    )
 
 
 class TestStepMidpoint:
@@ -61,6 +101,63 @@ class TestStepMidpoint:
         model = model_1d(4, 0.0)
         with pytest.raises(InvalidArgumentError):
             sim.step_midpoint(model, np.zeros(model.n), np.zeros(2), 0.0)
+
+
+class TestStepperRoutes:
+    @pytest.mark.parametrize(
+        "config",
+        [
+            wave_config(6, {"p_sides": ["bottom"], "q_edges": "rest"}, "set2"),
+            {"mesh": {"kind": "interval", "N": 10}, "method": "golo",
+             "alpha_prime": 1 / 12},
+        ],
+        ids=["2d-mixed-causality", "golo"],
+    )
+    def test_schur_route_matches_full_lu(self, config):
+        model = sim.build_model(config).model
+        dt = 0.05
+        stepper = sim.MidpointStepper(model, dt)
+        assert stepper.route == "schur"
+        rng = np.random.default_rng(11)
+        for _ in range(5):
+            x = rng.standard_normal(model.n)
+            u_mid = rng.standard_normal(model.n_u)
+            ref = reference_step(model, x, u_mid, dt)
+            got = stepper.step(x, u_mid)
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_unstructured_model_takes_lu_route(self):
+        model = unstructured_model()
+        assert ss.power_balance_residual(model) <= 1e-12
+        assert sim.MidpointStepper(model, 1e-3).route == "lu"
+
+        def pulse(t):
+            return np.array([0.2 * np.sin(np.pi * t) ** 2, 0.1 * t])
+
+        dt, steps = 1e-3, 300
+        x0 = np.random.default_rng(2).standard_normal(model.n)
+        traj = sim.simulate(model, sim.SimConfig(dt=dt, T=dt * steps,
+                                                 input=pulse, x0=x0))
+        assert traj.route == "lu"
+        ref = oracles.expm_trajectory(
+            model.A().toarray(), model.B.toarray(), pulse, dt, steps, x0
+        )
+        assert np.abs(traj.x - ref).max() <= 1e-6
+
+    def test_build_model_memory_grows_with_nnz(self):
+        """The build never holds a dense n x n (or edges x nodes) array."""
+        config = wave_config(
+            48, {"p_nodes": [0], "p_sides": ["bottom"], "q_edges": "rest"}
+        )
+        tracemalloc.start()
+        try:
+            model = sim.build_model(config).model
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        dense_bytes = 8 * model.n**2
+        assert dense_bytes > 600e6
+        assert peak <= dense_bytes / 20
 
 
 class TestSimulate:
@@ -130,6 +227,9 @@ class TestSimulate:
             sim.simulate(model, sim.SimConfig(dt=-0.1, T=1.0))
         with pytest.raises(InvalidArgumentError):
             sim.simulate(model, sim.SimConfig(dt=0.1, T=0.01))
+        for dt, T in ((0.1, np.inf), (np.nan, 1.0), (np.inf, np.inf)):
+            with pytest.raises(InvalidArgumentError):
+                sim.simulate(model, sim.SimConfig(dt=dt, T=T))
         with pytest.raises(InvalidArgumentError):
             sim.simulate(
                 model, sim.SimConfig(dt=0.1, T=1.0, snapshot_times=(2.0,))

@@ -1,15 +1,23 @@
 """Dirac structure representations and PH state-space assembly."""
 
+import json
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.io import mmwrite
 
 import oracles
 from phfem import hodge as hg
 from phfem import mesh as msh
 from phfem import power_maps as pm
 from phfem import statespace as ss
-from phfem.errors import InvalidArgumentError, MissingArtifactError
+from phfem.errors import (
+    InvalidArgumentError,
+    MissingArtifactError,
+    SingularHodgeError,
+    StructureViolationError,
+)
 
 
 def maps_2d(N, M, causality, w=None, h=1.0):
@@ -67,21 +75,21 @@ class TestIORep:
     def test_block_identities(self, causality):
         m, inc, maps = maps_2d(3, 3, causality)
         rep = ss.io_rep(maps, inc)
-        np.testing.assert_allclose(rep.J_q, -rep.J_p.T, atol=1e-14)
-        np.testing.assert_allclose(rep.C_q, rep.B_q.T, atol=1e-14)
-        np.testing.assert_allclose(rep.C_p, rep.B_p.T, atol=1e-14)
-        np.testing.assert_allclose(rep.D_q, -rep.D_p.T, atol=1e-14)
+        np.testing.assert_allclose(rep.J_q.toarray(), -rep.J_p.T.toarray(), atol=1e-14)
+        np.testing.assert_allclose(rep.C_q.toarray(), rep.B_q.T.toarray(), atol=1e-14)
+        np.testing.assert_allclose(rep.C_p.toarray(), rep.B_p.T.toarray(), atol=1e-14)
+        np.testing.assert_allclose(rep.D_q.toarray(), -rep.D_p.T.toarray(), atol=1e-14)
 
     def test_unique_causality_has_no_feedthrough(self):
         m, inc, maps = maps_2d(3, 2, {"q_edges": "all"})
         rep = ss.io_rep(maps, inc)
-        assert rep.D_q.size == 0 and rep.D_p.size == 0
+        assert rep.D_q.toarray().size == 0 and rep.D_p.toarray().size == 0
 
     def test_mixed_causality_feedthrough_is_skew(self):
         m, inc, maps = maps_2d(3, 2, {"p_sides": ["bottom"], "q_edges": "rest"})
         rep = ss.io_rep(maps, inc)
-        assert np.abs(rep.D_q).max() > 0
-        np.testing.assert_allclose(rep.D_q, -rep.D_p.T, atol=1e-14)
+        assert np.abs(rep.D_q.toarray()).max() > 0
+        np.testing.assert_allclose(rep.D_q.toarray(), -rep.D_p.T.toarray(), atol=1e-14)
 
 
 class TestModelAssembly:
@@ -175,4 +183,43 @@ class TestSerialization:
         out = ss.export_model(model, tmp_path / "m")
         (out / "B.mtx").unlink()
         with pytest.raises(MissingArtifactError):
+            ss.load_model(out)
+
+    def test_malformed_manifest(self, tmp_path):
+        out = ss.export_model(model_1d(4, 0.0), tmp_path / "m")
+        (out / "manifest.json").write_text('{"n_p": 4,\n "n_q": }')
+        match = r"manifest\.json at line 2, column"
+        with pytest.raises(InvalidArgumentError, match=match):
+            ss.load_model(out)
+
+    def test_manifest_dimensions_checked_against_matrices(self, tmp_path):
+        out = ss.export_model(model_1d(4, 0.0), tmp_path / "m")
+        manifest = json.loads((out / "manifest.json").read_text())
+        manifest["n_p"] += 1
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(InvalidArgumentError, match=r"J\.mtx has shape"):
+            ss.load_model(out)
+
+    def test_power_balance_rechecked(self, tmp_path):
+        model = model_1d(4, 0.0)
+        out = ss.export_model(model, tmp_path / "m")
+        J = model.J.tolil()
+        J[0, 5] += 1e-9  # breaks skew-symmetry, keeps the shape
+        mmwrite(str(out / "J.mtx"), sp.coo_matrix(J))
+        with pytest.raises(StructureViolationError, match="power balance"):
+            ss.load_model(out)
+
+    def test_hodge_positivity_rechecked(self, tmp_path):
+        model = model_1d(4, 0.0)
+        out = ss.export_model(model, tmp_path / "m")
+        Q = model.Q.tolil()
+        Q[3, 3] = -Q[3, 3]
+        mmwrite(str(out / "Q.mtx"), sp.coo_matrix(Q))
+        with pytest.raises(SingularHodgeError, match="diagonal entry 3"):
+            ss.load_model(out)
+
+    def test_unreadable_matrix(self, tmp_path):
+        out = ss.export_model(model_1d(4, 0.0), tmp_path / "m")
+        (out / "D.mtx").write_text("not a matrix\n")
+        with pytest.raises(InvalidArgumentError, match=r"D\.mtx"):
             ss.load_model(out)
