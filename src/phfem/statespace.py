@@ -270,8 +270,11 @@ def export_model(model: PHModel, outdir) -> pathlib.Path:
 
 def load_model(indir) -> PHModel:
     """Read a model written by `export_model` and re-validate it: the
-    matrix shapes must agree with the manifest dimensions, the power
-    balance must hold to SKEW_TOL and the diagonal of Q must be positive."""
+    matrix shapes must agree with the manifest dimensions, every stored
+    entry of J, B, C and D must couple a p-type index with a q-type one
+    (the block pattern `assemble_model` produces, which pins the split
+    into n_p, n_q and m_hat, m), the power balance must hold to SKEW_TOL
+    and the diagonal of Q must be positive."""
     indir = pathlib.Path(indir)
     mf = indir / "manifest.json"
     if not mf.is_file():
@@ -283,17 +286,22 @@ def load_model(indir) -> PHModel:
             f"manifest parse error in {mf} at line {exc.lineno}, "
             f"column {exc.colno}: {exc.msg}"
         ) from None
-    try:
-        dims = {key: int(manifest[key]) for key in ("n_p", "n_q", "m_hat", "m")}
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidArgumentError(
-            f"{mf} lacks a valid integer n_p, n_q, m_hat and m: {exc!r}"
-        ) from None
+    dims = {key: manifest.get(key) for key in ("n_p", "n_q", "m_hat", "m")}
+    for key, v in dims.items():
+        if isinstance(v, bool) or not isinstance(v, int) or v < 0:
+            raise InvalidArgumentError(
+                f"{mf}: {key} must be a non-negative integer, got {v!r}"
+            )
     from scipy.io import mmread
 
-    n, n_u = dims["n_p"] + dims["n_q"], dims["m_hat"] + dims["m"]
-    expected = {
+    n_p, m_hat = dims["n_p"], dims["m_hat"]
+    n, n_u = n_p + dims["n_q"], m_hat + dims["m"]
+    shapes = {
         "J": (n, n), "Q": (n, n), "B": (n, n_u), "C": (n_u, n), "D": (n_u, n_u)
+    }
+    # numbers of p-type rows and columns
+    p_split = {
+        "J": (n_p, n_p), "B": (n_p, m_hat), "C": (m_hat, n_p), "D": (m_hat, m_hat)
     }
     mats = {}
     for name in _MATRICES:
@@ -301,16 +309,27 @@ def load_model(indir) -> PHModel:
         if not path.is_file():
             raise MissingArtifactError(f"model matrix file missing: {path}")
         try:
-            mats[name] = sp.csr_matrix(mmread(str(path)))
+            mat = sp.coo_matrix(mmread(str(path)))
         except ValueError as exc:
             raise InvalidArgumentError(
                 f"unreadable model matrix {path}: {exc}"
             ) from None
-        if mats[name].shape != expected[name]:
+        if mat.shape != shapes[name]:
             raise InvalidArgumentError(
-                f"model matrix {path} has shape {mats[name].shape}, but the "
-                f"manifest dimensions {dims} require {expected[name]}"
+                f"model matrix {path} has shape {mat.shape}, but the "
+                f"manifest dimensions {dims} require {shapes[name]}"
             )
+        if name in p_split:
+            p_rows, p_cols = p_split[name]
+            same_type = ((mat.row < p_rows) == (mat.col < p_cols)) & (mat.data != 0)
+            if same_type.any():
+                i = int(np.flatnonzero(same_type)[0])
+                raise InvalidArgumentError(
+                    f"model matrix {path} has entry ({mat.row[i]}, {mat.col[i]}) "
+                    f"coupling two indices of one type under the manifest "
+                    f"split {dims}"
+                )
+        mats[name] = mat.tocsr()
     model = PHModel(**mats, **dims, meta=manifest.get("meta", {}))
     resid = power_balance_residual(model)
     if not resid <= SKEW_TOL:

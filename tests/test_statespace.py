@@ -192,12 +192,34 @@ class TestSerialization:
         with pytest.raises(InvalidArgumentError, match=match):
             ss.load_model(out)
 
-    def test_manifest_dimensions_checked_against_matrices(self, tmp_path):
+    @pytest.mark.parametrize(
+        "shift, match",
+        [
+            ({"n_p": 1}, r"J\.mtx has shape"),
+            # moving one state between n_p and n_q keeps every shape
+            ({"n_p": 1, "n_q": -1}, r"J\.mtx has entry"),
+            ({"n_p": -1, "n_q": 1}, r"J\.mtx has entry"),
+        ],
+        ids=["total", "state-into-p", "state-into-q"],
+    )
+    def test_manifest_dimensions_checked_against_matrices(
+        self, tmp_path, shift, match
+    ):
         out = ss.export_model(model_1d(4, 0.0), tmp_path / "m")
         manifest = json.loads((out / "manifest.json").read_text())
-        manifest["n_p"] += 1
+        for key, d in shift.items():
+            manifest[key] += d
         (out / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(InvalidArgumentError, match=r"J\.mtx has shape"):
+        with pytest.raises(InvalidArgumentError, match=match):
+            ss.load_model(out)
+
+    @pytest.mark.parametrize("bad", [4.5, -1, True, "4", None])
+    def test_manifest_dimensions_must_be_integers(self, tmp_path, bad):
+        out = ss.export_model(model_1d(4, 0.0), tmp_path / "m")
+        manifest = json.loads((out / "manifest.json").read_text())
+        manifest["n_q"] = bad
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(InvalidArgumentError, match="n_q must be a non-negative"):
             ss.load_model(out)
 
     def test_power_balance_rechecked(self, tmp_path):
