@@ -11,30 +11,24 @@ Each stage lives in its own module; `cli` exposes the command-line front end.
 """
 
 from .errors import (
-    DegenerateWeightsError,
     InternalConsistencyError,
     InvalidArgumentError,
     MissingArtifactError,
     NumericalFailureError,
     PhfemError,
-    RankDeficiencyError,
     SingularHodgeError,
     StructureViolationError,
-    UnsupportedSpecError,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "DegenerateWeightsError",
     "InternalConsistencyError",
     "InvalidArgumentError",
     "MissingArtifactError",
     "NumericalFailureError",
     "PhfemError",
-    "RankDeficiencyError",
     "SingularHodgeError",
     "StructureViolationError",
-    "UnsupportedSpecError",
     "__version__",
 ]

@@ -89,10 +89,7 @@ def _build_from_config(cfg: dict):
     from .statespace import power_balance_residual
 
     model, mesh, part, inc, maps = build_model(cfg)
-    spec = whitney.WAVE_2D if mesh.dim == 2 else whitney.WAVE_1D
-    report = whitney.verify_structure(
-        mesh, whitney.assemble(mesh, part, spec), inc, spec, tol=STRUCTURE_GATE
-    )
+    report = whitney.verify_structure(mesh, whitney.assemble(mesh, part), inc)
     residuals = dict(report.residuals)
     residuals["power_preservation"] = power_residual(maps, inc)
     residuals["power_balance"] = power_balance_residual(model)

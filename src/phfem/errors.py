@@ -24,18 +24,6 @@ class InvalidArgumentError(PhfemError):
     exit_code = 2
 
 
-class UnsupportedSpecError(PhfemError):
-    """The requested form-degree combination is not implemented."""
-
-    exit_code = 2
-
-
-class DegenerateWeightsError(PhfemError):
-    """Triangle weights produce a zero (or negative) Hodge row sum."""
-
-    exit_code = 2
-
-
 class SingularHodgeError(PhfemError):
     """The requested Hodge matrix is singular or indefinite."""
 
@@ -48,14 +36,8 @@ class StructureViolationError(PhfemError):
     exit_code = 1
 
 
-class RankDeficiencyError(PhfemError):
-    """A stacked co-state map is not invertible."""
-
-    exit_code = 1
-
-
 class InternalConsistencyError(PhfemError):
-    """Two independent construction routes disagreed."""
+    """A construction step failed its own defining equation."""
 
     exit_code = 1
 

@@ -26,6 +26,7 @@ import scipy.sparse as sp
 
 from .errors import InvalidArgumentError, SingularHodgeError
 from .mesh import SimplexMesh
+from .power_maps import MapSet
 
 WEIGHT_FLOOR = 1e-14
 
@@ -44,25 +45,16 @@ class HodgePair(NamedTuple):
         return np.concatenate([self.Q_p.diagonal(), self.Q_q.diagonal()])
 
 
-def hodge_2d(
-    mesh: SimplexMesh,
-    P_fp: sp.csr_matrix,
-    P_fq_perp: sp.csr_matrix,
-    h: float,
-    q_efforts: np.ndarray | None = None,
-) -> HodgePair:
-    """Consistent diagonal Hodge pair for a uniform square grid.
-
-    q_efforts lists the mesh edge index behind each P_fq row (needed to
-    distinguish diagonal from horizontal/vertical edges); None means the
-    rows enumerate all edges in mesh order.
-    """
+def hodge_2d(mesh: SimplexMesh, maps: MapSet) -> HodgePair:
+    """Consistent diagonal Hodge pair for a uniform square grid, from the
+    cell size mesh.h and the map set's P_fp, transverse part parts.perp and
+    effort edges q_efforts (the mesh edge behind each P_fq row, which tells
+    diagonal from horizontal/vertical edges)."""
     if mesh.dim != 2:
         raise InvalidArgumentError("hodge_2d requires a 2D mesh")
-    if h <= 0:
-        raise InvalidArgumentError(f"mesh size h must be positive, got {h}")
+    h = mesh.h
 
-    p_weights = np.asarray(P_fp.sum(axis=1)).ravel()
+    p_weights = np.asarray(maps.P_fp.sum(axis=1)).ravel()
     if np.any(p_weights <= WEIGHT_FLOOR):
         bad = int(np.argmin(p_weights))
         raise SingularHodgeError(
@@ -71,22 +63,15 @@ def hodge_2d(
         )
     Q_p = sp.diags(2.0 / (h * h * p_weights), format="csr")
 
-    if q_efforts is None:
-        q_efforts = np.arange(P_fq_perp.shape[0])
-    q_efforts = np.asarray(q_efforts)
-    if len(q_efforts) != P_fq_perp.shape[0]:
-        raise InvalidArgumentError(
-            f"q_efforts has {len(q_efforts)} entries for {P_fq_perp.shape[0]} rows"
-        )
-    abs_sums = np.asarray(abs(P_fq_perp).sum(axis=1)).ravel()
+    abs_sums = np.asarray(abs(maps.parts.perp).sum(axis=1)).ravel()
     if np.any(abs_sums <= WEIGHT_FLOOR):
         bad = int(np.argmin(abs_sums))
         raise SingularHodgeError(
-            f"transverse part of P_fq row {bad} (edge {q_efforts[bad]}) has "
+            f"transverse part of P_fq row {bad} (edge {maps.q_efforts[bad]}) has "
             f"absolute sum {abs_sums[bad]:.3e}; no flux information crosses "
             "this effort edge"
         )
-    factor = np.where(mesh.edge_class[q_efforts] == "d", 2.0, 1.0)
+    factor = np.where(mesh.edge_class[maps.q_efforts] == "d", 2.0, 1.0)
     Q_q = sp.diags(factor / abs_sums, format="csr")
     return HodgePair(Q_p, Q_q)
 

@@ -29,8 +29,7 @@ with the edge orientation).  They satisfy d_p @ d_q == 0 exactly.
 
 from __future__ import annotations
 
-import hashlib
-import json
+import numbers
 from typing import NamedTuple
 
 import numpy as np
@@ -103,8 +102,10 @@ def build_interval_mesh(N: int, L: float) -> SimplexMesh:
     """Uniform 1D mesh of (0, L) with N edges and N+1 nodes."""
     if N < 1:
         raise InvalidArgumentError(f"need at least one edge, got N={N}")
-    if not (L > 0):
-        raise InvalidArgumentError(f"domain length must be positive, got L={L}")
+    if not (np.isfinite(L) and L > 0):
+        raise InvalidArgumentError(
+            f"domain length must be positive and finite, got L={L}"
+        )
     h = L / N
     coords = np.linspace(0.0, L, N + 1).reshape(-1, 1)
     edges = np.column_stack([np.arange(N), np.arange(1, N + 1)])
@@ -116,8 +117,8 @@ def build_rect_mesh(N: int, M: int, h: float) -> SimplexMesh:
     triangles by the cell diagonal (top-right to bottom-left)."""
     if N < 1 or M < 1:
         raise InvalidArgumentError(f"grid must have at least one cell, got {N}x{M}")
-    if not (h > 0):
-        raise InvalidArgumentError(f"cell size must be positive, got h={h}")
+    if not (np.isfinite(h) and h > 0):
+        raise InvalidArgumentError(f"cell size must be positive and finite, got h={h}")
 
     ii, jj = np.meshgrid(np.arange(N + 1), np.arange(M + 1), indexing="xy")
     coords = np.column_stack([ii.ravel() * h, jj.ravel() * h]).astype(float)
@@ -264,15 +265,17 @@ def partition_boundary(mesh: SimplexMesh, causality: dict | None) -> BoundaryPar
     1D accepts only the two-ended assignment {left node: q, right node: p},
     which is also the default for causality=None.
     """
+    if causality is not None and not isinstance(causality, dict):
+        raise InvalidArgumentError(f"causality must be an object, got {causality!r}")
     causality = dict(causality or {})
 
     if mesh.dim == 1:
         N = mesh.grid_shape[0]
-        q_nodes = causality.pop("q_nodes", [0])
-        p_nodes = causality.pop("p_nodes", [N])
+        q_nodes = _indices(causality.pop("q_nodes", [0]), "q_nodes")
+        p_nodes = _indices(causality.pop("p_nodes", [N]), "p_nodes")
         if causality:
             raise InvalidArgumentError(f"unknown 1D causality keys {sorted(causality)}")
-        if list(q_nodes) != [0] or list(p_nodes) != [N]:
+        if q_nodes != [0] or p_nodes != [N]:
             raise InvalidArgumentError(
                 "1D supports exactly the two-ended causality: q at node 0, "
                 f"p at node {N}"
@@ -282,8 +285,13 @@ def partition_boundary(mesh: SimplexMesh, causality: dict | None) -> BoundaryPar
     bnodes = set(boundary_nodes(mesh).tolist())
     bedges = set(boundary_edges(mesh).tolist())
 
-    p_nodes = set(int(n) for n in causality.pop("p_nodes", []))
-    for side in causality.pop("p_sides", []):
+    p_nodes = set(_indices(causality.pop("p_nodes", []), "p_nodes"))
+    sides = causality.pop("p_sides", [])
+    if not isinstance(sides, (list, tuple)) or not all(isinstance(x, str) for x in sides):
+        raise InvalidArgumentError(
+            f"causality key 'p_sides' must be a list of side names, got {sides!r}"
+        )
+    for side in sides:
         p_nodes.update(boundary_side_nodes(mesh, side).tolist())
     bad = p_nodes - bnodes
     if bad:
@@ -300,13 +308,18 @@ def partition_boundary(mesh: SimplexMesh, causality: dict | None) -> BoundaryPar
         return t in p_nodes and hd in p_nodes
 
     if q_segments_spec is not None:
-        segments = [tuple(sorted(int(e) for e in seg)) for seg in q_segments_spec]
+        if not isinstance(q_segments_spec, (list, tuple)):
+            raise InvalidArgumentError(
+                "causality key 'q_segments' must be a list of edge lists, "
+                f"got {q_segments_spec!r}"
+            )
+        segments = [tuple(sorted(_indices(seg, "q_segments"))) for seg in q_segments_spec]
     elif q_edges_spec == "rest":
         segments = [tuple(sorted(e for e in bedges if not covered(e)))]
     elif q_edges_spec == "all":
         segments = [tuple(sorted(bedges))]
     else:
-        segments = [tuple(sorted(int(e) for e in q_edges_spec))]
+        segments = [tuple(sorted(_indices(q_edges_spec, "q_edges")))]
 
     seen: set[int] = set()
     for seg in segments:
@@ -325,6 +338,17 @@ def partition_boundary(mesh: SimplexMesh, causality: dict | None) -> BoundaryPar
     segments = [seg for seg in segments if seg]
     p_segments = [tuple(sorted(p_nodes))] if p_nodes else []
     return BoundaryPartition(tuple(segments), tuple(p_segments))
+
+
+def _indices(value, key: str) -> list:
+    """Entity indices given as a list of integers (bools excluded)."""
+    if not isinstance(value, (list, tuple, np.ndarray)) or not all(
+        isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in value
+    ):
+        raise InvalidArgumentError(
+            f"causality key {key!r} must be a list of integers, got {value!r}"
+        )
+    return [int(v) for v in value]
 
 
 def q_input_edges(part: BoundaryPartition) -> np.ndarray:
@@ -351,15 +375,3 @@ def mesh_summary(mesh: SimplexMesh) -> dict:
         "counts": grid_counts(mesh),
         "numbering": NUMBERING_VERSION,
     }
-
-
-def mesh_hash(mesh: SimplexMesh) -> str:
-    """Deterministic content hash of the mesh (numbering-sensitive)."""
-    hsh = hashlib.sha256()
-    hsh.update(json.dumps(mesh_summary(mesh), sort_keys=True).encode())
-    hsh.update(np.ascontiguousarray(mesh.node_coords).tobytes())
-    hsh.update(np.ascontiguousarray(mesh.edges).tobytes())
-    if mesh.faces is not None:
-        hsh.update(np.ascontiguousarray(mesh.faces).tobytes())
-        hsh.update(np.ascontiguousarray(mesh.face_signs).tobytes())
-    return hsh.hexdigest()

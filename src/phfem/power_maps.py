@@ -27,22 +27,18 @@ vertex gets gamma.
 
 from __future__ import annotations
 
+import numbers
 from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import (
-    InternalConsistencyError,
-    InvalidArgumentError,
-    StructureViolationError,
-)
+from .errors import InternalConsistencyError, InvalidArgumentError
 from .mesh import (
     BoundaryPartition,
     IncidencePair,
     SimplexMesh,
-    build_interval_mesh,
-    incidence,
+    boundary_edges,
     p_input_nodes,
     q_input_edges,
 )
@@ -76,13 +72,6 @@ class TriangleWeights(NamedTuple):
     def eps_II(self) -> float:
         return 0.125 - (self.alpha_II - self.beta_II) / 4.0
 
-    @property
-    def opposite_rotation_signs(self) -> bool:
-        """True when the two classes rotate against each other (the
-        sign pattern sgn(delta_I) = -sgn(delta_II), sgn(eps_I) = -sgn(eps_II)
-        exhibited by the well-behaved parameter sets)."""
-        return self.delta_I * self.delta_II < 0 and self.eps_I * self.eps_II < 0
-
 
 def triangle_weights(
     alpha_I: float, beta_I: float, alpha_II: float, beta_II: float
@@ -115,19 +104,26 @@ def weights_from_config(obj) -> TriangleWeights:
     {alpha_I, beta_I, alpha_II, beta_II} (gamma components derived)."""
     if isinstance(obj, str):
         obj = {"preset": obj}
+    if not isinstance(obj, dict):
+        raise InvalidArgumentError(
+            f"weights must be a preset name or an object, got {obj!r}"
+        )
     if "preset" in obj:
         name = obj["preset"]
-        if name not in PRESETS:
+        if not isinstance(name, str) or name not in PRESETS:
             raise InvalidArgumentError(
                 f"unknown weight preset {name!r}; have {sorted(PRESETS)}"
             )
         return triangle_weights(*PRESETS[name])
-    try:
-        return triangle_weights(
-            obj["alpha_I"], obj["beta_I"], obj["alpha_II"], obj["beta_II"]
-        )
-    except KeyError as e:
-        raise InvalidArgumentError(f"weight config missing key {e}") from e
+    values = []
+    for key in ("alpha_I", "beta_I", "alpha_II", "beta_II"):
+        if key not in obj:
+            raise InvalidArgumentError(f"weight config missing key {key!r}")
+        v = obj[key]
+        if isinstance(v, bool) or not isinstance(v, numbers.Real):
+            raise InvalidArgumentError(f"weight {key} must be a number, got {v!r}")
+        values.append(v)
+    return triangle_weights(*values)
 
 
 class PfqParts(NamedTuple):
@@ -156,7 +152,8 @@ class MapSet(NamedTuple):
       P_eq (N~_q x M_q), P_ep (N~_p x M_p)     -- effort selectors
       P_fp (N~_p x N_p), P_fq (N~_q x N_q)     -- flow maps
       S_p (M_b x M_p), S_q_hat (M_b_hat x M_q) -- boundary outputs
-      P_fq = perp + parallel + rot             -- stencil decomposition
+      P_fq = perp + parallel + rot             -- stencil decomposition (2D;
+                                                  parts is None in 1D)
 
     q_inputs/p_inputs and q_efforts/p_efforts record which mesh entities the
     rows refer to (edges/nodes in 2D; nodes for inputs and efforts in 1D).
@@ -170,7 +167,7 @@ class MapSet(NamedTuple):
     P_fq: sp.csr_matrix
     S_p: sp.csr_matrix
     S_q_hat: sp.csr_matrix
-    parts: PfqParts
+    parts: PfqParts | None
     q_inputs: np.ndarray
     p_inputs: np.ndarray
     q_efforts: np.ndarray
@@ -186,40 +183,8 @@ def _selector(rows: np.ndarray, n_cols: int, sign: float = 1.0) -> sp.csr_matrix
     )
 
 
-def build_selectors(mesh: SimplexMesh, partition: BoundaryPartition):
-    """Input trace matrices and complementary effort selectors.
-
-    Returns (T_q, T_p_hat, P_eq, P_ep).  The stacked matrices [P_eq; T_q]
-    and [P_ep; T_p_hat] are (signed) permutations.  In 1D the p-type trace
-    carries the sign -1 (the boundary effort enters through the outward
-    trace at the right end).
-    """
-    n_nodes = mesh.node_coords.shape[0]
-    if mesh.dim == 1:
-        q_in = q_input_edges(partition)       # node indices in 1D
-        p_in = p_input_nodes(partition)
-        q_eff = np.setdiff1d(np.arange(n_nodes), q_in)
-        p_eff = np.setdiff1d(np.arange(n_nodes), p_in)
-        T_q = _selector(q_in, n_nodes)
-        T_p_hat = _selector(p_in, n_nodes, sign=-1.0)
-        P_eq = _selector(q_eff, n_nodes)
-        P_ep = _selector(p_eff, n_nodes)
-        return T_q, T_p_hat, P_eq, P_ep
-
-    n_edges = mesh.edges.shape[0]
-    q_in = q_input_edges(partition)
-    p_in = p_input_nodes(partition)
-    q_eff = np.setdiff1d(np.arange(n_edges), q_in)
-    p_eff = np.setdiff1d(np.arange(n_nodes), p_in)
-    T_q = _selector(q_in, n_edges)
-    T_p_hat = _selector(p_in, n_nodes)
-    P_eq = _selector(q_eff, n_edges)
-    P_ep = _selector(p_eff, n_nodes)
-    return T_q, T_p_hat, P_eq, P_ep
-
-
 # ---------------------------------------------------------------------------
-# 2D flow maps
+# 2D maps
 
 
 def _build_Pfp_full(mesh: SimplexMesh, w: TriangleWeights) -> sp.csr_matrix:
@@ -238,58 +203,70 @@ def _build_Pfp_full(mesh: SimplexMesh, w: TriangleWeights) -> sp.csr_matrix:
     )
 
 
-def build_Pfp(
-    mesh: SimplexMesh, partition: BoundaryPartition, w: TriangleWeights
-) -> sp.csr_matrix:
-    """Reduced p flow map: rows of the weighted vertex map for all nodes
-    that are NOT p-causal inputs (ascending node order)."""
-    full = _build_Pfp_full(mesh, w)
-    p_in = p_input_nodes(partition)
-    keep = np.setdiff1d(np.arange(full.shape[0]), p_in)
-    return full[keep]
+def power_residual(maps: MapSet, inc: IncidencePair) -> float:
+    """Max-abs entry of the power-preservation matrix condition."""
+    d_p = inc.d_p.astype(float)
+    d_q = inc.d_q.astype(float)
+    lhs = (
+        ((-1.0) ** maps.r) * (d_p.T @ maps.P_fp.T @ maps.P_ep)
+        + maps.P_eq.T @ maps.P_fq @ d_q
+        + maps.T_q.T @ maps.S_p
+        + maps.S_q_hat.T @ maps.T_p_hat
+    )
+    lhs = sp.csr_matrix(lhs)
+    return float(np.abs(lhs.data).max()) if lhs.nnz else 0.0
 
 
-def solve_Pfq_and_outputs(
+def build_2d_maps(
     mesh: SimplexMesh,
     partition: BoundaryPartition,
     w: TriangleWeights,
     inc: IncidencePair,
-    P_fp: sp.csr_matrix,
-    P_eq: sp.csr_matrix,
-    P_ep: sp.csr_matrix,
-    T_q: sp.csr_matrix,
-    T_p_hat: sp.csr_matrix,
-):
-    """Constructive q flow map and boundary output matrices (2D).
+) -> MapSet:
+    """Assemble the complete 2D map set.
 
-    Returns (P_fq, S_p, S_q_hat, parts).  P_fq solves the flow-map equation
-    P_fq d_q = P_eq G (G = d_p^T applied to the all-node weighted vertex
-    map) on all effort-node columns; the freedom in the row space of d_p is
-    fixed by the canonical perp/parallel/rot stencils.
+    The input traces T_q, T_p_hat and the complementary effort selectors
+    P_eq, P_ep make [P_eq; T_q] and [P_ep; T_p_hat] permutations.  P_fp
+    keeps the effort-node rows of the weighted vertex map.  P_fq solves the
+    flow-map equation P_fq d_q = P_eq G (G = d_p^T applied to the all-node
+    weighted vertex map) on all effort-node columns; the freedom in the row
+    space of d_p is fixed by the canonical perp/parallel/rot stencils.
+
+    Every boundary edge needs a port: it is a q-type input, or both its
+    endpoints are p-causal.  Otherwise the flow-map equation has no
+    solution and the edge is reported as an invalid argument.
     """
+    if mesh.dim != 2:
+        raise InvalidArgumentError("build_2d_maps requires a 2D mesh")
     r = 3  # 2D wave setting (p, q) = (2, 1)
     n_edges = mesh.edges.shape[0]
+    n_nodes = mesh.node_coords.shape[0]
+    q_in = q_input_edges(partition)
+    p_in = p_input_nodes(partition)
+    bedges = boundary_edges(mesh)
+    portless = bedges[
+        ~np.isin(bedges, q_in) & ~np.isin(mesh.edges[bedges], p_in).all(axis=1)
+    ]
+    if portless.size:
+        e = int(portless[0])
+        raise InvalidArgumentError(
+            f"boundary edge {e} (nodes {mesh.edges[e, 0]}, {mesh.edges[e, 1]}) "
+            "has no port: it is not a q-type input and its endpoints are not "
+            "both p-causal"
+        )
+    q_eff = np.setdiff1d(np.arange(n_edges), q_in)
+    p_eff = np.setdiff1d(np.arange(n_nodes), p_in)
+    T_q = _selector(q_in, n_edges)
+    T_p_hat = _selector(p_in, n_nodes)
+    P_eq = _selector(q_eff, n_edges)
+    P_ep = _selector(p_eff, n_nodes)
 
     full_Pfp = _build_Pfp_full(mesh, w)
-    # the passed reduced P_fp must be exactly the effort-node rows
-    if P_fp.shape != (P_ep.shape[0], full_Pfp.shape[1]):
-        raise InternalConsistencyError(
-            f"P_fp has shape {P_fp.shape}, expected "
-            f"{(P_ep.shape[0], full_Pfp.shape[1])}"
-        )
-    pfp_defect = P_ep @ full_Pfp - P_fp
-    if pfp_defect.nnz and np.abs(pfp_defect.data).max() > 0:
-        raise InternalConsistencyError(
-            "reduced P_fp does not match the weighted vertex map of this "
-            "mesh/partition/weights combination"
-        )
-
     d_p = inc.d_p.astype(float)
     d_q = inc.d_q.astype(float)
     G = -((-1.0) ** r) * (d_p.T @ full_Pfp.T)  # edges x nodes
     S_p = (T_q @ G).tocsr()
 
-    q_eff = np.setdiff1d(np.arange(n_edges), q_input_edges(partition))
     row_of = np.full(n_edges, -1)
     row_of[q_eff] = np.arange(len(q_eff))
 
@@ -355,64 +332,22 @@ def solve_Pfq_and_outputs(
         )
 
     S_q_hat = (-T_p_hat @ (d_q.T @ P_fq.T @ P_eq + S_p.T @ T_q)).tocsr()
-    parts = PfqParts(perp, par, rot, residual_map, residual_full)
-    return P_fq, S_p, S_q_hat, parts
-
-
-def power_residual(maps: MapSet, inc: IncidencePair) -> float:
-    """Max-abs entry of the power-preservation matrix condition."""
-    d_p = inc.d_p.astype(float)
-    d_q = inc.d_q.astype(float)
-    lhs = (
-        ((-1.0) ** maps.r) * (d_p.T @ maps.P_fp.T @ maps.P_ep)
-        + maps.P_eq.T @ maps.P_fq @ d_q
-        + maps.T_q.T @ maps.S_p
-        + maps.S_q_hat.T @ maps.T_p_hat
-    )
-    lhs = sp.csr_matrix(lhs)
-    return float(np.abs(lhs.data).max()) if lhs.nnz else 0.0
-
-
-def build_2d_maps(
-    mesh: SimplexMesh,
-    partition: BoundaryPartition,
-    w: TriangleWeights,
-    inc: IncidencePair | None = None,
-) -> MapSet:
-    """Assemble the complete 2D map set and verify power preservation."""
-    if mesh.dim != 2:
-        raise InvalidArgumentError("build_2d_maps requires a 2D mesh")
-    if inc is None:
-        inc = incidence(mesh)
-    T_q, T_p_hat, P_eq, P_ep = build_selectors(mesh, partition)
-    P_fp = build_Pfp(mesh, partition, w)
-    P_fq, S_p, S_q_hat, parts = solve_Pfq_and_outputs(
-        mesh, partition, w, inc, P_fp, P_eq, P_ep, T_q, T_p_hat
-    )
-    n_edges = mesh.edges.shape[0]
-    n_nodes = mesh.node_coords.shape[0]
-    maps = MapSet(
-        T_q=T_q.tocsr(),
-        T_p_hat=T_p_hat.tocsr(),
-        P_eq=P_eq.tocsr(),
-        P_ep=P_ep.tocsr(),
-        P_fp=P_fp.tocsr(),
+    return MapSet(
+        T_q=T_q,
+        T_p_hat=T_p_hat,
+        P_eq=P_eq,
+        P_ep=P_ep,
+        P_fp=full_Pfp[p_eff],
         P_fq=P_fq,
         S_p=S_p,
         S_q_hat=S_q_hat,
-        parts=parts,
-        q_inputs=q_input_edges(partition),
-        p_inputs=p_input_nodes(partition),
-        q_efforts=np.setdiff1d(np.arange(n_edges), q_input_edges(partition)),
-        p_efforts=np.setdiff1d(np.arange(n_nodes), p_input_nodes(partition)),
-        r=3,
+        parts=PfqParts(perp, par, rot, residual_map, residual_full),
+        q_inputs=q_in,
+        p_inputs=p_in,
+        q_efforts=q_eff,
+        p_efforts=p_eff,
+        r=r,
     )
-    resid = power_residual(maps, inc)
-    if resid > RESIDUAL_TOL:
-        raise StructureViolationError(
-            f"power-preservation residual {resid:.3e} exceeds {RESIDUAL_TOL}"
-        )
-    return maps
 
 
 # ---------------------------------------------------------------------------
@@ -459,9 +394,7 @@ def build_1d_maps(N: int, alpha: float) -> MapSet:
         shape=(1, n_nodes),
     )
 
-    zero = sp.csr_matrix((N, N))
-    parts = PfqParts(P_fq, zero, zero.copy(), 0.0, 0.0)
-    maps = MapSet(
+    return MapSet(
         T_q=T_q,
         T_p_hat=T_p_hat,
         P_eq=P_eq,
@@ -470,14 +403,13 @@ def build_1d_maps(N: int, alpha: float) -> MapSet:
         P_fq=P_fq,
         S_p=S_p,
         S_q_hat=S_q_hat,
-        parts=parts,
+        parts=None,
         q_inputs=np.array([0]),
         p_inputs=np.array([N]),
         q_efforts=np.arange(N),
         p_efforts=np.arange(N),
         r=2,
     )
-    return _checked_1d(maps, N)
 
 
 def build_golo_1d_maps(N: int, alpha_prime: float) -> MapSet:
@@ -513,8 +445,7 @@ def build_golo_1d_maps(N: int, alpha_prime: float) -> MapSet:
     S_p = sp.csr_matrix(([1.0], ([0], [0])), shape=(1, n_nodes))
     S_q_hat = sp.csr_matrix(([1.0], ([0], [N])), shape=(1, n_nodes))
 
-    zero = sp.csr_matrix((N, N))
-    maps = MapSet(
+    return MapSet(
         T_q=_selector([0], n_nodes),
         T_p_hat=_selector([N], n_nodes, sign=-1.0),
         P_eq=P_eq,
@@ -523,34 +454,10 @@ def build_golo_1d_maps(N: int, alpha_prime: float) -> MapSet:
         P_fq=eye,
         S_p=S_p,
         S_q_hat=S_q_hat,
-        parts=PfqParts(eye, zero, zero.copy(), 0.0, 0.0),
+        parts=None,
         q_inputs=np.array([0]),
         p_inputs=np.array([N]),
         q_efforts=np.arange(N),
         p_efforts=np.arange(N),
         r=2,
     )
-    return _checked_1d(maps, N)
-
-
-def _checked_1d(maps: MapSet, N: int) -> MapSet:
-    """Return a 1D map set after checking power preservation on the N-edge
-    chain."""
-    resid = power_residual(maps, incidence(build_interval_mesh(N, 1.0)))
-    if resid > RESIDUAL_TOL:
-        raise InternalConsistencyError(
-            f"1D maps violate power preservation: residual {resid:.3e}"
-        )
-    return maps
-
-
-def count_identity(maps: MapSet) -> tuple:
-    """(N~_p + N~_q + M_b + M_b_hat, M_p + M_q): both counts must agree."""
-    lhs = (
-        maps.P_ep.shape[0]
-        + maps.P_eq.shape[0]
-        + maps.T_q.shape[0]
-        + maps.T_p_hat.shape[0]
-    )
-    rhs = maps.P_ep.shape[1] + maps.P_eq.shape[1]
-    return lhs, rhs

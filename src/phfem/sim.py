@@ -35,6 +35,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 import pathlib
 from typing import Callable, NamedTuple, Sequence
 
@@ -42,7 +43,11 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import InvalidArgumentError, NumericalFailureError
+from .errors import (
+    InvalidArgumentError,
+    NumericalFailureError,
+    StructureViolationError,
+)
 from .hodge import hodge_1d, hodge_2d, hodge_golo_1d
 from .mesh import (
     BoundaryPartition,
@@ -55,10 +60,12 @@ from .mesh import (
     partition_boundary,
 )
 from .power_maps import (
+    RESIDUAL_TOL,
     MapSet,
     build_1d_maps,
     build_2d_maps,
     build_golo_1d_maps,
+    power_residual,
     weights_from_config,
 )
 from .statespace import SKEW_TOL, PHModel, assemble_model
@@ -75,9 +82,24 @@ class BuiltModel(NamedTuple):
 
 
 def _require(cfg: dict, key: str, context: str):
+    if not isinstance(cfg, dict):
+        raise InvalidArgumentError(f"{context} config must be an object, got {cfg!r}")
     if key not in cfg:
         raise InvalidArgumentError(f"config is missing {context} key {key!r}")
     return cfg[key]
+
+
+def _number(cfg: dict, key: str, context: str, default=None, integer=False):
+    """A JSON number (an integer if `integer`; never a bool) under `key`;
+    required unless a default is given."""
+    v = _require(cfg, key, context) if default is None else cfg.get(key, default)
+    kind = numbers.Integral if integer else numbers.Real
+    if isinstance(v, bool) or not isinstance(v, kind):
+        raise InvalidArgumentError(
+            f"{context} key {key!r} must be {'an integer' if integer else 'a number'}"
+            f", got {v!r}"
+        )
+    return int(v) if integer else float(v)
 
 
 def build_model(config: dict) -> BuiltModel:
@@ -92,13 +114,13 @@ def build_model(config: dict) -> BuiltModel:
     mesh_cfg = _require(config, "mesh", "top-level")
     kind = _require(mesh_cfg, "kind", "mesh")
     if kind == "rect":
-        N = int(_require(mesh_cfg, "N", "mesh"))
-        M = int(_require(mesh_cfg, "M", "mesh"))
-        h = float(mesh_cfg.get("h", 1.0))
+        N = _number(mesh_cfg, "N", "mesh", integer=True)
+        M = _number(mesh_cfg, "M", "mesh", integer=True)
+        h = _number(mesh_cfg, "h", "mesh", default=1.0)
         mesh = build_rect_mesh(N, M, h)
     elif kind == "interval":
-        N = int(_require(mesh_cfg, "N", "mesh"))
-        L = float(mesh_cfg.get("L", 1.0))
+        N = _number(mesh_cfg, "N", "mesh", integer=True)
+        L = _number(mesh_cfg, "L", "mesh", default=1.0)
         mesh = build_interval_mesh(N, L)
     else:
         raise InvalidArgumentError(
@@ -110,7 +132,7 @@ def build_model(config: dict) -> BuiltModel:
     if mesh.dim == 2:
         w = weights_from_config(_require(config, "weights", "top-level"))
         maps = build_2d_maps(mesh, part, w, inc)
-        pair = hodge_2d(mesh, maps.P_fp, maps.parts.perp, h, maps.q_efforts)
+        pair = hodge_2d(mesh, maps)
         meta = {
             "method": "mixed-2d",
             "N": N,
@@ -126,12 +148,12 @@ def build_model(config: dict) -> BuiltModel:
     else:
         method = config.get("method", "mixed")
         if method in ("mixed", "ours"):
-            alpha = float(_require(config, "alpha", "interval-mesh"))
+            alpha = _number(config, "alpha", "interval-mesh")
             maps = build_1d_maps(N, alpha)
             pair = hodge_1d(N, alpha, L / N)
             meta = {"method": "mixed", "alpha": alpha, "N": N, "L": L}
         elif method == "golo":
-            alpha_prime = float(_require(config, "alpha_prime", "interval-mesh"))
+            alpha_prime = _number(config, "alpha_prime", "interval-mesh")
             maps = build_golo_1d_maps(N, alpha_prime)
             pair = hodge_golo_1d(N, L / N)
             meta = {
@@ -145,6 +167,11 @@ def build_model(config: dict) -> BuiltModel:
             raise InvalidArgumentError(
                 f"method must be 'mixed' (alias 'ours') or 'golo', got {method!r}"
             )
+    resid = power_residual(maps, inc)
+    if resid > RESIDUAL_TOL:
+        raise StructureViolationError(
+            f"power-preservation residual {resid:.3e} exceeds {RESIDUAL_TOL}"
+        )
     model = assemble_model(maps, inc, pair, meta=meta)
     return BuiltModel(model, mesh, part, inc, maps)
 
@@ -263,14 +290,6 @@ class MidpointStepper:
         return self._solve(self.plus @ x + self.dt * (self.B @ u_mid))
 
 
-def step_midpoint(model: PHModel, x, u_mid, dt: float) -> np.ndarray:
-    """One implicit midpoint step with the input held at the interval
-    midpoint value u_mid (factors the stepping matrix on every call; use
-    `simulate` or `MidpointStepper` for runs)."""
-    stepper = MidpointStepper(model, dt)
-    return stepper.step(np.asarray(x, dtype=float), np.asarray(u_mid, dtype=float))
-
-
 def simulate(model: PHModel, cfg: SimConfig) -> Trajectory:
     """Integrate the model over [0, T]; the factorization of the stepping
     matrix is reused across the whole run."""
@@ -351,7 +370,6 @@ class WaveResult(NamedTuple):
 
 def wave2d_experiment(
     N: int,
-    M: int | None = None,
     weights="set1",
     dt: float = 0.05,
     T: float = 18.0,
@@ -361,14 +379,9 @@ def wave2d_experiment(
     homogeneous q-efforts on every boundary edge.
 
     Snapshots are full nodal grids of the reconstructed effort field e~_p
-    ((M+1) rows x (N+1) columns, row-major in y), with the input value
-    filling the driven corner.
+    ((N+1) x (N+1), row-major in y), with the input value filling the
+    driven corner.
     """
-    M = N if M is None else M
-    if M != N:
-        raise InvalidArgumentError(
-            f"the wave experiment runs on square cells; got N = {N}, M = {M}"
-        )
     h = 20.0 / N
     model, mesh, _, _, maps = build_model(
         {
@@ -404,10 +417,10 @@ def wave2d_experiment(
         k = int(round(t_snap / dt))
         k = min(k, len(traj.t) - 1)
         e_p = Q_p @ traj.x[k, : model.n_p]
-        grid = np.empty((M + 1) * (N + 1))
+        grid = np.empty((N + 1) ** 2)
         grid[maps.p_efforts] = e_p
         grid[maps.p_inputs] = corner_pulse(traj.t[k])
-        snapshots[t_snap] = grid.reshape(M + 1, N + 1)
+        snapshots[t_snap] = grid.reshape(N + 1, N + 1)
     return WaveResult(traj, snapshots, model, meta)
 
 

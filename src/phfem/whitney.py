@@ -12,7 +12,9 @@ on a single triangle (area A, CCW vertex order 0,1,2):
     dlam_u ^ dlam_v = sigma_uv / (2A) dx^dy,  sigma cyclic(+1)/anticyclic(-1)
 
 which makes the assembly exact up to roundoff (no quadrature).  Matrix
-conventions (curly-bracket sign factors depend on the form degrees):
+conventions (curly-bracket sign factors depend on the form degrees; the
+mesh dimension fixes them, with (p, q, r) = (2, 1, 3) in 2D and (1, 1, 2)
+in 1D, r = p*q + 1):
 
     M_p[i,k] =  <phi^p_i ^ psi^p_k>
     M_q[j,l] =  <phi^q_j ^ psi^q_l>
@@ -36,7 +38,6 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import InvalidArgumentError, UnsupportedSpecError
 from .mesh import (
     BoundaryPartition,
     IncidencePair,
@@ -44,26 +45,6 @@ from .mesh import (
     boundary_edges,
     q_input_edges,
 )
-
-
-class FormDegreeSpec(NamedTuple):
-    """Degrees of the two conserved forms: p + q = n + 1, r = p*q + 1."""
-
-    p: int
-    q: int
-    n: int
-    r: int
-
-
-def form_degree_spec(p: int, q: int, n: int) -> FormDegreeSpec:
-    if p + q != n + 1:
-        raise InvalidArgumentError(f"degrees must satisfy p+q=n+1, got p={p} q={q} n={n}")
-    return FormDegreeSpec(p, q, n, p * q + 1)
-
-
-#: canonical specs for the two supported settings
-WAVE_1D = form_degree_spec(1, 1, 1)
-WAVE_2D = form_degree_spec(2, 1, 2)
 
 
 class GalerkinMatrices(NamedTuple):
@@ -100,30 +81,19 @@ def _local_edge_vertices(face_nodes: np.ndarray, tail: int, head: int) -> tuple:
     return loc[int(tail)], loc[int(head)]
 
 
-def assemble(
-    mesh: SimplexMesh, partition: BoundaryPartition, spec: FormDegreeSpec
-) -> GalerkinMatrices:
+def assemble(mesh: SimplexMesh, partition: BoundaryPartition) -> GalerkinMatrices:
     """Assemble all Galerkin pairings for the given mesh and causality split."""
-    if spec.n != mesh.dim:
-        raise UnsupportedSpecError(
-            f"spec is {spec.n}-dimensional but the mesh is {mesh.dim}-dimensional"
-        )
-    if (spec.p, spec.q) not in ((1, 1), (2, 1)):
-        raise UnsupportedSpecError(f"unsupported form degrees (p,q)=({spec.p},{spec.q})")
     if mesh.dim == 1:
-        return _assemble_1d(mesh, partition, spec)
-    return _assemble_2d(mesh, partition, spec)
+        return _assemble_1d(mesh, partition)
+    return _assemble_2d(mesh, partition)
 
 
-def _assemble_2d(mesh, partition, spec):
+def _assemble_2d(mesh, partition):
     n_nodes = mesh.node_coords.shape[0]
     n_edges = mesh.edges.shape[0]
     n_faces = mesh.faces.shape[0]
-
-    sgn_kp = -((-1) ** (spec.r + spec.q))   # -1 for (p,q,r) = (2,1,3)
-    sgn_kq = -((-1) ** spec.p)              # -1
-    sgn_lp = (-1) ** (spec.r + spec.q)      # +1
-    sgn_lq = (-1) ** spec.p                 # +1
+    # sign factors at (p, q, r) = (2, 1, 3): K_p and K_q carry -1, L_p and
+    # L_q carry +1
 
     mp_r, mp_c, mp_v = [], [], []
     mq_r, mq_c, mq_v = [], [], []
@@ -163,7 +133,7 @@ def _assemble_2d(mesh, partition, spec):
                 if val != 0.0:
                     kp_r.append(i_glob)
                     kp_c.append(el)
-                    kp_v.append(sgn_kp * val)
+                    kp_v.append(-val)
 
         # K_q: int lam_i * d w^ej = sigma(a,b) / 3
         for ej, (a, b) in zip(edges, locs):
@@ -171,7 +141,7 @@ def _assemble_2d(mesh, partition, spec):
             for i_glob in nodes:
                 kq_r.append(ej)
                 kq_c.append(i_glob)
-                kq_v.append(sgn_kq * s / 3.0)
+                kq_v.append(-s / 3.0)
 
     M_p = sp.csr_matrix((mp_v, (mp_r, mp_c)), shape=(n_nodes, n_faces))
     M_q = sp.csr_matrix((mq_v, (mq_r, mq_c)), shape=(n_edges, n_edges))
@@ -200,22 +170,17 @@ def _assemble_2d(mesh, partition, spec):
     q_edges = set(q_input_edges(partition).tolist())
     hat_edges = [e for e in all_bedges.tolist() if e not in q_edges]
 
-    L_q_segments = tuple(sgn_lq * edge_pairing(seg).T.tocsr() for seg in partition.q_segments)
-    L_p_hat_segments = (
-        (sgn_lp * edge_pairing(hat_edges),) if hat_edges else tuple()
-    )
-    L_p = (sgn_lp * pairing_full).tocsr()
-    L_q = (sgn_lq * pairing_full.T).tocsr()
+    L_q_segments = tuple(edge_pairing(seg).T.tocsr() for seg in partition.q_segments)
+    L_p_hat_segments = (edge_pairing(hat_edges),) if hat_edges else tuple()
+    L_p = pairing_full.tocsr()
+    L_q = pairing_full.T.tocsr()
     return GalerkinMatrices(M_p, M_q, K_p, K_q, L_q_segments, L_p_hat_segments, L_p, L_q)
 
 
-def _assemble_1d(mesh, partition, spec):
+def _assemble_1d(mesh, partition):
     N = mesh.grid_shape[0]
-    h = mesh.h
     n_nodes, n_edges = N + 1, N
-
-    sgn_k = -((-1) ** (spec.r + spec.q))    # +1 for (p,q,r) = (1,1,2)
-    sgn_l = (-1) ** (spec.r + spec.q)       # -1
+    # sign factors at (p, q, r) = (1, 1, 2): K carries +1, L carries -1
 
     # mass pairing: int hat_i * (1/h on edge k) dx = 1/2 per endpoint
     rows = np.repeat(np.arange(n_edges), 2)
@@ -232,7 +197,7 @@ def _assemble_1d(mesh, partition, spec):
             for j in (t, hd):
                 kr.append(int(i))
                 kc.append(int(j))
-                kv.append(sgn_k * si)
+                kv.append(si)
     K = sp.csr_matrix((kv, (kr, kc)), shape=(n_nodes, n_nodes))
 
     # boundary pairing: signed point evaluation (+ at x=L, - at x=0)
@@ -245,13 +210,11 @@ def _assemble_1d(mesh, partition, spec):
             vals.append(s)
         return sp.csr_matrix((vals, (rows, cols)), shape=(n_nodes, n_nodes))
 
-    L_full = sgn_l * point_pairing([0, N])
+    L_full = -point_pairing([0, N])
     L_q_segments = tuple(
-        (sgn_l * point_pairing(seg)).T.tocsr() for seg in partition.q_segments
+        (-point_pairing(seg)).T.tocsr() for seg in partition.q_segments
     )
-    L_p_hat_segments = tuple(
-        sgn_l * point_pairing(seg) for seg in partition.p_segments
-    )
+    L_p_hat_segments = tuple(-point_pairing(seg) for seg in partition.p_segments)
     # in 1D both efforts are nodal, so the q-law pairings coincide with the
     # p-law ones entry for entry
     return GalerkinMatrices(
@@ -269,28 +232,21 @@ class StructureReport(NamedTuple):
 
     residuals -- max-abs defects of the factorization identities
     ranks     -- {name: (computed, expected)} or None when not applicable
-    passed    -- all residuals below tol and all applicable ranks match
     """
 
     residuals: dict
     ranks: dict | None
-    passed: bool
 
 
 def verify_structure(
-    mesh: SimplexMesh,
-    g: GalerkinMatrices,
-    inc: IncidencePair,
-    spec: FormDegreeSpec,
-    tol: float = 1e-12,
-    check_ranks: bool | None = None,
+    mesh: SimplexMesh, g: GalerkinMatrices, inc: IncidencePair
 ) -> StructureReport:
-    """Check the factorization identities and (optionally) the rank table.
+    """Check the factorization identities and the rank table.
 
-    By default the rank table runs on 2D grids with at most 3000 nodes; it
-    applies only when min(N, M) > 2 (N, M read from mesh.grid_shape).
-    Never raises on failure -- returns the report with passed=False so
-    callers can decide (the CLI turns failures into exit code 1).
+    The rank table runs on 2D grids with at most 3000 nodes and
+    min(N, M) > 2 (N, M read from mesh.grid_shape).  Never raises on
+    failure -- callers compare the report against their own gate (the CLI
+    turns failures into exit code 1).
     """
 
     def maxabs(mat) -> float:
@@ -299,56 +255,33 @@ def verify_structure(
 
     d_p = inc.d_p.astype(float)
     d_q = inc.d_q.astype(float)
-    sgn = -((-1) ** spec.r)
+    sgn = 1 if mesh.dim == 2 else -1  # -(-1)^r
     residuals = {
         "kp_factorization": maxabs(g.K_p + g.L_p - sgn * (g.M_p @ d_p)),
         "kq_factorization": maxabs(g.K_q + g.L_q + g.M_q @ d_q),
         "lp_lq_transpose": maxabs(g.L_p - g.L_q.T),
         "summation_by_parts": maxabs((g.K_p + g.L_p) + (g.K_q + g.L_q).T - g.L_p),
     }
-    if spec.n == 2:  # the composite d_p d_q exists only with two derivatives
-        residuals["dp_dq"] = maxabs(inc.d_p @ inc.d_q)
+    if mesh.dim == 1:
+        return StructureReport(residuals, None)
+    # the composite d_p d_q exists only with two derivatives
+    residuals["dp_dq"] = maxabs(inc.d_p @ inc.d_q)
 
     n_nodes = g.M_p.shape[0]
-    ranks = None
-    if check_ranks is None:
-        check_ranks = spec.n == 2 and n_nodes <= 3000
-    if check_ranks and spec.n == 2:
-        N, M = mesh.grid_shape
-        n_faces = g.M_p.shape[1]
-        if min(N, M) > 2:
-            ranks = {
-                "M_p": (
-                    int(np.linalg.matrix_rank(g.M_p.toarray())),
-                    n_nodes - 2,
-                ),
-                "M_q": (
-                    int(np.linalg.matrix_rank(g.M_q.toarray())),
-                    2 * (n_nodes - 2),
-                ),
-                "L_p": (
-                    int(np.linalg.matrix_rank(g.L_p.toarray())),
-                    2 * (N + M) - 1,
-                ),
-                "K_p+L_p": (
-                    int(np.linalg.matrix_rank((g.K_p + g.L_p).toarray())),
-                    n_nodes - 2,
-                ),
-                "K_q+L_q": (
-                    int(np.linalg.matrix_rank((g.K_q + g.L_q).toarray())),
-                    n_nodes - 1,
-                ),
-                "d_p": (
-                    int(np.linalg.matrix_rank(inc.d_p.toarray().astype(float))),
-                    n_faces,
-                ),
-                "d_q": (
-                    int(np.linalg.matrix_rank(inc.d_q.toarray().astype(float))),
-                    n_nodes - 1,
-                ),
-            }
+    N, M = mesh.grid_shape
+    if n_nodes > 3000 or min(N, M) <= 2:
+        return StructureReport(residuals, None)
 
-    ok = all(v <= tol for v in residuals.values())
-    if ranks is not None:
-        ok = ok and all(c == e for c, e in ranks.values())
-    return StructureReport(residuals, ranks, ok)
+    def rank(mat) -> int:
+        return int(np.linalg.matrix_rank(mat.toarray().astype(float)))
+
+    ranks = {
+        "M_p": (rank(g.M_p), n_nodes - 2),
+        "M_q": (rank(g.M_q), 2 * (n_nodes - 2)),
+        "L_p": (rank(g.L_p), 2 * (N + M) - 1),
+        "K_p+L_p": (rank(g.K_p + g.L_p), n_nodes - 2),
+        "K_q+L_q": (rank(g.K_q + g.L_q), n_nodes - 1),
+        "d_p": (rank(inc.d_p), g.M_p.shape[1]),
+        "d_q": (rank(inc.d_q), n_nodes - 1),
+    }
+    return StructureReport(residuals, ranks)

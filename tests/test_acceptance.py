@@ -280,8 +280,8 @@ class TestStructureBattery:
                     cases += 1
                     tag = f"{N}x{M} {preset} {causality}"
                     part = msh.partition_boundary(mesh, causality)
-                    g = whitney.assemble(mesh, part, whitney.WAVE_2D)
-                    report = whitney.verify_structure(mesh, g, inc, whitney.WAVE_2D)
+                    g = whitney.assemble(mesh, part)
+                    report = whitney.verify_structure(mesh, g, inc)
                     fold(tag, report.residuals)
                     if report.ranks is not None:
                         rank_cases += 1
@@ -297,9 +297,7 @@ class TestStructureBattery:
                     F = rep.F.toarray()
                     if np.linalg.matrix_rank(F) != F.shape[0]:
                         f_rank_deficit.append(tag)
-                    hodge = hg.hodge_2d(
-                        mesh, maps.P_fp, maps.parts.perp, 1.0, maps.q_efforts
-                    )
+                    hodge = hg.hodge_2d(mesh, maps)
                     model = statespace.assemble_model(maps, inc, hodge)
                     fold(tag, cls._model_residuals(model))
 
@@ -307,8 +305,8 @@ class TestStructureBattery:
             mesh = msh.build_interval_mesh(N, 1.0)
             inc = msh.incidence(mesh)
             part = msh.partition_boundary(mesh, None)
-            g = whitney.assemble(mesh, part, whitney.WAVE_1D)
-            report = whitney.verify_structure(mesh, g, inc, whitney.WAVE_1D)
+            g = whitney.assemble(mesh, part)
+            report = whitney.verify_structure(mesh, g, inc)
             fold(f"1d N={N}", report.residuals)
             for alpha in cls.ALPHAS_1D:
                 cases += 1
@@ -427,7 +425,7 @@ class TestPowerBalanceProperty:
         inc = msh.incidence(mesh)
         w = pm.triangle_weights(*pm.PRESETS["set2"])
         maps = pm.build_2d_maps(mesh, part, w, inc)
-        hodge = hg.hodge_2d(mesh, maps.P_fp, maps.parts.perp, 1.0, maps.q_efforts)
+        hodge = hg.hodge_2d(mesh, maps)
         return [
             ("mixed 1d", analysis.build_1d_model(20, 1 / 6)),
             ("golo 1d", analysis.build_golo_1d_model(12, 1 / 12)),

@@ -121,6 +121,52 @@ class TestBuild:
         cfg2 = write_cfg(tmp_path, {"mesh": {"kind": "torus", "N": 4}}, "c2.json")
         assert cli.main(["build", "--config", str(cfg2), "--out", str(tmp_path / "m")]) == 2
 
+    @pytest.mark.parametrize(
+        "base, path, value, named",
+        [
+            (MIXED_2X1, ("mesh", "N"), "abc", "'N'"),
+            (MIXED_2X1, ("mesh", "N"), 3.7, "'N'"),
+            (MIXED_2X1, ("mesh", "N"), True, "'N'"),
+            (MIXED_2X1, ("mesh", "h"), "x", "'h'"),
+            (MIXED_2X1, ("mesh", "h"), 1e400, "h=inf"),
+            (MIXED_2X1, ("weights",), 5, "weights"),
+            (MIXED_2X1, ("weights",), {"alpha_I": "x", "beta_I": 0.25,
+                                       "alpha_II": 0.25, "beta_II": 0.5}, "alpha_I"),
+            (MIXED_2X1, ("causality",), [1], "causality"),
+            (MIXED_2X1, ("causality", "p_nodes"), ["a"], "'p_nodes'"),
+            (MIXED_2X1, ("causality", "p_sides"), "bottom", "'p_sides'"),
+            (MIXED_2X1, ("causality", "q_edges"), 5, "'q_edges'"),
+            (INTERVAL, ("alpha",), "x", "'alpha'"),
+            (INTERVAL, ("mesh", "L"), 1e400, "L=inf"),
+        ],
+    )
+    def test_wrong_config_type_exits_2(self, tmp_path, capsys, base, path, value, named):
+        config = json.loads(json.dumps(base))
+        node = config
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        cfg = write_cfg(tmp_path, config)
+        assert cli.main(["build", "--config", str(cfg), "--out", str(tmp_path / "m")]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert named in err
+
+    @pytest.mark.parametrize(
+        "causality, edge",
+        [({"q_edges": [0]}, 1), ({"p_nodes": [0], "q_edges": [0, 1, 2]}, 9)],
+    )
+    def test_boundary_edge_without_port_exits_2(self, tmp_path, capsys, causality, edge):
+        config = {
+            "mesh": {"kind": "rect", "N": 3, "M": 3, "h": 1.0},
+            "causality": causality,
+            "weights": "set1",
+        }
+        cfg = write_cfg(tmp_path, config)
+        assert cli.main(["build", "--config", str(cfg), "--out", str(tmp_path / "m")]) == 2
+        err = capsys.readouterr().err
+        assert f"boundary edge {edge} " in err and "no port" in err
+
     def test_structure_gate_maps_to_exit_1(self, tmp_path, monkeypatch, capsys):
         def broken(cfg):
             raise StructureViolationError("structural checks failed: demo = 1.0e-02")

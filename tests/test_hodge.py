@@ -12,7 +12,7 @@ from phfem.errors import InvalidArgumentError, SingularHodgeError
 def build(N, M, h, w, causality=None):
     m = msh.build_rect_mesh(N, M, h)
     part = msh.partition_boundary(m, causality or {"q_edges": "all"})
-    maps = pm.build_2d_maps(m, part, w)
+    maps = pm.build_2d_maps(m, part, w, msh.incidence(m))
     return m, maps
 
 
@@ -34,7 +34,7 @@ class TestFrozenValues2D:
         w = pm.triangle_weights(*pm.PRESETS["set1"])
         h = 0.5
         m, maps = build(3, 3, h, w)
-        pair = hg.hodge_2d(m, maps.P_fp, maps.parts.perp, h, maps.q_efforts)
+        pair = hg.hodge_2d(m, maps)
 
         # interior node: balance weight 2 -> 1/h^2
         interior_node = 5  # (1, 1)
@@ -56,7 +56,7 @@ class TestFrozenValues2D:
     def test_boundary_rows_have_single_cell_weights(self):
         w = pm.triangle_weights(*pm.PRESETS["set1"])
         m, maps = build(2, 2, 1.0, w)
-        pair = hg.hodge_2d(m, maps.P_fp, maps.parts.perp, 1.0, maps.q_efforts)
+        pair = hg.hodge_2d(m, maps)
         # a corner node of the grid carries less balance area than 2
         corner_row = list(maps.p_efforts).index(0)
         assert pair.Q_p.diagonal()[corner_row] > 1.0
@@ -76,7 +76,7 @@ class TestConsistency:
         w = pm.triangle_weights(aI, bI, aII, bII)
         h = 0.7
         m, maps = build(4, 3, h, w, causality)
-        pair = hg.hodge_2d(m, maps.P_fp, maps.parts.perp, h, maps.q_efforts)
+        pair = hg.hodge_2d(m, maps)
 
         v = np.array([0.8, -1.3])
         q = constant_field_dofs(m, v)
@@ -91,7 +91,7 @@ class TestConsistency:
         w = pm.triangle_weights(aI, bI, aII, bII)
         h = 0.25
         m, maps = build(3, 4, h, w, {"p_nodes": [0], "q_edges": "rest"})
-        pair = hg.hodge_2d(m, maps.P_fp, maps.parts.perp, h, maps.q_efforts)
+        pair = hg.hodge_2d(m, maps)
 
         rho = 2.75
         p = np.full(m.faces.shape[0], rho * h * h / 2.0)
@@ -101,7 +101,7 @@ class TestConsistency:
     def test_positive_definite(self):
         w = pm.triangle_weights(*pm.PRESETS["set4"])
         m, maps = build(3, 3, 1.0, w)
-        pair = hg.hodge_2d(m, maps.P_fp, maps.parts.perp, 1.0, maps.q_efforts)
+        pair = hg.hodge_2d(m, maps)
         assert (pair.diagonal > 0).all()
         block = pair.as_block()
         assert block.shape[0] == maps.P_fp.shape[0] + maps.P_fq.shape[0]
@@ -112,24 +112,20 @@ class TestDegenerate:
         w = pm.triangle_weights(0.0, 1.0, 1.0, 0.0)  # gammas collapse to 0
         m, maps = build(2, 2, 1.0, w)
         with pytest.raises(SingularHodgeError):
-            hg.hodge_2d(m, maps.P_fp, maps.parts.perp, 1.0, maps.q_efforts)
+            hg.hodge_2d(m, maps)
 
     def test_edge_without_flux(self):
         w = pm.triangle_weights(1.0, 0.0, 0.0, 1.0)  # betas vanish
         m, maps = build(2, 2, 1.0, w)
         with pytest.raises(SingularHodgeError):
-            hg.hodge_2d(m, maps.P_fp, maps.parts.perp, 1.0, maps.q_efforts)
+            hg.hodge_2d(m, maps)
 
     def test_invalid_arguments(self):
         w = pm.triangle_weights(*pm.PRESETS["set1"])
         m, maps = build(2, 2, 1.0, w)
-        with pytest.raises(InvalidArgumentError):
-            hg.hodge_2d(m, maps.P_fp, maps.parts.perp, -1.0, maps.q_efforts)
-        with pytest.raises(InvalidArgumentError):
-            hg.hodge_2d(m, maps.P_fp, maps.parts.perp, 1.0, maps.q_efforts[:-1])
         m1 = msh.build_interval_mesh(4, 1.0)
         with pytest.raises(InvalidArgumentError):
-            hg.hodge_2d(m1, maps.P_fp, maps.parts.perp, 1.0, maps.q_efforts)
+            hg.hodge_2d(m1, maps)
 
 
 class TestOneDimensional:

@@ -89,6 +89,18 @@ def test_boundary_sets():
     assert sorted(all_side_edges.tolist()) == sorted(be.tolist())
 
 
+@pytest.mark.parametrize("h", [np.inf, np.nan])
+def test_rect_mesh_rejects_nonfinite_size(h):
+    with pytest.raises(InvalidArgumentError):
+        msh.build_rect_mesh(3, 3, h)
+
+
+@pytest.mark.parametrize("L", [np.inf, np.nan])
+def test_interval_mesh_rejects_nonfinite_length(L):
+    with pytest.raises(InvalidArgumentError):
+        msh.build_interval_mesh(4, L)
+
+
 class TestPartition2D:
     def setup_method(self):
         self.m = msh.build_rect_mesh(2, 1, 1.0)
@@ -162,9 +174,11 @@ def test_summary_and_hash_deterministic():
     m1 = msh.build_rect_mesh(4, 3, 0.5)
     m2 = msh.build_rect_mesh(4, 3, 0.5)
     assert msh.mesh_summary(m1) == msh.mesh_summary(m2)
-    assert msh.mesh_hash(m1) == msh.mesh_hash(m2)
+    for name in ("node_coords", "edges", "faces", "face_signs", "face_nodes"):
+        np.testing.assert_array_equal(getattr(m1, name), getattr(m2, name))
     m3 = msh.build_rect_mesh(3, 4, 0.5)
-    assert msh.mesh_hash(m1) != msh.mesh_hash(m3)
+    assert msh.mesh_summary(m1) != msh.mesh_summary(m3)
+    assert not np.array_equal(m1.node_coords, m3.node_coords)
     s = msh.mesh_summary(m1)
     assert s["counts"]["edges"] == 4 * 4 + 5 * 3 + 12
 

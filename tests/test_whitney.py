@@ -3,7 +3,6 @@ import pytest
 
 from phfem import mesh as msh
 from phfem import whitney as wh
-from phfem.errors import InvalidArgumentError, UnsupportedSpecError
 
 from oracles import (
     TriangleFrame,
@@ -47,7 +46,7 @@ def oracle_assemble_2d(m):
 @pytest.mark.parametrize("N,M,h", [(1, 1, 1.0), (2, 1, 1.0), (3, 2, 0.7), (2, 3, 1.3)])
 def test_assembly_matches_quadrature_oracle(N, M, h):
     m = msh.build_rect_mesh(N, M, h)
-    g = wh.assemble(m, msh.partition_boundary(m, None), wh.WAVE_2D)
+    g = wh.assemble(m, msh.partition_boundary(m, None))
     Mp, Mq, Kp, Kq = oracle_assemble_2d(m)
     assert np.abs(g.M_p.toarray() - Mp).max() < 1e-13
     assert np.abs(g.M_q.toarray() - Mq).max() < 1e-13
@@ -59,7 +58,7 @@ def test_boundary_pairing_matches_trace_quadrature():
     # evaluate int hat_i * tr w_e over each boundary edge from the adjacent
     # triangle, traversed in the CCW-induced direction
     m = msh.build_rect_mesh(2, 2, 0.8)
-    g = wh.assemble(m, msh.partition_boundary(m, None), wh.WAVE_2D)
+    g = wh.assemble(m, msh.partition_boundary(m, None))
     fverts = m.face_nodes
     L_oracle = np.zeros(g.L_p.shape)
     for e in msh.boundary_edges(m).tolist():
@@ -101,7 +100,7 @@ def test_frozen_reference_values():
     assert quad_wedge_node_dedge(tri, 0, (0, 1)) == pytest.approx(1 / 3, abs=1e-13)
 
     m = msh.build_rect_mesh(1, 1, 1.0)
-    g = wh.assemble(m, msh.partition_boundary(m, None), wh.WAVE_2D)
+    g = wh.assemble(m, msh.partition_boundary(m, None))
     # nonzero mass entries are all 1/3; columns sum to 1
     Mp = g.M_p.toarray()
     assert np.allclose(Mp[Mp != 0], 1 / 3)
@@ -129,9 +128,8 @@ def test_frozen_reference_values():
 def test_structure_battery_2d(N, M):
     m = msh.build_rect_mesh(N, M, 0.5)
     inc = msh.incidence(m)
-    g = wh.assemble(m, msh.partition_boundary(m, None), wh.WAVE_2D)
-    rep = wh.verify_structure(m, g, inc, wh.WAVE_2D)
-    assert rep.passed
+    g = wh.assemble(m, msh.partition_boundary(m, None))
+    rep = wh.verify_structure(m, g, inc)
     assert max(rep.residuals.values()) <= 1e-12
     if N > 2 and M > 2:
         assert rep.ranks is not None
@@ -146,21 +144,20 @@ def test_structure_battery_2d(N, M):
 @pytest.mark.parametrize("N", [2, 3, 5, 8, 13, 21, 34, 55, 80])
 def test_structure_battery_1d(N):
     m = msh.build_interval_mesh(N, 1.0)
-    g = wh.assemble(m, msh.partition_boundary(m, None), wh.WAVE_1D)
-    rep = wh.verify_structure(m, g, msh.incidence(m), wh.WAVE_1D)
-    assert rep.passed
+    g = wh.assemble(m, msh.partition_boundary(m, None))
+    rep = wh.verify_structure(m, g, msh.incidence(m))
     assert max(rep.residuals.values()) <= 1e-12
 
 
 def test_h_independence():
     # all pairings are purely topological: metric lives in the Hodge stage
-    for build, spec in (
-        (lambda h: msh.build_rect_mesh(3, 2, h), wh.WAVE_2D),
-        (lambda h: msh.build_interval_mesh(7, 7 * h), wh.WAVE_1D),
+    for build in (
+        lambda h: msh.build_rect_mesh(3, 2, h),
+        lambda h: msh.build_interval_mesh(7, 7 * h),
     ):
         m1, m2 = build(0.25), build(2.0)
-        g1 = wh.assemble(m1, msh.partition_boundary(m1, None), spec)
-        g2 = wh.assemble(m2, msh.partition_boundary(m2, None), spec)
+        g1 = wh.assemble(m1, msh.partition_boundary(m1, None))
+        g2 = wh.assemble(m2, msh.partition_boundary(m2, None))
         for name in ("M_p", "M_q", "K_p", "K_q", "L_p", "L_q"):
             diff = (getattr(g1, name) - getattr(g2, name)).toarray()
             assert np.abs(diff).max() == 0.0, name
@@ -172,7 +169,7 @@ def test_boundary_pairings_localized_to_segments():
         m, {"q_segments": [msh.boundary_side_edges(m, "bottom").tolist(),
                            msh.boundary_side_edges(m, "top").tolist()]}
     )
-    g = wh.assemble(m, part, wh.WAVE_2D)
+    g = wh.assemble(m, part)
     assert len(g.L_q_segments) == 2
     for seg_edges, L in zip(part.q_segments, g.L_q_segments):
         coo = L.tocoo()
@@ -191,21 +188,11 @@ def test_boundary_pairings_localized_to_segments():
 def test_lphat_segment_for_covered_edge():
     m = msh.build_rect_mesh(2, 1, 1.0)
     part = msh.partition_boundary(m, {"p_nodes": [0, 1]})
-    g = wh.assemble(m, part, wh.WAVE_2D)
+    g = wh.assemble(m, part)
     assert len(g.L_p_hat_segments) == 1
     Lhat = g.L_p_hat_segments[0].toarray()
     # only edge 0 (between the two p-causal nodes) is paired
     assert np.nonzero(np.abs(Lhat).sum(axis=0))[0].tolist() == [0]
-
-
-def test_spec_validation():
-    m = msh.build_rect_mesh(2, 2, 1.0)
-    part = msh.partition_boundary(m, None)
-    with pytest.raises(UnsupportedSpecError):
-        wh.assemble(m, part, wh.WAVE_1D)  # dimension mismatch
-    with pytest.raises(InvalidArgumentError):
-        wh.form_degree_spec(2, 2, 2)  # p + q != n + 1
-    assert wh.WAVE_2D.r == 3 and wh.WAVE_1D.r == 2
 
 
 def test_eval_whitney_support():
