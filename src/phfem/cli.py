@@ -84,15 +84,12 @@ def _build_from_config(cfg: dict):
     comparison; any residual above STRUCTURE_GATE raises.
     """
     from . import whitney
-    from .power_maps import power_residual
     from .sim import build_model
-    from .statespace import power_balance_residual
 
-    model, mesh, part, inc, maps = build_model(cfg)
-    report = whitney.verify_structure(mesh, whitney.assemble(mesh, part), inc)
-    residuals = dict(report.residuals)
-    residuals["power_preservation"] = power_residual(maps, inc)
-    residuals["power_balance"] = power_balance_residual(model)
+    built = build_model(cfg)
+    g = whitney.assemble(built.mesh, built.partition)
+    report = whitney.verify_structure(built.mesh, g, built.inc)
+    residuals = {**report.residuals, **built.residuals}
     checks = {"residuals": residuals, "ranks": report.ranks}
 
     failures = [f"{k} = {v:.3e}" for k, v in residuals.items() if v > STRUCTURE_GATE]
@@ -106,7 +103,7 @@ def _build_from_config(cfg: dict):
         raise StructureViolationError(
             "structural checks failed: " + "; ".join(failures)
         )
-    return model, checks
+    return built.model, checks
 
 
 def _sha256(path: pathlib.Path) -> str:

@@ -257,6 +257,9 @@ def partition_boundary(mesh: SimplexMesh, causality: dict | None) -> BoundaryPar
       "q_edges"    -- "all" (default "rest"), or an explicit list of
                       boundary edge indices
       "q_segments" -- explicit list of edge-index lists (overrides q_edges)
+      "q_sides"    -- list of side names whose edges must all end up q-type
+                      inputs; a check on the partition the other keys
+                      give, which it never changes
 
     A boundary edge may remain a q-type input while one of its endpoints is
     p-causal; only edges with BOTH endpoints p-causal drop out of the q-side
@@ -286,12 +289,7 @@ def partition_boundary(mesh: SimplexMesh, causality: dict | None) -> BoundaryPar
     bedges = set(boundary_edges(mesh).tolist())
 
     p_nodes = set(_indices(causality.pop("p_nodes", []), "p_nodes"))
-    sides = causality.pop("p_sides", [])
-    if not isinstance(sides, (list, tuple)) or not all(isinstance(x, str) for x in sides):
-        raise InvalidArgumentError(
-            f"causality key 'p_sides' must be a list of side names, got {sides!r}"
-        )
-    for side in sides:
+    for side in _side_names(causality.pop("p_sides", []), "p_sides"):
         p_nodes.update(boundary_side_nodes(mesh, side).tolist())
     bad = p_nodes - bnodes
     if bad:
@@ -299,7 +297,7 @@ def partition_boundary(mesh: SimplexMesh, causality: dict | None) -> BoundaryPar
 
     q_segments_spec = causality.pop("q_segments", None)
     q_edges_spec = causality.pop("q_edges", "rest")
-    causality.pop("q_sides", None)  # sides sugar: q side == not a p side
+    q_sides = _side_names(causality.pop("q_sides", []), "q_sides")
     if causality:
         raise InvalidArgumentError(f"unknown causality keys {sorted(causality)}")
 
@@ -334,10 +332,26 @@ def partition_boundary(mesh: SimplexMesh, causality: dict | None) -> BoundaryPar
                     "carry a q-type input"
                 )
             seen.add(e)
+    for side in q_sides:
+        for e in boundary_side_edges(mesh, side).tolist():
+            if e not in seen:
+                why = "both endpoints are p-causal" if covered(e) else "it is not listed"
+                raise InvalidArgumentError(
+                    f"q side {side!r}: edge {e} is not a q-type input ({why})"
+                )
 
     segments = [seg for seg in segments if seg]
     p_segments = [tuple(sorted(p_nodes))] if p_nodes else []
     return BoundaryPartition(tuple(segments), tuple(p_segments))
+
+
+def _side_names(value, key: str) -> list:
+    """Rectangle side names given as a list of strings."""
+    if not isinstance(value, (list, tuple)) or not all(isinstance(x, str) for x in value):
+        raise InvalidArgumentError(
+            f"causality key {key!r} must be a list of side names, got {value!r}"
+        )
+    return list(value)
 
 
 def _indices(value, key: str) -> list:

@@ -68,17 +68,20 @@ from .power_maps import (
     power_residual,
     weights_from_config,
 )
-from .statespace import SKEW_TOL, PHModel, assemble_model
+from .statespace import SKEW_TOL, PHModel, assemble_model, power_balance_residual
 
 
 class BuiltModel(NamedTuple):
-    """A PH model together with the pipeline stages it was built from."""
+    """A PH model together with the pipeline stages it was built from and
+    the two residuals its build checked ("power_preservation" of the maps,
+    "power_balance" of the model)."""
 
     model: PHModel
     mesh: SimplexMesh
     partition: BoundaryPartition
     inc: IncidencePair
     maps: MapSet
+    residuals: dict
 
 
 def _require(cfg: dict, key: str, context: str):
@@ -167,13 +170,19 @@ def build_model(config: dict) -> BuiltModel:
             raise InvalidArgumentError(
                 f"method must be 'mixed' (alias 'ours') or 'golo', got {method!r}"
             )
-    resid = power_residual(maps, inc)
-    if resid > RESIDUAL_TOL:
+    preservation = power_residual(maps, inc)
+    if preservation > RESIDUAL_TOL:
         raise StructureViolationError(
-            f"power-preservation residual {resid:.3e} exceeds {RESIDUAL_TOL}"
+            f"power-preservation residual {preservation:.3e} exceeds {RESIDUAL_TOL}"
         )
     model = assemble_model(maps, inc, pair, meta=meta)
-    return BuiltModel(model, mesh, part, inc, maps)
+    balance = power_balance_residual(model)
+    if balance > SKEW_TOL:
+        raise StructureViolationError(
+            f"state-space model violates power balance: residual {balance:.3e}"
+        )
+    residuals = {"power_preservation": preservation, "power_balance": balance}
+    return BuiltModel(model, mesh, part, inc, maps, residuals)
 
 
 class SimConfig(NamedTuple):
@@ -383,13 +392,14 @@ def wave2d_experiment(
     driven corner.
     """
     h = 20.0 / N
-    model, mesh, _, _, maps = build_model(
+    built = build_model(
         {
             "mesh": {"kind": "rect", "N": N, "M": N, "h": h},
             "causality": {"p_nodes": [0], "q_edges": "rest"},
             "weights": weights,
         }
     )
+    model, mesh, maps = built.model, built.mesh, built.maps
     meta = {
         "experiment": "wave2d",
         "mesh": mesh_summary(mesh),

@@ -187,7 +187,11 @@ def assemble_model(
     hodge: HodgePair,
     meta: dict | None = None,
 ) -> PHModel:
-    """Combine structure (maps) and metric (Hodge pair) into a PH model."""
+    """Combine structure (maps) and metric (Hodge pair) into a PH model.
+
+    The power balance of the result is checked by the callers that build
+    (`sim.build_model`) or load (`load_model`) a model, each once.
+    """
     rep = io_rep(maps, inc)
     n_p, n_q = rep.J_p.shape[0], rep.J_q.shape[0]
     m_hat, m = rep.B_q.shape[1], rep.B_p.shape[1]
@@ -221,13 +225,7 @@ def assemble_model(
         )
     Q = hodge.as_block()
 
-    model = PHModel(J, Q, B, C, D, n_p, n_q, m_hat, m, dict(meta or {}))
-    resid = power_balance_residual(model)
-    if resid > SKEW_TOL:
-        raise StructureViolationError(
-            f"state-space model violates power balance: residual {resid:.3e}"
-        )
-    return model
+    return PHModel(J, Q, B, C, D, n_p, n_q, m_hat, m, dict(meta or {}))
 
 
 def power_balance_residual(model: PHModel) -> float:

@@ -29,6 +29,12 @@ With these signs the exterior-derivative factorizations
 
 hold exactly, as does the summation-by-parts identity
 (K_p + L_p) + (K_q + L_q)^T = L_p.
+
+Every entry is a small integer over a fixed denominator (thirds, 24ths,
+halves, sixths), whatever h and the weights.  `verify_structure` uses this
+for its rank table: each matrix is scaled to integers and its rank is
+certified exactly modulo the prime 2^31 - 1 by sparse elimination
+(`rank_mod_p`), with no dense array and no singular-value threshold.
 """
 
 from __future__ import annotations
@@ -37,6 +43,7 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .mesh import (
     BoundaryPartition,
@@ -68,17 +75,9 @@ class GalerkinMatrices(NamedTuple):
     L_q: sp.csr_matrix
 
 
-def _sigma(u: int, v: int) -> int:
-    """Sign of dlam_u ^ dlam_v relative to dx^dy/(2A), CCW local order."""
-    if u == v:
-        return 0
-    return +1 if (v - u) % 3 == 1 else -1
-
-
-def _local_edge_vertices(face_nodes: np.ndarray, tail: int, head: int) -> tuple:
-    """Local vertex ids (0,1,2) of a global edge inside one face."""
-    loc = {g: l for l, g in enumerate(face_nodes)}
-    return loc[int(tail)], loc[int(head)]
+#: sign of dlam_u ^ dlam_v relative to dx^dy/(2A), CCW local order:
+#: +1 when v follows u cyclically, -1 when it precedes it
+_SIGMA = np.array([[0, 1, -1], [-1, 0, 1], [1, -1, 0]], dtype=np.int64)
 
 
 def assemble(mesh: SimplexMesh, partition: BoundaryPartition) -> GalerkinMatrices:
@@ -88,6 +87,14 @@ def assemble(mesh: SimplexMesh, partition: BoundaryPartition) -> GalerkinMatrice
     return _assemble_2d(mesh, partition)
 
 
+def _triples(rows, cols, vals, shape):
+    """CSR matrix from per-face index and value blocks (broadcast against
+    each other), summed in face-major order; zero values are not stored."""
+    rows, cols, vals = (x.ravel() for x in np.broadcast_arrays(rows, cols, vals))
+    keep = vals != 0.0
+    return sp.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=shape)
+
+
 def _assemble_2d(mesh, partition):
     n_nodes = mesh.node_coords.shape[0]
     n_edges = mesh.edges.shape[0]
@@ -95,58 +102,36 @@ def _assemble_2d(mesh, partition):
     # sign factors at (p, q, r) = (2, 1, 3): K_p and K_q carry -1, L_p and
     # L_q carry +1
 
-    mp_r, mp_c, mp_v = [], [], []
-    mq_r, mq_c, mq_v = [], [], []
-    kp_r, kp_c, kp_v = [], [], []
-    kq_r, kq_c, kq_v = [], [], []
+    nodes = mesh.face_nodes  # (F, 3) global vertex ids, CCW
+    edges = mesh.faces  # (F, 3) global edge ids
+    # local (tail, head) vertex ids (0, 1, 2) of the three edges of each face
+    ends = mesh.edges[edges]  # (F, 3, 2)
+    loc_a = np.argmax(nodes[:, None, :] == ends[:, :, 0, None], axis=2)
+    loc_b = np.argmax(nodes[:, None, :] == ends[:, :, 1, None], axis=2)
 
-    for f in range(n_faces):
-        nodes = mesh.face_nodes[f]
-        edges = mesh.faces[f]
-        # local (tail, head) vertex ids of the three edges of this face
-        locs = [_local_edge_vertices(nodes, *mesh.edges[e]) for e in edges]
+    # M_p: int lam_i * (1/A) dA = 1/3 for each vertex of the face
+    face_ids = np.arange(n_faces)[:, None]
+    M_p = _triples(nodes, face_ids, np.array(1.0 / 3.0), (n_nodes, n_faces))
 
-        # M_p: int lam_i * (1/A) dA = 1/3 for each vertex of the face
-        for i in nodes:
-            mp_r.append(i)
-            mp_c.append(f)
-            mp_v.append(1.0 / 3.0)
+    # M_q: four-term barycentric expansion of w^ej ^ w^el, blocks [f, j, l]
+    a, b = loc_a[:, :, None], loc_b[:, :, None]
+    c, d = loc_a[:, None, :], loc_b[:, None, :]
+    num = (
+        (1 + (a == c)) * _SIGMA[b, d]
+        - (1 + (a == d)) * _SIGMA[b, c]
+        - (1 + (b == c)) * _SIGMA[a, d]
+        + (1 + (b == d)) * _SIGMA[a, c]
+    )
+    M_q = _triples(edges[:, :, None], edges[:, None, :], num / 24.0, (n_edges, n_edges))
 
-        # M_q: four-term barycentric expansion of w^ej ^ w^el
-        for ej, (a, b) in zip(edges, locs):
-            for el, (c, d) in zip(edges, locs):
-                val = (
-                    (2 if a == c else 1) * _sigma(b, d)
-                    - (2 if a == d else 1) * _sigma(b, c)
-                    - (2 if b == c else 1) * _sigma(a, d)
-                    + (2 if b == d else 1) * _sigma(a, c)
-                ) / 24.0
-                if val != 0.0:
-                    mq_r.append(ej)
-                    mq_c.append(el)
-                    mq_v.append(val)
+    # K_p: int dlam_i ^ w^el = (sigma(i,d) - sigma(i,c)) / 6, blocks [f, i, l]
+    i_loc = np.arange(3)[None, :, None]
+    num = _SIGMA[i_loc, d] - _SIGMA[i_loc, c]
+    K_p = _triples(nodes[:, :, None], edges[:, None, :], -(num / 6.0), (n_nodes, n_edges))
 
-        # K_p: int dlam_i ^ w^el = (sigma(i,d) - sigma(i,c)) / 6
-        for i_loc, i_glob in enumerate(nodes):
-            for el, (c, d) in zip(edges, locs):
-                val = (_sigma(i_loc, d) - _sigma(i_loc, c)) / 6.0
-                if val != 0.0:
-                    kp_r.append(i_glob)
-                    kp_c.append(el)
-                    kp_v.append(-val)
-
-        # K_q: int lam_i * d w^ej = sigma(a,b) / 3
-        for ej, (a, b) in zip(edges, locs):
-            s = _sigma(a, b)
-            for i_glob in nodes:
-                kq_r.append(ej)
-                kq_c.append(i_glob)
-                kq_v.append(-s / 3.0)
-
-    M_p = sp.csr_matrix((mp_v, (mp_r, mp_c)), shape=(n_nodes, n_faces))
-    M_q = sp.csr_matrix((mq_v, (mq_r, mq_c)), shape=(n_edges, n_edges))
-    K_p = sp.csr_matrix((kp_v, (kp_r, kp_c)), shape=(n_nodes, n_edges))
-    K_q = sp.csr_matrix((kq_v, (kq_r, kq_c)), shape=(n_edges, n_nodes))
+    # K_q: int lam_i * d w^ej = sigma(a,b) / 3, blocks [f, j, i]
+    s = _SIGMA[loc_a, loc_b][:, :, None]
+    K_q = _triples(edges[:, :, None], nodes[:, None, :], -s / 3.0, (n_edges, n_nodes))
 
     # boundary pairings: the tangential trace of an edge form vanishes on
     # every boundary edge except its own, where it integrates to 1/2 against
@@ -190,25 +175,22 @@ def _assemble_1d(mesh, partition):
     )
 
     # derivative pairing: int hat_j * dhat_i over each edge is -1/2 for the
-    # tail test function and +1/2 for the head one, against both hats
-    kr, kc, kv = [], [], []
-    for t, hd in mesh.edges:
-        for i, si in ((t, -0.5), (hd, +0.5)):
-            for j in (t, hd):
-                kr.append(int(i))
-                kc.append(int(j))
-                kv.append(si)
-    K = sp.csr_matrix((kv, (kr, kc)), shape=(n_nodes, n_nodes))
+    # tail test function and +1/2 for the head one, against both hats;
+    # blocks [edge, i in (tail, head), j in (tail, head)]
+    ends = mesh.edges
+    K = sp.csr_matrix(
+        (
+            np.tile([-0.5, -0.5, 0.5, 0.5], n_edges),
+            (np.repeat(ends.ravel(), 2), np.tile(ends, 2).ravel()),
+        ),
+        shape=(n_nodes, n_nodes),
+    )
 
     # boundary pairing: signed point evaluation (+ at x=L, - at x=0)
     def point_pairing(node_list):
-        rows, cols, vals = [], [], []
-        for nd in node_list:
-            s = +1.0 if nd == N else -1.0
-            rows.append(int(nd))
-            cols.append(int(nd))
-            vals.append(s)
-        return sp.csr_matrix((vals, (rows, cols)), shape=(n_nodes, n_nodes))
+        nd = np.asarray(node_list, dtype=np.int64)
+        vals = np.where(nd == N, 1.0, -1.0)
+        return sp.csr_matrix((vals, (nd, nd)), shape=(n_nodes, n_nodes))
 
     L_full = -point_pairing([0, N])
     L_q_segments = tuple(
@@ -227,15 +209,110 @@ def _assemble_1d(mesh, partition):
 # structure verification
 
 
+#: prime modulus of the rank certificate, 2^31 - 1: a product of two
+#: residues stays below 2^62, so elimination runs exactly in int64
+RANK_PRIME = 2**31 - 1
+
+#: largest distance of a scaled entry from its integer still read as
+#: round-off (the entries are sums of a few O(1) terms, ~1e-16 off)
+INTEGRAL_TOL = 1e-9
+
+
 class StructureReport(NamedTuple):
     """Numerical residuals and rank checks of the assembled matrices.
 
     residuals -- max-abs defects of the factorization identities
-    ranks     -- {name: (computed, expected)} or None when not applicable
+    ranks     -- {name: (computed, expected)} or None when not applicable;
+                 computed is -1 for a matrix that is not integral at its
+                 known scale
     """
 
     residuals: dict
     ranks: dict | None
+
+
+def rank_mod_p(mat, scale: int) -> int:
+    """Exact rank of scale * mat over GF(RANK_PRIME), or -1 when a scaled
+    entry is not an integer.
+
+    Rows and columns are reordered by reverse Cuthill-McKee on the
+    bipartite row/column graph, then a frontal row-echelon sweep visits
+    the columns in order.  A row joins the dense front when the sweep
+    reaches its leading column and leaves it when it becomes the pivot or
+    zero, so memory is (front rows) x (front width), never rows x columns.
+
+    For an integer matrix A, rank_p(A) <= rank_Q(A), with equality unless
+    p divides every maximal nonzero minor of A: a wrong answer can only
+    be too low, never too high.
+    """
+    a = sp.csr_matrix(mat, dtype=float, copy=True)
+    a.sum_duplicates()
+    scaled = a.data * scale
+    ints = np.rint(scaled)
+    if not np.all(np.abs(scaled - ints) <= INTEGRAL_TOL):
+        return -1
+    a = sp.csr_matrix(
+        (ints.astype(np.int64) % RANK_PRIME, a.indices, a.indptr), shape=a.shape
+    )
+    a.eliminate_zeros()
+    if not a.nnz:
+        return 0
+
+    # renumber the columns in their reverse Cuthill-McKee order
+    n_rows, n_cols = a.shape
+    graph = sp.bmat([[None, a], [a.T, None]], format="csr")
+    order = reverse_cuthill_mckee(graph, symmetric_mode=True)
+    col_pos = np.empty(n_cols, dtype=a.indices.dtype)
+    col_pos[order[order >= n_rows] - n_rows] = np.arange(n_cols)
+    a = sp.csr_matrix((a.data, col_pos[a.indices], a.indptr), shape=a.shape)
+
+    # nonzero rows sorted by leading column
+    live = np.flatnonzero(np.diff(a.indptr))
+    lead = np.minimum.reduceat(a.indices, a.indptr[live])
+    a = a[live[np.argsort(lead, kind="stable")]]
+    lead = np.sort(lead)
+    # first column past the rows that have entered by each sweep position
+    reach = np.maximum.accumulate(np.maximum.reduceat(a.indices, a.indptr[:-1])) + 1
+    row_of = np.repeat(np.arange(live.size), np.diff(a.indptr))
+    enter = np.searchsorted(lead, np.arange(n_cols + 1))
+
+    p = RANK_PRIME
+    rank, hi = 0, 0
+    # active rows over the absolute columns [base, base + width); entries
+    # left of the sweep or at/after hi are zero
+    base, front = 0, np.zeros((0, 0), dtype=np.int64)
+    for j in range(n_cols):
+        r0, r1 = enter[j], enter[j + 1]
+        if r1 > r0:
+            hi = int(reach[r1 - 1])
+            if hi > base + front.shape[1]:
+                grown = np.zeros((front.shape[0], 2 * (hi - j)), dtype=np.int64)
+                grown[:, : base + front.shape[1] - j] = front[:, j - base :]
+                base, front = j, grown
+            s, e = a.indptr[r0], a.indptr[r1]
+            block = np.zeros((r1 - r0, front.shape[1]), dtype=np.int64)
+            block[row_of[s:e] - r0, a.indices[s:e] - base] = a.data[s:e]
+            front = np.concatenate([front, block])
+        elif not front.shape[0]:
+            continue
+        c, w = j - base, hi - base
+        nz = np.flatnonzero(front[:, c])
+        if not nz.size:
+            continue
+        k, others = nz[0], nz[1:]
+        alive = np.ones(front.shape[0], dtype=bool)
+        alive[k] = False
+        if others.size:
+            # row_i <- a_kc row_i - a_ic row_k: scaling by the unit a_kc
+            # keeps the rank, and both products stay below 2^62
+            piv = front[k, c:w]
+            sub = front[others, c:w]
+            sub = (sub * piv[0] - np.outer(sub[:, 0], piv)) % p
+            front[others, c:w] = sub
+            alive[others] = sub[:, 1:].any(axis=1)
+        front = front[alive]
+        rank += 1
+    return rank
 
 
 def verify_structure(
@@ -244,9 +321,17 @@ def verify_structure(
     """Check the factorization identities and the rank table.
 
     The rank table runs on 2D grids with at most 3000 nodes and
-    min(N, M) > 2 (N, M read from mesh.grid_shape).  Never raises on
-    failure -- callers compare the report against their own gate (the CLI
-    turns failures into exit code 1).
+    min(N, M) > 2 (N, M read from mesh.grid_shape).  Each rank is an
+    exact certificate (`rank_mod_p`): the matrix is scaled by its known
+    denominator, must be integral there, and is reduced mod
+    RANK_PRIME by sparse elimination; nothing is densified and no
+    singular-value threshold is involved.  It is at least as strict as a
+    floating-point rank: a non-integral entry reports -1, and a rank mod
+    p can differ from the rank over the rationals only by being lower
+    (when p divides every maximal minor), which on a correct matrix is a
+    mismatch -- the gate fails closed.  Never raises on failure -- callers
+    compare the report against their own gate (the CLI turns failures into
+    exit code 1).
     """
 
     def maxabs(mat) -> float:
@@ -256,11 +341,12 @@ def verify_structure(
     d_p = inc.d_p.astype(float)
     d_q = inc.d_q.astype(float)
     sgn = 1 if mesh.dim == 2 else -1  # -(-1)^r
+    kl_p, kl_q = g.K_p + g.L_p, g.K_q + g.L_q
     residuals = {
-        "kp_factorization": maxabs(g.K_p + g.L_p - sgn * (g.M_p @ d_p)),
-        "kq_factorization": maxabs(g.K_q + g.L_q + g.M_q @ d_q),
+        "kp_factorization": maxabs(kl_p - sgn * (g.M_p @ d_p)),
+        "kq_factorization": maxabs(kl_q + g.M_q @ d_q),
         "lp_lq_transpose": maxabs(g.L_p - g.L_q.T),
-        "summation_by_parts": maxabs((g.K_p + g.L_p) + (g.K_q + g.L_q).T - g.L_p),
+        "summation_by_parts": maxabs(kl_p + kl_q.T - g.L_p),
     }
     if mesh.dim == 1:
         return StructureReport(residuals, None)
@@ -272,16 +358,20 @@ def verify_structure(
     if n_nodes > 3000 or min(N, M) <= 2:
         return StructureReport(residuals, None)
 
-    def rank(mat) -> int:
-        return int(np.linalg.matrix_rank(mat.toarray().astype(float)))
-
+    # name: (matrix, scale, expected rank).  The entries do not depend on
+    # h or the weights: M_p holds thirds, M_q 24ths, L_p halves and K + L
+    # sixths; the incidences are integer already.
+    table = {
+        "M_p": (g.M_p, 3, n_nodes - 2),
+        "M_q": (g.M_q, 24, 2 * (n_nodes - 2)),
+        "L_p": (g.L_p, 2, 2 * (N + M) - 1),
+        "K_p+L_p": (kl_p, 6, n_nodes - 2),
+        "K_q+L_q": (kl_q, 6, n_nodes - 1),
+        "d_p": (inc.d_p, 1, g.M_p.shape[1]),
+        "d_q": (inc.d_q, 1, n_nodes - 1),
+    }
     ranks = {
-        "M_p": (rank(g.M_p), n_nodes - 2),
-        "M_q": (rank(g.M_q), 2 * (n_nodes - 2)),
-        "L_p": (rank(g.L_p), 2 * (N + M) - 1),
-        "K_p+L_p": (rank(g.K_p + g.L_p), n_nodes - 2),
-        "K_q+L_q": (rank(g.K_q + g.L_q), n_nodes - 1),
-        "d_p": (rank(inc.d_p), g.M_p.shape[1]),
-        "d_q": (rank(inc.d_q), n_nodes - 1),
+        name: (rank_mod_p(mat, scale), want)
+        for name, (mat, scale, want) in table.items()
     }
     return StructureReport(residuals, ranks)

@@ -89,6 +89,60 @@ class TriangleFrame:
         return 2.0 * (gt[0] * gh[1] - gt[1] * gh[0])
 
 
+def local_edge_vertices(face_nodes: np.ndarray, tail: int, head: int) -> tuple:
+    """Local vertex ids (0, 1, 2) of a global edge inside one face."""
+    loc = {int(g): l for l, g in enumerate(face_nodes)}
+    return loc[int(tail)], loc[int(head)]
+
+
+def loop_assemble_2d(mesh):
+    """The interior Galerkin pairings (M_p, M_q, K_p, K_q) of a 2D mesh as
+    CSR matrices, built one face at a time with the closed-form entries
+    and the same face-major entry order as the library (whose CSR arrays
+    must equal these bit for bit)."""
+    import scipy.sparse as sp
+
+    def sigma(u, v):
+        return 0 if u == v else (+1 if (v - u) % 3 == 1 else -1)
+
+    mp, mq, kp, kq = [], [], [], []
+    for f, (nodes, edges) in enumerate(zip(mesh.face_nodes, mesh.faces)):
+        locs = [local_edge_vertices(nodes, *mesh.edges[e]) for e in edges]
+        mp += [(i, f, 1.0 / 3.0) for i in nodes]
+        for ej, (a, b) in zip(edges, locs):
+            for el, (c, d) in zip(edges, locs):
+                val = (
+                    (2 if a == c else 1) * sigma(b, d)
+                    - (2 if a == d else 1) * sigma(b, c)
+                    - (2 if b == c else 1) * sigma(a, d)
+                    + (2 if b == d else 1) * sigma(a, c)
+                ) / 24.0
+                if val != 0.0:
+                    mq.append((ej, el, val))
+        for i_loc, i_glob in enumerate(nodes):
+            for el, (c, d) in zip(edges, locs):
+                val = (sigma(i_loc, d) - sigma(i_loc, c)) / 6.0
+                if val != 0.0:
+                    kp.append((i_glob, el, -val))
+        for ej, (a, b) in zip(edges, locs):
+            kq += [(ej, i_glob, -sigma(a, b) / 3.0) for i_glob in nodes]
+
+    n_nodes, n_edges, n_faces = (
+        mesh.node_coords.shape[0], mesh.edges.shape[0], mesh.faces.shape[0]
+    )
+
+    def csr(triples, shape):
+        rows, cols, vals = zip(*triples)
+        return sp.csr_matrix((vals, (rows, cols)), shape=shape)
+
+    return (
+        csr(mp, (n_nodes, n_faces)),
+        csr(mq, (n_edges, n_edges)),
+        csr(kp, (n_nodes, n_edges)),
+        csr(kq, (n_edges, n_nodes)),
+    )
+
+
 def quad_wedge_node_face(tri: TriangleFrame, l: int) -> float:
     """int w_node(l) ^ w_face over the triangle."""
     return tri.integrate(lambda p: tri.w_node(l, p)[0] * tri.w_face())

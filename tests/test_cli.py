@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from phfem import cli, sim
+from phfem import cli, power_maps, sim, statespace
 from phfem.errors import StructureViolationError
 from phfem.statespace import load_model
 
@@ -138,6 +138,8 @@ class TestBuild:
             (MIXED_2X1, ("causality", "q_edges"), 5, "'q_edges'"),
             (INTERVAL, ("alpha",), "x", "'alpha'"),
             (INTERVAL, ("mesh", "L"), 1e400, "L=inf"),
+            (MIXED_2X1, ("causality", "q_sides"), "anything", "'q_sides'"),
+            (MIXED_2X1, ("causality", "q_sides"), ["bottom"], "q side 'bottom': edge 0"),
         ],
     )
     def test_wrong_config_type_exits_2(self, tmp_path, capsys, base, path, value, named):
@@ -166,6 +168,30 @@ class TestBuild:
         assert cli.main(["build", "--config", str(cfg), "--out", str(tmp_path / "m")]) == 2
         err = capsys.readouterr().err
         assert f"boundary edge {edge} " in err and "no port" in err
+
+    def test_build_residuals_computed_once(self, tmp_path, monkeypatch):
+        # count every call, through the defining module or the sim binding
+        calls = {"power_residual": 0, "power_balance_residual": 0}
+        for module, name in (
+            (power_maps, "power_residual"), (sim, "power_residual"),
+            (statespace, "power_balance_residual"), (sim, "power_balance_residual"),
+        ):
+            def counted(*args, _fn=getattr(module, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(module, name, counted)
+        config = {**MIXED_2X1, "mesh": {"kind": "rect", "N": 3, "M": 3, "h": 1.0}}
+        cfg = write_cfg(tmp_path, config)
+        out = tmp_path / "m"
+        assert cli.main(["build", "--config", str(cfg), "--out", str(out)]) == 0
+        assert calls == {"power_residual": 1, "power_balance_residual": 1}
+        checks = json.loads((out / "manifest.json").read_text())["run"]["checks"]
+        monkeypatch.undo()
+        assert {
+            k: checks["residuals"][k] for k in ("power_preservation", "power_balance")
+        } == sim.build_model(config).residuals
+        assert all(got == want for got, want in checks["ranks"].values())
 
     def test_structure_gate_maps_to_exit_1(self, tmp_path, monkeypatch, capsys):
         def broken(cfg):

@@ -131,6 +131,32 @@ class TestPartition2D:
         assert msh.p_input_nodes(part).tolist() == [0, 3]
         assert 4 not in msh.q_input_edges(part).tolist()  # left vertical edge
 
+    def test_consistent_q_sides_keep_the_partition(self):
+        m = msh.build_rect_mesh(2, 2, 1.0)
+        assert msh.partition_boundary(m, {"q_sides": ["left"]}) == (
+            msh.partition_boundary(m, None)
+        )
+        causality = {"p_sides": ["bottom"], "q_edges": "rest"}
+        assert msh.partition_boundary(
+            m, {**causality, "q_sides": ["left", "top", "right"]}
+        ) == msh.partition_boundary(m, causality)
+
+    @pytest.mark.parametrize("q_sides", ["anything", ["left", 3], None])
+    def test_q_sides_must_be_side_names(self, q_sides):
+        m = msh.build_rect_mesh(2, 2, 1.0)
+        with pytest.raises(InvalidArgumentError, match="'q_sides' must be a list"):
+            msh.partition_boundary(m, {"q_sides": q_sides})
+
+    def test_q_side_with_covered_edge_rejected(self):
+        m = msh.build_rect_mesh(2, 2, 1.0)
+        # both endpoints of bottom edge 0 are p-causal: it cannot be q-type
+        with pytest.raises(InvalidArgumentError, match="q side 'bottom': edge 0 "):
+            msh.partition_boundary(m, {"p_sides": ["bottom"], "q_sides": ["bottom"]})
+        with pytest.raises(InvalidArgumentError, match="q side 'top': edge 4 "):
+            msh.partition_boundary(m, {"q_edges": [0, 1], "q_sides": ["top"]})
+        with pytest.raises(InvalidArgumentError, match="unknown side"):
+            msh.partition_boundary(m, {"q_sides": ["middle"]})
+
     def test_interior_node_rejected(self):
         m = msh.build_rect_mesh(3, 3, 1.0)
         inner = 1 * 4 + 1  # node (1,1)

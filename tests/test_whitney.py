@@ -1,5 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phfem import mesh as msh
 from phfem import whitney as wh
@@ -7,6 +12,8 @@ from phfem import whitney as wh
 from oracles import (
     TriangleFrame,
     eval_whitney,
+    local_edge_vertices,
+    loop_assemble_2d,
     quad_boundary_trace,
     quad_wedge_dnode_edge,
     quad_wedge_edge_edge,
@@ -30,7 +37,7 @@ def oracle_assemble_2d(m):
         nodes = fverts[f]
         tri = TriangleFrame(m.node_coords[nodes])
         edges = m.faces[f]
-        locs = [wh._local_edge_vertices(nodes, *m.edges[e]) for e in edges]
+        locs = [local_edge_vertices(nodes, *m.edges[e]) for e in edges]
         for l, g in enumerate(nodes):
             Mp[g, f] += quad_wedge_node_face(tri, l)
             for el, le in zip(edges, locs):
@@ -52,6 +59,16 @@ def test_assembly_matches_quadrature_oracle(N, M, h):
     assert np.abs(g.M_q.toarray() - Mq).max() < 1e-13
     assert np.abs(g.K_p.toarray() - Kp).max() < 1e-13
     assert np.abs(g.K_q.toarray() - Kq).max() < 1e-13
+
+
+@pytest.mark.parametrize("N,M", [(1, 1), (2, 1), (3, 3), (4, 3), (6, 6)])
+def test_assembly_bitwise_equals_face_loop(N, M):
+    m = msh.build_rect_mesh(N, M, 1.0)
+    g = wh.assemble(m, msh.partition_boundary(m, None))
+    for name, ref in zip(("M_p", "M_q", "K_p", "K_q"), loop_assemble_2d(m)):
+        got = getattr(g, name)
+        for arr in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(got, arr), getattr(ref, arr)), (name, arr)
 
 
 def test_boundary_pairing_matches_trace_quadrature():
@@ -77,7 +94,7 @@ def test_boundary_pairing_matches_trace_quadrature():
         d1, d2 = pb - pa, po - pa
         cross = d1[0] * d2[1] - d1[1] * d2[0]
         seg = (pa, pb) if cross > 0 else (pb, pa)
-        le = wh._local_edge_vertices(nodes, t, hd)
+        le = local_edge_vertices(nodes, t, hd)
         for nd in (t, hd):
             ln = int(np.nonzero(nodes == nd)[0][0])
             L_oracle[nd, e] += quad_boundary_trace(tri, ln, le, np.asarray(seg))
@@ -85,7 +102,7 @@ def test_boundary_pairing_matches_trace_quadrature():
         for eo in m.faces[f].tolist():
             if eo == e:
                 continue
-            lo = wh._local_edge_vertices(nodes, *m.edges[eo])
+            lo = local_edge_vertices(nodes, *m.edges[eo])
             for nd in (t, hd):
                 ln = int(np.nonzero(nodes == nd)[0][0])
                 assert abs(quad_boundary_trace(tri, ln, lo, np.asarray(seg))) < 1e-14
@@ -217,3 +234,104 @@ def test_eval_whitney_support():
     m1 = msh.build_interval_mesh(4, 1.0)
     assert eval_whitney(m1, "node", 2, np.array([[0.5]]))[0] == 1.0
     assert eval_whitney(m1, "edge", 0, np.array([[0.9]]))[0] == 0.0
+
+
+# ---------------------------------------------------------------------------
+# exact rank certificate (np.linalg.matrix_rank is the oracle)
+
+ACCEPTANCE_CAUSALITIES = [
+    {"q_edges": "all"},
+    {"p_nodes": [0, 1], "q_edges": "rest"},
+    {"p_sides": ["bottom", "left"], "q_edges": "rest"},
+]
+
+
+def built(N, M, causality):
+    m = msh.build_rect_mesh(N, M, 1.0)
+    inc = msh.incidence(m)
+    return m, wh.assemble(m, msh.partition_boundary(m, causality)), inc
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    N=st.integers(3, 9),
+    M=st.integers(3, 9),
+    causality=st.sampled_from(ACCEPTANCE_CAUSALITIES),
+)
+def test_rank_table_equals_dense_oracle(N, M, causality):
+    m, g, inc = built(N, M, causality)
+    ranks = wh.verify_structure(m, g, inc).ranks
+    matrices = {
+        "M_p": g.M_p, "M_q": g.M_q, "L_p": g.L_p, "K_p+L_p": g.K_p + g.L_p,
+        "K_q+L_q": g.K_q + g.L_q, "d_p": inc.d_p, "d_q": inc.d_q,
+    }
+    assert ranks.keys() == matrices.keys()
+    for name, mat in matrices.items():
+        oracle = np.linalg.matrix_rank(mat.toarray().astype(float))
+        assert ranks[name] == (oracle, oracle), name
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 8).flatmap(
+        lambda rows: st.integers(1, 8).flatmap(
+            lambda cols: st.lists(
+                st.integers(-2, 2), min_size=rows * cols, max_size=rows * cols
+            ).map(lambda v: np.array(v).reshape(rows, cols))
+        )
+    )
+)
+def test_rank_mod_p_of_small_integer_matrices(a):
+    # Hadamard: every minor is at most (2 sqrt 8)^8 < 2^31 - 1 here, so the
+    # rank mod p equals the rank over the rationals
+    assert wh.rank_mod_p(sp.csr_matrix(a), 1) == np.linalg.matrix_rank(a)
+
+
+def test_rank_mod_p_can_only_fall_short():
+    # a multiple of p vanishes mod p: the certificate then reports a rank
+    # that is too low, which the expected table rejects
+    a = sp.csr_matrix(np.array([[wh.RANK_PRIME, 0], [0, 1]], dtype=float))
+    assert wh.rank_mod_p(a, 1) == 1
+    assert wh.rank_mod_p(sp.csr_matrix((3, 4)), 1) == 0
+
+
+def test_rank_table_24x24_bottom_side():
+    m, g, inc = built(24, 24, {"p_sides": ["bottom"]})
+    ranks = wh.verify_structure(m, g, inc).ranks
+    assert ranks == {
+        "M_p": (623, 623),
+        "M_q": (1246, 1246),
+        "L_p": (95, 95),
+        "K_p+L_p": (623, 623),
+        "K_q+L_q": (624, 624),
+        "d_p": (1152, 1152),
+        "d_q": (624, 624),
+    }
+
+
+def test_rank_certificate_sees_mutations():
+    m, g, inc = built(4, 3, {"q_edges": "all"})
+    n = g.M_q.shape[0]
+    u, v = np.zeros(n), np.zeros(n)
+    u[[0, 5]], v[[3, 7]] = 1.0, 2.0
+    skew = sp.csr_matrix(np.outer(u, v) - np.outer(v, u))  # integer, rank 2
+    mutated = g._replace(M_q=(g.M_q + skew / 24.0).tocsr())
+    got, want = wh.verify_structure(m, mutated, inc).ranks["M_q"]
+    assert got == np.linalg.matrix_rank(mutated.M_q.toarray()) != want
+
+    off_grid = g.M_q.tolil()
+    off_grid[0, 1] += 0.5 / 24.0  # half a unit of the known denominator
+    ranks = wh.verify_structure(m, g._replace(M_q=off_grid.tocsr()), inc).ranks
+    assert ranks["M_q"] == (-1, 2 * (m.node_coords.shape[0] - 2))
+
+
+def test_rank_table_never_densifies():
+    m, g, inc = built(24, 24, {"p_sides": ["bottom"]})
+    dense_bytes = 8 * g.M_q.shape[0] ** 2  # one float64 edges x edges array
+    tracemalloc.start()
+    try:
+        wh.verify_structure(m, g, inc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= dense_bytes / 4
