@@ -140,10 +140,10 @@ def _write_manifest(outdir: pathlib.Path, run: dict) -> None:
 
 def cmd_build(args) -> int:
     cfg = load_config(args.config)
-    if args.n is not None:
-        cfg.setdefault("mesh", {})["N"] = args.n
-    if args.m is not None:
-        cfg.setdefault("mesh", {})["M"] = args.m
+    # a non-object "mesh" is left for build_model to reject
+    for key, value in (("N", args.n), ("M", args.m)):
+        if value is not None and isinstance(cfg.setdefault("mesh", {}), dict):
+            cfg["mesh"][key] = value
     if args.preset is not None:
         cfg["weights"] = args.preset
     if args.alpha is not None:
@@ -206,7 +206,6 @@ def cmd_simulate(args) -> int:
             {
                 "relative_energy_drift": drift,
                 "max_relative_energy_drift": max_drift,
-                "stepper": traj.route,
             },
         ),
     )

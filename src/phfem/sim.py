@@ -5,29 +5,30 @@ and the 2D wave experiment.
 to a PH model: mesh -> boundary partition -> incidence -> power-preserving
 maps -> diagonal Hodge -> explicit state space.
 
-The integrator is the implicit midpoint rule,
+The integrator is the implicit midpoint rule in discrete port-Hamiltonian
+form: with the input held at u_mid = u(t_k + dt/2),
 
-    (I - dt/2 A) x_{k+1} = (I + dt/2 A) x_k + dt B u(t_k + dt/2),
+    (I - dt/2 A) x_mid = x_k + dt/2 B u_mid,
+    x_{k+1} = x_k + dt (A x_mid + B u_mid).
 
-which is symplectic and preserves the quadratic Hamiltonian exactly for
+It is symplectic and preserves the quadratic Hamiltonian exactly for
 u = 0 (A = J Q with J skew).  With inputs, each step satisfies the exact
 discrete balance H_d(x_{k+1}) - H_d(x_k) = dt * u_mid^T y_mid, so energy
 bookkeeping against the grid-sampled trapezoid of y^T u has a defect of
-order dt^2 per unit time.
+order dt^2 per unit time.  The increment is an explicit skew product at
+x_mid, so a round-off residual of the solve moves the energy by order
+dt times that residual only.
 
-`MidpointStepper` factors the stepping matrix once per run.  The mixed
-models have J = [[0, J_p], [J_q, 0]] with J_q = -J_p^T up to round-off
-(SKEW_TOL) and a positive diagonal Q = diag(Q_p, Q_q); for them the
-midpoint system reduces to the symmetric positive definite node system
+The model contract is the mixed structure `PHModel.node_blocks`
+certifies, and every model `build_model` builds or `load_model` loads
+meets it: J = [[0, J_p], [J_q, 0]] with J_q = -J_p^T to SKEW_TOL and a
+positive diagonal Q = diag(Q_p, Q_q).  The midpoint system then reduces
+to the symmetric positive definite node system
 
     (Q_p^-1 + (dt/2)^2 J_p Q_q J_p^T) z = r_p + dt/2 J_p Q_q r_q,
 
-after which x_p = Q_p^-1 z and x_q = r_q - dt/2 J_p^T z (the "schur"
-route, n_p unknowns instead of n_p + n_q).  The reduction is exact only
-in exact arithmetic, so each such step ends with one residual correction
-against the true (I - dt/2 A); that keeps the unforced energy drift at
-round-off level over long runs.  Any other model takes a sparse LU of
-the full stepping matrix (the "lu" route).
+after which x_p = Q_p^-1 z and x_q = r_q - dt/2 J_p^T z.
+`MidpointStepper` factors it once per run and solves it once per step.
 """
 
 from __future__ import annotations
@@ -214,94 +215,62 @@ class SimConfig(NamedTuple):
 
 
 class Trajectory(NamedTuple):
-    """Time grid, states, grid-sampled outputs, energy series, the
-    cumulative supplied energy (trapezoid of y^T u), and the stepper route
-    that produced them ("schur" or "lu", see `MidpointStepper`)."""
+    """Time grid, states, grid-sampled outputs, energy series and the
+    cumulative supplied energy (trapezoid of y^T u)."""
 
     t: np.ndarray
     x: np.ndarray
     y: np.ndarray
     energy: np.ndarray
     supplied: np.ndarray
-    route: str
 
     def energy_defect(self) -> np.ndarray:
         """|H_d(t) - H_d(0) - W(t)|: O(dt^2) per unit time."""
         return np.abs(self.energy - self.energy[0] - self.supplied)
 
 
-def _splu(mat: sp.spmatrix):
-    try:
-        return spla.splu(sp.csc_matrix(mat), permc_spec="MMD_AT_PLUS_A")
-    except RuntimeError as e:
-        raise NumericalFailureError(f"midpoint stepping matrix: {e}") from e
-
-
-def _node_blocks(model: PHModel):
-    """(J_p, diag Q_p, diag Q_q) when J = [[0, J_p], [J_q, 0]] with
-    |J_q + J_p^T| <= SKEW_TOL and Q is diagonal with positive entries;
-    None otherwise."""
-    n_p = model.n_p
-    J = model.J.tocsr()
-    q = model.Q.diagonal()
-    J_p = J[:n_p, n_p:]
-    skew = (J[n_p:, :n_p] + J_p.T).tocsr()
-    exact_zero = (J[:n_p, :n_p], J[n_p:, n_p:], model.Q - sp.diags(q))
-    if (
-        np.all(q > 0)
-        and not any(b.count_nonzero() for b in exact_zero)
-        and np.abs(skew.data).max(initial=0.0) <= SKEW_TOL
-    ):
-        return J_p.tocsr(), q[:n_p], q[n_p:]
-    return None
-
-
 class MidpointStepper:
     """Implicit midpoint steps of one model at one step size dt, with the
-    stepping matrix factored once; `route` names the solve ("schur" or
-    "lu", see the module docstring)."""
+    node system factored once (see the module docstring).  Raises
+    StructureViolationError for a model outside the mixed structure."""
 
     def __init__(self, model: PHModel, dt: float):
         if not (math.isfinite(dt) and dt > 0):
             raise InvalidArgumentError(f"dt must be positive and finite, got {dt}")
+        J_p, q_p, q_q = model.node_blocks()
         h = dt / 2.0
-        A = model.A()
-        I = sp.identity(model.n, format="csr")
-        self.dt = dt
-        self.B = model.B
-        self.plus = (I + h * A).tocsr()
-        minus = (I - h * A).tocsr()
-        blocks = _node_blocks(model)
-        if blocks is None:
-            self.route = "lu"
-            self._solve = _splu(minus).solve
-            return
-        self.route = "schur"
         n_p = model.n_p
-        J_p, q_p, q_q = blocks
         J_p_Q_q = (J_p @ sp.diags(q_q)).tocsr()
         J_p_T = J_p.T.tocsr()
-        lu = _splu(sp.diags(1.0 / q_p) + (h * h) * (J_p_Q_q @ J_p_T))
+        try:
+            lu = spla.splu(
+                sp.csc_matrix(sp.diags(1.0 / q_p) + (h * h) * (J_p_Q_q @ J_p_T)),
+                permc_spec="MMD_AT_PLUS_A",
+            )
+        except RuntimeError as e:
+            raise NumericalFailureError(f"midpoint node system: {e}") from e
 
-        def node_solve(rhs: np.ndarray) -> np.ndarray:
-            r_p, r_q = rhs[:n_p], rhs[n_p:]
+        def solve(r: np.ndarray) -> np.ndarray:
+            """x with (I - dt/2 A) x = r."""
+            r_p, r_q = r[:n_p], r[n_p:]
             z = lu.solve(r_p + h * (J_p_Q_q @ r_q))
             return np.concatenate([z / q_p, r_q - h * (J_p_T @ z)])
 
-        def solve(rhs: np.ndarray) -> np.ndarray:
-            x = node_solve(rhs)
-            return x + node_solve(rhs - minus @ x)
-
+        self.dt = dt
+        self.A = model.A()
+        self.B = model.B
         self._solve = solve
 
     def step(self, x: np.ndarray, u_mid: np.ndarray) -> np.ndarray:
         """x_{k+1} from x_k with the input held at its midpoint value."""
-        return self._solve(self.plus @ x + self.dt * (self.B @ u_mid))
+        Bu = self.B @ u_mid
+        x_mid = self._solve(x + (self.dt / 2.0) * Bu)
+        return x + self.dt * (self.A @ x_mid + Bu)
 
 
 def simulate(model: PHModel, cfg: SimConfig) -> Trajectory:
-    """Integrate the model over [0, T]; the factorization of the stepping
-    matrix is reused across the whole run."""
+    """Integrate the model over [0, T]; the factorization of the node
+    system is reused across the whole run."""
     cfg.validate()
     n_steps = int(round(cfg.T / cfg.dt))
     if abs(n_steps * cfg.dt - cfg.T) > 1e-9 * max(1.0, cfg.T):
@@ -334,6 +303,9 @@ def simulate(model: PHModel, cfg: SimConfig) -> Trajectory:
         raise InvalidArgumentError(
             f"x0 has shape {x.shape}, model expects ({model.n},)"
         )
+    if not np.all(np.isfinite(x)):
+        bad = int(np.flatnonzero(~np.isfinite(x))[0])
+        raise InvalidArgumentError(f"x0 has non-finite entry {bad} = {x[bad]}")
 
     stepper = MidpointStepper(model, cfg.dt)
     t = np.arange(n_steps + 1) * cfg.dt
@@ -358,7 +330,7 @@ def simulate(model: PHModel, cfg: SimConfig) -> Trajectory:
     supplied = np.concatenate(
         [[0.0], np.cumsum((power[1:] + power[:-1]) * cfg.dt / 2.0)]
     )
-    return Trajectory(t, xs, ys, energy, supplied, stepper.route)
+    return Trajectory(t, xs, ys, energy, supplied)
 
 
 # ---------------------------------------------------------------------------

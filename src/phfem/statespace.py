@@ -180,6 +180,27 @@ class PHModel(NamedTuple):
     def output(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
         return self.C @ (self.Q @ x) + self.D @ u
 
+    def node_blocks(self) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
+        """Certificate of the mixed structure: (J_p, diag Q_p, diag Q_q)
+        when J = [[0, J_p], [J_q, 0]] with exactly zero diagonal blocks and
+        |J_q + J_p^T| <= SKEW_TOL, and Q is diagonal and positive; else
+        StructureViolationError naming the condition that failed."""
+        n_p, J, q = self.n_p, self.J.tocsr(), self.Q.diagonal()
+        J_p = J[:n_p, n_p:].tocsr()
+        skew = np.abs((J[n_p:, :n_p] + J_p.T).tocsr().data).max(initial=0.0)
+        for failed, condition in (
+            (J[:n_p, :n_p].count_nonzero() or J[n_p:, n_p:].count_nonzero(),
+             "J has a nonzero diagonal block"),
+            (not skew <= SKEW_TOL, f"|J_q + J_p^T| = {skew:.3e} exceeds {SKEW_TOL}"),
+            ((self.Q - sp.diags(q)).count_nonzero(), "Q is not diagonal"),
+            (not np.all(q > 0), f"Q is not positive (min {q.min(initial=1.0):.6g})"),
+        ):
+            if failed:
+                raise StructureViolationError(
+                    f"model outside the mixed structure: {condition}"
+                )
+        return J_p, q[:n_p], q[n_p:]
+
 
 def assemble_model(
     maps: MapSet,
@@ -271,8 +292,9 @@ def load_model(indir) -> PHModel:
     matrix shapes must agree with the manifest dimensions, every stored
     entry of J, B, C and D must couple a p-type index with a q-type one
     (the block pattern `assemble_model` produces, which pins the split
-    into n_p, n_q and m_hat, m), the power balance must hold to SKEW_TOL
-    and the diagonal of Q must be positive."""
+    into n_p, n_q and m_hat, m), Q must be diagonal, the power balance
+    must hold to SKEW_TOL and the diagonal of Q must be positive.  A
+    loaded model therefore passes `PHModel.node_blocks`."""
     indir = pathlib.Path(indir)
     mf = indir / "manifest.json"
     if not mf.is_file():
@@ -317,16 +339,19 @@ def load_model(indir) -> PHModel:
                 f"model matrix {path} has shape {mat.shape}, but the "
                 f"manifest dimensions {dims} require {shapes[name]}"
             )
-        if name in p_split:
+        if name == "Q":
+            bad = mat.row != mat.col
+            why = "off the diagonal; the Hodge matrix must be diagonal"
+        else:
             p_rows, p_cols = p_split[name]
-            same_type = ((mat.row < p_rows) == (mat.col < p_cols)) & (mat.data != 0)
-            if same_type.any():
-                i = int(np.flatnonzero(same_type)[0])
-                raise InvalidArgumentError(
-                    f"model matrix {path} has entry ({mat.row[i]}, {mat.col[i]}) "
-                    f"coupling two indices of one type under the manifest "
-                    f"split {dims}"
-                )
+            bad = (mat.row < p_rows) == (mat.col < p_cols)
+            why = f"coupling two indices of one type under the manifest split {dims}"
+        bad &= mat.data != 0
+        if bad.any():
+            i = int(np.flatnonzero(bad)[0])
+            raise InvalidArgumentError(
+                f"model matrix {path} has entry ({mat.row[i]}, {mat.col[i]}) {why}"
+            )
         mats[name] = mat.tocsr()
     model = PHModel(**mats, **dims, meta=manifest.get("meta", {}))
     resid = power_balance_residual(model)

@@ -155,6 +155,19 @@ class TestBuild:
         assert named in err
 
     @pytest.mark.parametrize(
+        "mesh, override", [("rect", ["--n", "4"]), (["rect", 4], ["--m", "3"])]
+    )
+    def test_override_of_non_object_mesh_exits_2(self, tmp_path, capsys, mesh, override):
+        cfg = write_cfg(tmp_path, {**MIXED_2X1, "mesh": mesh})
+        argv = ["build", "--config", str(cfg), "--out", str(tmp_path / "m")]
+        assert cli.main(argv) == 2
+        plain = capsys.readouterr().err
+        assert cli.main(argv + override) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "mesh config must be an object" in err
+        assert err == plain
+
+    @pytest.mark.parametrize(
         "causality, edge",
         [({"q_edges": [0]}, 1), ({"p_nodes": [0], "q_edges": [0, 1, 2]}, 9)],
     )
@@ -224,7 +237,6 @@ class TestSimulate:
             drifts.max(), rel=1e-6, abs=1e-18
         )
         assert manifest["run"]["max_relative_energy_drift"] <= 1e-12
-        assert manifest["run"]["stepper"] == "schur"
 
     def test_nonfinite_horizon_exits_2(self, tmp_path, capsys):
         model_dir = tmp_path / "model"

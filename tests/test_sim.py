@@ -15,7 +15,12 @@ from phfem import mesh as msh
 from phfem import power_maps as pm
 from phfem import sim
 from phfem import statespace as ss
-from phfem.errors import InvalidArgumentError, NumericalFailureError
+from phfem.errors import (
+    InvalidArgumentError,
+    NumericalFailureError,
+    StructureViolationError,
+)
+from test_golden import CONFIGS as GOLDEN_CONFIGS
 
 
 def model_1d(N, alpha, L=1.0):
@@ -46,16 +51,13 @@ def reference_step(model, x, u_mid, dt):
     return spla.splu(sp.csc_matrix(I - (dt / 2.0) * A)).solve(rhs)
 
 
-def unstructured_model(n=6, n_u=2, seed=5):
-    """A hand-built PH model with a full skew J and a non-diagonal SPD Q:
-    no zero diagonal blocks in J, so no node-system reduction applies."""
-    rng = np.random.default_rng(seed)
-    S = 0.3 * rng.standard_normal((n, n))
-    R = 0.3 * rng.standard_normal((n, n))
-    B = sp.csr_matrix(rng.standard_normal((n, n_u)))
+def hand_built_model(J, Q):
+    """A PH model from given J and Q, with two random collocated ports."""
+    n, n_u = J.shape[0], 2
+    B = sp.csr_matrix(np.random.default_rng(5).standard_normal((n, n_u)))
     return ss.PHModel(
-        J=sp.csr_matrix(S - S.T),
-        Q=sp.csr_matrix(np.eye(n) + R @ R.T),
+        J=sp.csr_matrix(J),
+        Q=sp.csr_matrix(Q),
         B=B,
         C=B.T.tocsr(),
         D=sp.csr_matrix((n_u, n_u)),
@@ -65,6 +67,25 @@ def unstructured_model(n=6, n_u=2, seed=5):
         m=n_u - 1,
         meta={},
     )
+
+
+def outside_mixed_structure(kind):
+    """(J, Q) failing exactly one condition of `PHModel.node_blocks`."""
+    n, rng = 6, np.random.default_rng(5)
+    S = 0.3 * rng.standard_normal((n, n))
+    R = 0.3 * rng.standard_normal((n, n))
+    q = 1.0 + rng.random(n)
+    mixed = np.zeros((n, n))
+    mixed[: n // 2, n // 2 :] = S[: n // 2, n // 2 :]
+    mixed -= mixed.T
+    if kind == "full-skew-J":
+        return S - S.T, np.diag(q)
+    if kind == "non-skew-blocks":
+        return mixed + np.tril(np.full((n, n), 1e-9), -n // 2), np.diag(q)
+    if kind == "non-diagonal-Q":
+        return mixed, np.eye(n) + R @ R.T
+    q[4] = -q[4]
+    return mixed, np.diag(q)
 
 
 class TestStepMidpoint:
@@ -105,6 +126,9 @@ class TestStepMidpoint:
 
 
 class TestStepperRoutes:
+    """The node-system step against a plain LU of the full stepping matrix,
+    and the model contract it enforces."""
+
     @pytest.mark.parametrize(
         "config",
         [
@@ -119,7 +143,6 @@ class TestStepperRoutes:
         model = sim.build_model(config).model
         dt = 0.05
         stepper = sim.MidpointStepper(model, dt)
-        assert stepper.route == "schur"
         rng = np.random.default_rng(11)
         for _ in range(5):
             x = rng.standard_normal(model.n)
@@ -128,23 +151,35 @@ class TestStepperRoutes:
             got = stepper.step(x, u_mid)
             assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
-    def test_unstructured_model_takes_lu_route(self):
-        model = unstructured_model()
-        assert ss.power_balance_residual(model) <= 1e-12
-        assert sim.MidpointStepper(model, 1e-3).route == "lu"
+    @pytest.mark.parametrize(
+        "kind, condition",
+        [
+            ("full-skew-J", "J has a nonzero diagonal block"),
+            ("non-skew-blocks", r"\|J_q \+ J_p\^T\| = 1\.000e-09 exceeds"),
+            ("non-diagonal-Q", "Q is not diagonal"),
+            ("non-positive-Q", "Q is not positive"),
+        ],
+        ids=["full-skew-J", "non-skew-blocks", "non-diagonal-Q", "non-positive-Q"],
+    )
+    def test_model_outside_mixed_structure_rejected(self, kind, condition):
+        model = hand_built_model(*outside_mixed_structure(kind))
+        with pytest.raises(StructureViolationError, match=condition):
+            sim.MidpointStepper(model, 1e-3)
+        with pytest.raises(StructureViolationError, match=condition):
+            sim.simulate(model, sim.SimConfig(dt=1e-3, T=1e-2))
 
-        def pulse(t):
-            return np.array([0.2 * np.sin(np.pi * t) ** 2, 0.1 * t])
-
-        dt, steps = 1e-3, 300
-        x0 = np.random.default_rng(2).standard_normal(model.n)
-        traj = sim.simulate(model, sim.SimConfig(dt=dt, T=dt * steps,
-                                                 input=pulse, x0=x0))
-        assert traj.route == "lu"
-        ref = oracles.expm_trajectory(
-            model.A().toarray(), model.B.toarray(), pulse, dt, steps, x0
-        )
-        assert np.abs(traj.x - ref).max() <= 1e-6
+    @pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS))
+    def test_built_and_loaded_models_accepted(self, name, tmp_path):
+        """Every golden config builds a model the stepper accepts, before
+        and after an export/load round trip, with the same step."""
+        model = sim.build_model(GOLDEN_CONFIGS[name]).model
+        loaded = ss.load_model(ss.export_model(model, tmp_path / "m"))
+        rng = np.random.default_rng(4)
+        x, u_mid = rng.standard_normal(model.n), rng.standard_normal(model.n_u)
+        step = sim.MidpointStepper(model, 0.05).step(x, u_mid)
+        step_loaded = sim.MidpointStepper(loaded, 0.05).step(x, u_mid)
+        assert np.all(np.isfinite(step))
+        assert np.abs(step_loaded - step).max() <= 1e-12 * np.abs(step).max()
 
     def test_build_model_memory_grows_with_nnz(self):
         """The build never holds a dense n x n (or edges x nodes) array."""
@@ -182,6 +217,25 @@ class TestSimulate:
             dt,
             int(T / dt),
             np.zeros(model.n),
+        )
+        assert np.abs(traj.x - ref).max() <= 1e-6
+
+    def test_matches_oracle_2d_with_state_and_input(self):
+        """A 2-D model whose J_q + J_p^T keeps round-off, from a random
+        state, driven on every port."""
+        model = sim.build_model(GOLDEN_CONFIGS["build-determinism"]).model
+        weights = np.linspace(0.1, 0.3, model.n_u)
+
+        def pulse(t):
+            return weights * np.sin(np.pi * t) ** 2
+
+        dt, steps = 1e-3, 300
+        x0 = np.random.default_rng(2).standard_normal(model.n)
+        traj = sim.simulate(
+            model, sim.SimConfig(dt=dt, T=dt * steps, input=pulse, x0=x0)
+        )
+        ref = oracles.expm_trajectory(
+            model.A().toarray(), model.B.toarray(), pulse, dt, steps, x0
         )
         assert np.abs(traj.x - ref).max() <= 1e-6
 
@@ -238,6 +292,10 @@ class TestSimulate:
             )
         with pytest.raises(InvalidArgumentError):
             sim.simulate(model, sim.SimConfig(dt=0.1, T=1.0, x0=np.zeros(3)))
+        x0 = np.zeros(model.n)
+        x0[[2, 5]] = np.nan
+        with pytest.raises(InvalidArgumentError, match="x0 has non-finite entry 2"):
+            sim.simulate(model, sim.SimConfig(dt=0.1, T=1.0, x0=x0))
         with pytest.raises(InvalidArgumentError):
             sim.simulate(
                 model, sim.SimConfig(dt=0.1, T=1.0, input=np.zeros((11, 5)))

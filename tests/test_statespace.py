@@ -240,6 +240,15 @@ class TestSerialization:
         with pytest.raises(SingularHodgeError, match="diagonal entry 3"):
             ss.load_model(out)
 
+    def test_hodge_off_diagonal_rejected(self, tmp_path):
+        model = model_1d(4, 0.0)
+        out = ss.export_model(model, tmp_path / "m")
+        Q = model.Q.tolil()
+        Q[1, 6] = 0.01
+        mmwrite(str(out / "Q.mtx"), sp.coo_matrix(Q))
+        with pytest.raises(InvalidArgumentError, match=r"Q\.mtx has entry \(1, 6\)"):
+            ss.load_model(out)
+
     def test_unreadable_matrix(self, tmp_path):
         out = ss.export_model(model_1d(4, 0.0), tmp_path / "m")
         (out / "D.mtx").write_text("not a matrix\n")
