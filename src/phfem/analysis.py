@@ -1,10 +1,11 @@
 """Spectral analysis of the 1D two-conservation-law family.
 
-Provides eigenvalue extraction with a purity check (the models are
-conservative by construction, so all eigenvalues must be purely imaginary),
-frequency tables over the flow-map parameter alpha and over the effort-map
-parameter alpha' of a comparison scheme, and log-log convergence-order
-estimation against the closed-form frequencies (2k - 1) * pi / 2.
+Provides the frequencies of a conservative model (`spectrum`: singular
+values of the node coupling certified by `PHModel.node_blocks()`, dense
+eig(A) only outside that structure), frequency tables over the flow-map
+parameter alpha and over the effort-map parameter alpha' of a comparison
+scheme, and log-log convergence-order estimation against the closed-form
+frequencies (2k - 1) * pi / 2.
 
 The comparison scheme (`build_golo_1d_model`) keeps both flow maps at the
 identity and instead forms the reduced efforts as convex combinations of the
@@ -52,12 +53,41 @@ def exact_frequencies(ks) -> np.ndarray:
 
 
 def spectrum(model: PHModel) -> np.ndarray:
-    """Positive imaginary parts of eig(A), ascending.
+    """Positive frequencies of the model (imaginary parts of eig(A) above
+    REAL_PART_TOL), ascending.
 
-    The models are conservative, so eigenvalues must sit on the imaginary
-    axis; a real part beyond REAL_PART_TOL means the inputs do not form a
-    structure-preserving model and is reported as a structure violation.
+    Every model `sim.build_model` builds or `statespace.load_model` loads
+    passes `PHModel.node_blocks()`: J = [[0, J_p], [J_q, 0]] with
+    J_q = -J_p^T and Q = diag(Q_p, Q_q) > 0.  Scaling by Q^(1/2) makes
+    A = J Q similar to [[0, S], [-S^T, 0]] with S = Q_p^(1/2) J_p Q_q^(1/2),
+    whose eigenvalues are +-i sigma_k(S) plus |n_p - n_q| zeros.  So the
+    frequencies are the singular values of the n_p x n_q matrix S, and
+    they lie on the imaginary axis by construction: no purity check is
+    left to make.  The certificate bounds the entries of E = J_q + J_p^T
+    by SKEW_TOL rather than requiring zero, and the SVD takes J_q as
+    -J_p^T.  As [[0, S], [-S^T, 0]] is normal, Bauer-Fike bounds the
+    eigenvalue shift this causes by ||Q_q^(1/2) E Q_p^(1/2)||_2: at most
+    SKEW_TOL times the largest row or column count of E times max(Q).
+
+    Any other model (a hand-built or permuted one) gets the dense
+    eigenvalues of A.  Those must sit on the imaginary axis: a real part
+    beyond REAL_PART_TOL means the model is not conservative and is
+    reported as a structure violation.
     """
+    try:
+        J_p, q_p, q_q = model.node_blocks()
+    except StructureViolationError:
+        return _dense_spectrum(model)
+    S = np.sqrt(q_p)[:, None] * J_p.toarray() * np.sqrt(q_q)[None, :]
+    try:
+        sigma = np.linalg.svd(S, compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailureError(f"singular value computation failed: {exc}") from exc
+    return np.sort(sigma[sigma > REAL_PART_TOL])
+
+
+def _dense_spectrum(model: PHModel) -> np.ndarray:
+    """`spectrum` of a model outside the mixed structure, from eig(A)."""
     try:
         lam = np.linalg.eigvals(model.A().toarray())
     except np.linalg.LinAlgError as exc:

@@ -268,23 +268,51 @@ class MidpointStepper:
         return x + self.dt * (self.A @ x_mid + Bu)
 
 
+def _require_finite_input(u: np.ndarray, times: np.ndarray) -> None:
+    """InvalidArgumentError naming the first non-finite input sample."""
+    bad = np.argwhere(~np.isfinite(u))
+    if bad.size:
+        k, port = bad[0]
+        raise InvalidArgumentError(
+            f"input sample {k} (t = {times[k]:.6g}) has non-finite value "
+            f"{u[k, port]} on port {port}"
+        )
+
+
 def simulate(model: PHModel, cfg: SimConfig) -> Trajectory:
     """Integrate the model over [0, T]; the factorization of the node
-    system is reused across the whole run."""
+    system is reused across the whole run.
+
+    `cfg.input` is None (zero input), a callable of t returning one value
+    per port (sampled at the grid and midpoint times), or an array of
+    grid samples, one row per time.  An input of the wrong shape or with
+    a non-finite sample, and a non-finite x0, raise InvalidArgumentError
+    before the first step.
+    """
     cfg.validate()
     n_steps = int(round(cfg.T / cfg.dt))
     if abs(n_steps * cfg.dt - cfg.T) > 1e-9 * max(1.0, cfg.T):
         n_steps = int(np.ceil(cfg.T / cfg.dt - 1e-12))
 
+    ts = np.arange(n_steps + 1) * cfg.dt
     if cfg.input is None:
         u_grid = np.zeros((n_steps + 1, model.n_u))
         u_mid = np.zeros((n_steps, model.n_u))
     elif callable(cfg.input):
-        ts = np.arange(n_steps + 1) * cfg.dt
-        u_grid = np.array([np.asarray(cfg.input(tk), dtype=float) for tk in ts])
-        u_mid = np.array(
-            [np.asarray(cfg.input(tk + cfg.dt / 2.0), dtype=float) for tk in ts[:-1]]
-        )
+        # grid and midpoint times interleaved, so samples come in time order
+        t_half = np.empty(2 * n_steps + 1)
+        t_half[0::2], t_half[1::2] = ts, ts[:-1] + cfg.dt / 2.0
+        u_half = np.empty((t_half.size, model.n_u))
+        for i, tk in enumerate(t_half):
+            u = np.asarray(cfg.input(tk), dtype=float)
+            if u.shape != (model.n_u,):
+                raise InvalidArgumentError(
+                    f"input at t = {tk:.6g} has shape {u.shape}, expected "
+                    f"({model.n_u},) for the model's {model.n_u} ports"
+                )
+            u_half[i] = u
+        _require_finite_input(u_half, t_half)
+        u_grid, u_mid = u_half[0::2], u_half[1::2]
     else:
         u_grid = np.asarray(cfg.input, dtype=float)
         if u_grid.shape != (n_steps + 1, model.n_u):
@@ -292,11 +320,8 @@ def simulate(model: PHModel, cfg: SimConfig) -> Trajectory:
                 f"sampled input has shape {u_grid.shape}, expected "
                 f"({n_steps + 1}, {model.n_u}) for this grid"
             )
+        _require_finite_input(u_grid, ts)
         u_mid = (u_grid[:-1] + u_grid[1:]) / 2.0
-    if u_grid.shape[1] != model.n_u:
-        raise InvalidArgumentError(
-            f"input provides {u_grid.shape[1]} ports, model has {model.n_u}"
-        )
 
     x = np.zeros(model.n) if cfg.x0 is None else np.asarray(cfg.x0, dtype=float)
     if x.shape != (model.n,):
@@ -308,7 +333,6 @@ def simulate(model: PHModel, cfg: SimConfig) -> Trajectory:
         raise InvalidArgumentError(f"x0 has non-finite entry {bad} = {x[bad]}")
 
     stepper = MidpointStepper(model, cfg.dt)
-    t = np.arange(n_steps + 1) * cfg.dt
     xs = np.empty((n_steps + 1, model.n))
     ys = np.empty((n_steps + 1, model.n_u))
     energy = np.empty(n_steps + 1)
@@ -319,7 +343,7 @@ def simulate(model: PHModel, cfg: SimConfig) -> Trajectory:
         x = stepper.step(x, u_mid[k])
         if not np.all(np.isfinite(x)):
             raise NumericalFailureError(
-                f"non-finite state at step {k + 1} (t = {t[k + 1]:.6g}); "
+                f"non-finite state at step {k + 1} (t = {ts[k + 1]:.6g}); "
                 f"max |x| before failure {np.abs(xs[k]).max():.3e}"
             )
         xs[k + 1] = x
@@ -330,7 +354,7 @@ def simulate(model: PHModel, cfg: SimConfig) -> Trajectory:
     supplied = np.concatenate(
         [[0.0], np.cumsum((power[1:] + power[:-1]) * cfg.dt / 2.0)]
     )
-    return Trajectory(t, xs, ys, energy, supplied)
+    return Trajectory(ts, xs, ys, energy, supplied)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import scipy.sparse as sp
 
 from phfem import analysis as an
 from phfem import power_maps as pm
+from phfem import sim
 from phfem.errors import InvalidArgumentError, StructureViolationError
 from phfem.mesh import build_interval_mesh, incidence
 from phfem.statespace import power_balance_residual
@@ -59,6 +60,76 @@ class TestSpectrum:
         leak = sp.identity(model.n, format="csr") * 1e-6
         with pytest.raises(StructureViolationError):
             an.spectrum(model._replace(J=(model.J + leak).tocsr()))
+
+
+def dense_spectrum(model):
+    """Reference: positive imaginary parts of the dense eig(A)."""
+    lam = np.linalg.eigvals(model.A().toarray())
+    return np.sort(lam.imag[lam.imag > an.REAL_PART_TOL])
+
+
+def model_2d_bottom_inputs(N):
+    """N x N rectangle with p-inputs along the bottom side: n_p != n_q."""
+    return sim.build_model(
+        {"mesh": {"kind": "rect", "N": N, "M": N, "h": 1.0},
+         "causality": {"p_sides": ["bottom"], "q_edges": "rest"},
+         "weights": "set2"}
+    ).model
+
+
+class TestCertifiedSpectrum:
+    """`spectrum` takes the singular values of the node coupling for every
+    built model and agrees with the dense eigenvalues of A."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: an.build_1d_model(40, -1 / 12),
+         lambda: an.build_1d_model(40, 0.0),
+         lambda: an.build_1d_model(40, 1 / 6),
+         lambda: an.build_golo_1d_model(40, 1 / 12),
+         lambda: an.build_golo_1d_model(40, -1 / 6),
+         lambda: model_2d_bottom_inputs(6)],
+        ids=["mixed-1/12", "mixed-0", "mixed+1/6", "golo+1/12", "golo-1/6", "2d-6x6"],
+    )
+    def test_agrees_with_dense_eigenvalues(self, build):
+        model = build()
+        model.node_blocks()  # certified: the SVD path is taken
+        freqs, ref = an.spectrum(model), dense_spectrum(model)
+        assert freqs.size == ref.size
+        np.testing.assert_allclose(freqs, ref, rtol=1e-12, atol=0)
+
+    def test_golo_models_keep_skew_round_off(self):
+        """The comparison models pass the certificate with J_q + J_p^T
+        nonzero but within SKEW_TOL, so the agreement above covers that
+        slack."""
+        model = an.build_golo_1d_model(40, 1 / 12)
+        n_p, J = model.n_p, model.J.tocsr()
+        skew = np.abs((J[n_p:, :n_p] + J[:n_p, n_p:].T).toarray()).max()
+        assert 0.0 < skew <= 1e-12
+
+    def test_unequal_blocks_drop_zero_modes(self):
+        model = model_2d_bottom_inputs(6)
+        assert model.n_p != model.n_q
+        assert an.spectrum(model).size == min(model.n_p, model.n_q)
+
+    def test_dense_eigenvalues_only_outside_the_structure(self, monkeypatch):
+        calls = []
+        eigvals = np.linalg.eigvals
+
+        def spy(a):
+            calls.append(a.shape)
+            return eigvals(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", spy)
+        for model in (an.build_1d_model(8, 0.0), an.build_golo_1d_model(8, -1 / 6),
+                      model_2d_bottom_inputs(3)):
+            an.spectrum(model)
+        assert calls == []
+        model = an.build_1d_model(8, 0.0)
+        leak = sp.identity(model.n, format="csr") * 1e-6
+        with pytest.raises(StructureViolationError):
+            an.spectrum(model._replace(J=(model.J + leak).tocsr()))
+        assert calls == [(model.n, model.n)]
 
 
 class TestComparisonScheme:

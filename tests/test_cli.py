@@ -308,6 +308,24 @@ class TestEigs:
         rows = list(csv.reader((out / "eigs.csv").open()))
         assert len(rows) == 13
 
+    def test_from_2d_model_dir(self, tmp_path):
+        cfg = write_cfg(tmp_path, {
+            "mesh": {"kind": "rect", "N": 5, "M": 4, "h": 1.0},
+            "causality": {"p_sides": ["bottom"], "q_edges": "rest"},
+            "weights": "set4",
+        })
+        model_dir = tmp_path / "model"
+        assert cli.main(["build", "--config", str(cfg), "--out", str(model_dir)]) == 0
+        out = tmp_path / "e"
+        assert cli.main(["eigs", str(model_dir), "--out", str(out)]) == 0
+        rows = list(csv.reader((out / "eigs.csv").open()))
+        assert rows[0] == ["k", "omega"]
+        lam = np.linalg.eigvals(load_model(model_dir).A().toarray())
+        ref = np.sort(lam.imag[lam.imag > 1e-9])
+        assert len(rows) - 1 == ref.size
+        omega = np.array([float(r[1]) for r in rows[1:]])
+        np.testing.assert_allclose(omega, ref, rtol=1e-9, atol=0)
+
     def test_needs_model_or_n(self, tmp_path):
         assert cli.main(["eigs", "--out", str(tmp_path / "e")]) == 2
 

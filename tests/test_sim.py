@@ -269,13 +269,19 @@ class TestSimulate:
         assert np.abs(t1.x - t2.x).max() <= 1e-4
 
     def test_nonfinite_input_aborts(self):
+        """A non-finite input is rejected before stepping; a state that
+        overflows during stepping is still a numerical failure."""
         model = model_1d(6, 0.0)
 
         def bad(t):
             return np.array([np.inf, 0.0]) if t > 0.5 else np.zeros(2)
 
-        with pytest.raises(NumericalFailureError):
+        with pytest.raises(InvalidArgumentError, match="t = 0.55.* on port 0"):
             sim.simulate(model, sim.SimConfig(dt=0.1, T=1.0, input=bad))
+        with pytest.raises(NumericalFailureError, match="non-finite state at step 1"):
+            sim.simulate(
+                model, sim.SimConfig(dt=0.1, T=1.0, x0=np.full(model.n, 1e308))
+            )
 
     def test_config_validation(self):
         model = model_1d(4, 0.0)
@@ -300,6 +306,24 @@ class TestSimulate:
             sim.simulate(
                 model, sim.SimConfig(dt=0.1, T=1.0, input=np.zeros((11, 5)))
             )
+        # a callable must return one value per port, at grid and midpoint times
+        for fn in (lambda t: 0.0, lambda t: np.zeros(3),
+                   lambda t: np.zeros(2 if t < 0.5 else 1),
+                   lambda t: np.zeros(2 if round(t / 0.05) % 2 == 0 else 3)):
+            with pytest.raises(InvalidArgumentError, match=r"expected \(2,\)"):
+                sim.simulate(model, sim.SimConfig(dt=0.1, T=1.0, input=fn))
+        sampled = np.zeros((11, 2))
+        sampled[4, 1] = np.nan
+        with pytest.raises(
+            InvalidArgumentError, match=r"sample 4 \(t = 0.4\) .*nan on port 1"
+        ):
+            sim.simulate(model, sim.SimConfig(dt=0.1, T=1.0, input=sampled))
+
+        def spike(t):
+            return np.array([0.0, -np.inf if t > 0.32 else 0.0])
+
+        with pytest.raises(InvalidArgumentError, match=r"t = 0.35\).*-inf on port 1"):
+            sim.simulate(model, sim.SimConfig(dt=0.1, T=1.0, input=spike))
 
 
 class TestWaveExperiment:
