@@ -183,7 +183,9 @@ def cmd_simulate(args) -> int:
         x0 = np.random.default_rng(args.seed).standard_normal(model.n)
     else:
         x0 = np.zeros(model.n)
-    traj = simulate(model, SimConfig(dt=args.dt, T=args.t_end, x0=x0))
+    traj = simulate(
+        model, SimConfig(dt=args.dt, T=args.t_end, x0=x0, snapshot_times=())
+    )
 
     outdir = pathlib.Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)

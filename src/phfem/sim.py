@@ -29,6 +29,12 @@ to the symmetric positive definite node system
 
 after which x_p = Q_p^-1 z and x_q = r_q - dt/2 J_p^T z.
 `MidpointStepper` factors it once per run and solves it once per step.
+
+`simulate` keeps the outputs, the energy and the supplied energy at every
+grid time, but the state only at the steps `SimConfig.snapshot_times`
+names: every step when it is None, none when it is ().  Its memory then
+follows the model (nnz plus O(n)), not the number of steps; the
+`Trajectory.x_steps` index says which grid step each kept row belongs to.
 """
 
 from __future__ import annotations
@@ -38,7 +44,8 @@ import json
 import math
 import numbers
 import pathlib
-from typing import Callable, NamedTuple, Sequence
+from collections.abc import Callable, Sequence
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -187,14 +194,20 @@ def build_model(config: dict) -> BuiltModel:
 
 
 class SimConfig(NamedTuple):
-    """Run parameters: step size, horizon, per-port input signal, snapshot
-    times."""
+    """Run parameters: step size, horizon, per-port input signal, initial
+    state and the times whose states the trajectory keeps.
+
+    `snapshot_times` is None (keep the state at every grid time) or a
+    sequence of finite times in [0, T] (keep only those states; `()` keeps
+    none).  A time t is kept at grid step round(t / dt), clipped to the last
+    step, so two times that round to the same step are kept once.
+    """
 
     dt: float
     T: float
     input: Callable[[float], np.ndarray] | None = None
     x0: np.ndarray | None = None
-    snapshot_times: tuple = ()
+    snapshot_times: Sequence[float] | None = None
 
     def validate(self) -> None:
         if not (math.isfinite(self.dt) and self.dt > 0):
@@ -207,19 +220,48 @@ class SimConfig(NamedTuple):
             raise InvalidArgumentError(
                 f"horizon T = {self.T} must cover at least one step dt = {self.dt}"
             )
-        for t in self.snapshot_times:
+        times = self.snapshot_times
+        if times is None:
+            return
+        if isinstance(times, (str, bytes)) or not isinstance(
+            times, (Sequence, np.ndarray)
+        ):
+            raise InvalidArgumentError(
+                f"snapshot_times must be None or a sequence of times, got {times!r}"
+            )
+        for t in times:
+            if (isinstance(t, bool) or not isinstance(t, numbers.Real)
+                    or not math.isfinite(t)):
+                raise InvalidArgumentError(
+                    f"snapshot time {t!r} is not a finite number"
+                )
             if not 0 <= t <= self.T + 1e-12:
                 raise InvalidArgumentError(
                     f"snapshot time {t} outside [0, {self.T}]"
                 )
 
 
+def _grid_steps(times: Sequence[float], dt: float, n_steps: int) -> np.ndarray:
+    """The grid step each time is kept at: round(t / dt), clipped to the
+    last step `n_steps`."""
+    steps = np.rint(np.asarray(times, dtype=float) / dt)
+    return np.minimum(steps, n_steps).astype(np.intp)
+
+
 class Trajectory(NamedTuple):
-    """Time grid, states, grid-sampled outputs, energy series and the
-    cumulative supplied energy (trapezoid of y^T u)."""
+    """Time grid, kept states, grid-sampled outputs, energy series and the
+    cumulative supplied energy (trapezoid of y^T u).
+
+    `t`, `y`, `energy` and `supplied` cover every grid time.  `x` holds
+    only the states `SimConfig.snapshot_times` asked for, one row per kept
+    grid step in time order; `x_steps` gives the grid step of each row
+    (`arange(len(t))` when every state is kept), so row i is the state at
+    `t[x_steps[i]]`.
+    """
 
     t: np.ndarray
     x: np.ndarray
+    x_steps: np.ndarray
     y: np.ndarray
     energy: np.ndarray
     supplied: np.ndarray
@@ -288,6 +330,9 @@ def simulate(model: PHModel, cfg: SimConfig) -> Trajectory:
     grid samples, one row per time.  An input of the wrong shape or with
     a non-finite sample, and a non-finite x0, raise InvalidArgumentError
     before the first step.
+
+    Outputs and energies cover every grid time; states only the steps
+    `cfg.snapshot_times` selects (see `SimConfig`).
     """
     cfg.validate()
     n_steps = int(round(cfg.T / cfg.dt))
@@ -332,29 +377,40 @@ def simulate(model: PHModel, cfg: SimConfig) -> Trajectory:
         bad = int(np.flatnonzero(~np.isfinite(x))[0])
         raise InvalidArgumentError(f"x0 has non-finite entry {bad} = {x[bad]}")
 
+    if cfg.snapshot_times is None:
+        x_steps = np.arange(n_steps + 1)
+    else:
+        x_steps = np.unique(_grid_steps(cfg.snapshot_times, cfg.dt, n_steps))
+    row_of_step = np.full(n_steps + 1, -1)
+    row_of_step[x_steps] = np.arange(x_steps.size)
+
     stepper = MidpointStepper(model, cfg.dt)
-    xs = np.empty((n_steps + 1, model.n))
+    xs = np.empty((x_steps.size, model.n))
     ys = np.empty((n_steps + 1, model.n_u))
     energy = np.empty(n_steps + 1)
-    xs[0] = x
-    ys[0] = model.output(x, u_grid[0])
-    energy[0] = model.hamiltonian(x)
+
+    def record(k: int, x: np.ndarray) -> None:
+        ys[k] = model.output(x, u_grid[k])
+        energy[k] = model.hamiltonian(x)
+        if row_of_step[k] >= 0:
+            xs[row_of_step[k]] = x
+
+    record(0, x)
     for k in range(n_steps):
-        x = stepper.step(x, u_mid[k])
-        if not np.all(np.isfinite(x)):
+        x_next = stepper.step(x, u_mid[k])
+        if not np.all(np.isfinite(x_next)):
             raise NumericalFailureError(
                 f"non-finite state at step {k + 1} (t = {ts[k + 1]:.6g}); "
-                f"max |x| before failure {np.abs(xs[k]).max():.3e}"
+                f"max |x| before failure {np.abs(x).max():.3e}"
             )
-        xs[k + 1] = x
-        ys[k + 1] = model.output(x, u_grid[k + 1])
-        energy[k + 1] = model.hamiltonian(x)
+        x = x_next
+        record(k + 1, x)
 
     power = np.einsum("ij,ij->i", ys, u_grid)
     supplied = np.concatenate(
         [[0.0], np.cumsum((power[1:] + power[:-1]) * cfg.dt / 2.0)]
     )
-    return Trajectory(ts, xs, ys, energy, supplied)
+    return Trajectory(ts, xs, x_steps, ys, energy, supplied)
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +441,8 @@ def wave2d_experiment(
 
     Snapshots are full nodal grids of the reconstructed effort field e~_p
     ((N+1) x (N+1), row-major in y), with the input value filling the
-    driven corner.
+    driven corner.  The run keeps only the snapshot states; each snapshot
+    time reads the row of its grid step (see `SimConfig`).
     """
     h = 20.0 / N
     built = build_model(
@@ -418,14 +475,13 @@ def wave2d_experiment(
     traj = simulate(model, cfg)
 
     Q_p = model.Q[: model.n_p, : model.n_p]
+    rows = np.searchsorted(traj.x_steps, _grid_steps(snap_set, dt, len(traj.t) - 1))
     snapshots = {}
-    for t_snap in snap_set:
-        k = int(round(t_snap / dt))
-        k = min(k, len(traj.t) - 1)
-        e_p = Q_p @ traj.x[k, : model.n_p]
+    for t_snap, row in zip(snap_set, rows):
+        e_p = Q_p @ traj.x[row, : model.n_p]
         grid = np.empty((N + 1) ** 2)
         grid[maps.p_efforts] = e_p
-        grid[maps.p_inputs] = corner_pulse(traj.t[k])
+        grid[maps.p_inputs] = corner_pulse(traj.t[traj.x_steps[row]])
         snapshots[t_snap] = grid.reshape(N + 1, N + 1)
     return WaveResult(traj, snapshots, model, meta)
 

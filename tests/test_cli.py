@@ -228,9 +228,13 @@ class TestSimulate:
         ) == 0
         rows = list(csv.reader((out / "energy.csv").open()))
         assert rows[0] == ["t", "H_d", "E_supplied"]
+        assert len(rows) == 1 + 101  # header, then every grid time of 100 steps
         energies = np.array([float(r[1]) for r in rows[1:]])
         assert abs(energies[-1] - energies[0]) <= 1e-12 * energies[0]
         manifest = json.loads((out / "manifest.json").read_text())
+        assert {"relative_energy_drift", "max_relative_energy_drift"} <= set(
+            manifest["run"]
+        )
         assert manifest["run"]["relative_energy_drift"] <= 1e-12
         drifts = np.abs(energies - energies[0]) / energies[0]
         assert manifest["run"]["max_relative_energy_drift"] == pytest.approx(

@@ -296,6 +296,12 @@ class TestSimulate:
             sim.simulate(
                 model, sim.SimConfig(dt=0.1, T=1.0, snapshot_times=(2.0,))
             )
+        for times, named in ((0.5, "0.5"), ("0.5", "'0.5'"), (True, "True"),
+                             ((0.2, np.nan), "nan"), ((True,), "True")):
+            with pytest.raises(InvalidArgumentError, match=f"got {named}$|{named} is"):
+                sim.simulate(
+                    model, sim.SimConfig(dt=0.1, T=1.0, snapshot_times=times)
+                )
         with pytest.raises(InvalidArgumentError):
             sim.simulate(model, sim.SimConfig(dt=0.1, T=1.0, x0=np.zeros(3)))
         x0 = np.zeros(model.n)
@@ -324,6 +330,77 @@ class TestSimulate:
 
         with pytest.raises(InvalidArgumentError, match=r"t = 0.35\).*-inf on port 1"):
             sim.simulate(model, sim.SimConfig(dt=0.1, T=1.0, input=spike))
+
+
+class TestSnapshots:
+    """States kept at the requested times only, everything else unchanged."""
+
+    @pytest.fixture(params=["1d-callable-input", "2d-build-determinism"])
+    def run(self, request):
+        if request.param == "1d-callable-input":
+            model, dt, T = model_1d(12, 1 / 6), 0.01, 1.0
+            cfg = sim.SimConfig(dt=dt, T=T, input=gentle_pulse)
+        else:
+            model = sim.build_model(GOLDEN_CONFIGS["build-determinism"]).model
+            dt, T = 0.02, 0.6
+            x0 = np.random.default_rng(2).standard_normal(model.n)
+            cfg = sim.SimConfig(
+                dt=dt, T=T, x0=x0, input=lambda t: np.full(model.n_u, np.sin(t))
+            )
+        return model, cfg, sim.simulate(model, cfg)
+
+    def test_full_trajectory_keeps_every_step(self, run):
+        _, _, full = run
+        assert full.x.shape[0] == full.t.size
+        assert np.array_equal(full.x_steps, np.arange(full.t.size))
+
+    @pytest.mark.parametrize(
+        "times",
+        [(0.0,), (0.3, 0.118, 0.301, 0.1, 0.3), (0.0, 0.305, 0.6 + 1e-13), ()],
+        ids=["start", "unsorted-duplicates", "rounding-and-end", "none"],
+    )
+    def test_sparse_run_matches_full_run(self, run, times):
+        model, cfg, full = run
+        sparse = sim.simulate(model, cfg._replace(snapshot_times=times))
+        for name in ("t", "y", "energy", "supplied"):
+            assert np.array_equal(getattr(sparse, name), getattr(full, name)), name
+        n_steps = full.t.size - 1
+        want = sorted({min(int(round(t / cfg.dt)), n_steps) for t in times})
+        assert sparse.x_steps.tolist() == want
+        assert sparse.x.shape == (len(want), model.n)
+        assert np.array_equal(sparse.x, full.x[want])
+
+    def test_overflow_without_kept_states(self):
+        model = model_1d(6, 0.0)
+        cfg = sim.SimConfig(
+            dt=0.1, T=1.0, x0=np.full(model.n, 1e308), snapshot_times=()
+        )
+        with pytest.raises(
+            NumericalFailureError,
+            match=r"non-finite state at step 1 .*max \|x\| before failure 1\.000e\+308",
+        ):
+            sim.simulate(model, cfg)
+
+    def test_memory_does_not_grow_with_steps(self):
+        """With no kept state the run never holds the (steps + 1) x n
+        history: its traced peak stays below a quarter of it."""
+        model = sim.build_model(wave_config(32)).model
+        m_b = model.n_u - 1
+
+        def u_of_t(t):
+            return np.concatenate([[sim.corner_pulse(t)], np.zeros(m_b)])
+
+        cfg = sim.SimConfig(dt=0.05, T=18.0, input=u_of_t, snapshot_times=())
+        tracemalloc.start()
+        try:
+            traj = sim.simulate(model, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert traj.t.size == 361 and traj.x.shape == (0, model.n)
+        history_bytes = traj.t.size * model.n * 8
+        assert history_bytes > 10e6
+        assert peak <= history_bytes / 4
 
 
 class TestWaveExperiment:
