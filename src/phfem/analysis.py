@@ -1,11 +1,19 @@
 """Spectral analysis of the 1D two-conservation-law family.
 
 Provides the frequencies of a conservative model (`spectrum`: singular
-values of the node coupling certified by `PHModel.node_blocks()`, dense
+values of the node coupling S certified by `PHModel.node_blocks()`, dense
 eig(A) only outside that structure), frequency tables over the flow-map
 parameter alpha and over the effort-map parameter alpha' of a comparison
 scheme, and log-log convergence-order estimation against the closed-form
-frequencies (2k - 1) * pi / 2.
+frequencies (2k - 1) * pi / (2L).
+
+The singular values of S are the positive eigenvalues of the symmetric
+matrix [[0, S], [S^T, 0]].  When reverse Cuthill-McKee orders that matrix
+into a band of half-width b with b^2 <= min(n_p, n_q) (the 1-D mixed
+models), `spectrum` takes them from a banded eigensolver in O(n^2 b)
+work and O(n b) memory; wider bands (the comparison scheme at alpha' != 0,
+2-D meshes) keep a dense SVD of S.  The Bauer-Fike bound of the
+certificate's skew slack holds on both routes (see `spectrum`).
 
 The comparison scheme (`build_golo_1d_model`) keeps both flow maps at the
 identity and instead forms the reduced efforts as convex combinations of the
@@ -23,6 +31,9 @@ from __future__ import annotations
 from typing import Callable, NamedTuple
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.linalg import eigvals_banded
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .errors import (
     InvalidArgumentError,
@@ -45,11 +56,20 @@ TABLE3_ALPHAS = (("-1/12", -1.0 / 12.0), ("0", 0.0), ("1/6", 1.0 / 6.0))
 TABLE4_ALPHA_PRIMES = (("1/12", 1.0 / 12.0), ("0", 0.0), ("-1/6", -1.0 / 6.0))
 
 
-def exact_frequencies(ks) -> np.ndarray:
-    """Closed-form angular frequencies (2k - 1) * pi / 2 of the unit interval
-    with effort clamped at one end per field."""
+def exact_frequencies(ks, L: float = 1.0) -> np.ndarray:
+    """Closed-form angular frequencies (2k - 1) * pi / (2L) of the interval
+    of length L with effort clamped at one end per field."""
     ks = np.asarray(ks, dtype=float)
-    return (2.0 * ks - 1.0) * np.pi / 2.0
+    return (2.0 * ks - 1.0) * np.pi / (2.0 * L)
+
+
+def _mode_indices(ks) -> tuple:
+    """ks as a tuple of mode indices, each an integer >= 1."""
+    ks = tuple(ks)
+    for k in ks:
+        if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
+            raise InvalidArgumentError(f"mode index must be an integer >= 1, got {k!r}")
+    return ks
 
 
 def spectrum(model: PHModel) -> np.ndarray:
@@ -61,13 +81,25 @@ def spectrum(model: PHModel) -> np.ndarray:
     J_q = -J_p^T and Q = diag(Q_p, Q_q) > 0.  Scaling by Q^(1/2) makes
     A = J Q similar to [[0, S], [-S^T, 0]] with S = Q_p^(1/2) J_p Q_q^(1/2),
     whose eigenvalues are +-i sigma_k(S) plus |n_p - n_q| zeros.  So the
-    frequencies are the singular values of the n_p x n_q matrix S, and
-    they lie on the imaginary axis by construction: no purity check is
+    frequencies are the singular values of the sparse n_p x n_q matrix S,
+    and they lie on the imaginary axis by construction: no purity check is
     left to make.  The certificate bounds the entries of E = J_q + J_p^T
-    by SKEW_TOL rather than requiring zero, and the SVD takes J_q as
-    -J_p^T.  As [[0, S], [-S^T, 0]] is normal, Bauer-Fike bounds the
-    eigenvalue shift this causes by ||Q_q^(1/2) E Q_p^(1/2)||_2: at most
-    SKEW_TOL times the largest row or column count of E times max(Q).
+    by SKEW_TOL rather than requiring zero, and S takes J_q as -J_p^T.
+    As [[0, S], [-S^T, 0]] is normal, Bauer-Fike bounds the eigenvalue
+    shift this causes by ||Q_q^(1/2) E Q_p^(1/2)||_2: at most SKEW_TOL
+    times the largest row or column count of E times max(Q).
+
+    The singular values come from one of two routes, chosen from S alone.
+    The symmetric Jordan-Wielandt matrix H = [[0, S], [S^T, 0]] has the
+    eigenvalues +-sigma_k(S) plus |n_p - n_q| zeros (Golub & Kahan, 1965),
+    so its eigenvalues above REAL_PART_TOL are the frequencies.  Reverse
+    Cuthill-McKee on the bipartite graph of H gives a half-bandwidth b;
+    when b^2 <= min(n_p, n_q) (mixed 1-D models, b <= 2, from N = 4 on,
+    and the comparison scheme at alpha' = 0) the banded LAPACK eigensolver
+    takes H in O(n^2 b) work and O(n b) memory.  A wider band (the
+    comparison scheme at alpha' != 0, b up to N - 1; 2-D meshes, b = 31
+    at 6 x 6 and 181 at 24 x 24) makes the band reduction slower than a
+    dense SVD of S, which those models keep.
 
     Any other model (a hand-built or permuted one) gets the dense
     eigenvalues of A.  Those must sit on the imaginary axis: a real part
@@ -78,9 +110,21 @@ def spectrum(model: PHModel) -> np.ndarray:
         J_p, q_p, q_q = model.node_blocks()
     except StructureViolationError:
         return _dense_spectrum(model)
-    S = np.sqrt(q_p)[:, None] * J_p.toarray() * np.sqrt(q_q)[None, :]
+    S = (sp.diags(np.sqrt(q_p)) @ J_p @ sp.diags(np.sqrt(q_q))).tocsr()
+    H = sp.bmat([[None, S], [S.T, None]], format="coo")
+    order = reverse_cuthill_mckee(H.tocsr(), symmetric_mode=True)
+    pos = np.empty_like(order)
+    pos[order] = np.arange(order.size)
+    row, col = pos[H.row], pos[H.col]
+    b = int(np.abs(row - col).max(initial=0))
     try:
-        sigma = np.linalg.svd(S, compute_uv=False)
+        if b * b <= min(S.shape):
+            lower = row > col
+            band = np.zeros((b + 1, order.size))
+            band[row[lower] - col[lower], col[lower]] = H.data[lower]
+            lam = eigvals_banded(band, lower=True, overwrite_a_band=True)
+            return lam[lam > REAL_PART_TOL]
+        sigma = np.linalg.svd(S.toarray(), compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(f"singular value computation failed: {exc}") from exc
     return np.sort(sigma[sigma > REAL_PART_TOL])
@@ -136,6 +180,7 @@ def eig_table(method: str, parameters, Ns, ks=TABLE_KS) -> EigTable:
     }
     if method not in builders:
         raise InvalidArgumentError(f"unknown method {method!r}")
+    ks = _mode_indices(ks)
     columns = {}
     for label, value in parameters:
         for N in Ns:
@@ -143,7 +188,7 @@ def eig_table(method: str, parameters, Ns, ks=TABLE_KS) -> EigTable:
             columns[(method, label, int(N))] = np.array(
                 [freqs[k - 1] if k <= freqs.size else np.nan for k in ks]
             )
-    return EigTable(ks=tuple(ks), exact=exact_frequencies(ks), columns=columns)
+    return EigTable(ks=ks, exact=exact_frequencies(ks), columns=columns)
 
 
 def table3() -> EigTable:
@@ -201,9 +246,13 @@ class ConvergenceStudy(NamedTuple):
 
 def convergence_study(alphas, Ns, ks) -> ConvergenceStudy:
     """Sweep build_1d_model over alphas x Ns and fit convergence orders."""
-    alphas, Ns, ks = tuple(alphas), tuple(int(N) for N in Ns), tuple(ks)
-    if not alphas or not Ns or not ks:
-        raise InvalidArgumentError("alphas, Ns and ks must be nonempty")
+    alphas, Ns, ks = tuple(alphas), tuple(int(N) for N in Ns), _mode_indices(ks)
+    if not alphas or not ks:
+        raise InvalidArgumentError("alphas and ks must be nonempty")
+    if len(set(Ns)) < 2:
+        raise InvalidArgumentError(
+            f"a convergence slope needs at least two distinct N, got {Ns}"
+        )
     if max(ks) > min(Ns):
         raise InvalidArgumentError(
             f"mode k = {max(ks)} unresolved on the coarsest grid N = {min(Ns)}"

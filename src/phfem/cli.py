@@ -248,7 +248,9 @@ def cmd_eigs(args) -> int:
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["k", "omega"] + (["exact"] if with_exact else []))
-        exact = analysis.exact_frequencies(np.arange(1, freqs.size + 1))
+        exact = analysis.exact_frequencies(
+            np.arange(1, freqs.size + 1), model.meta.get("L", 1.0)
+        )
         for i, w in enumerate(freqs):
             row = [str(i + 1), f"{w:.10g}"]
             if with_exact:

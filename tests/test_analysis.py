@@ -1,6 +1,7 @@
 """Spectral analysis: frequency tables, comparison scheme, convergence."""
 
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,10 @@ class TestSpectrum:
     def test_exact_frequencies(self):
         np.testing.assert_allclose(
             an.exact_frequencies([1, 2, 3]), [HALF_PI, 3 * HALF_PI, 5 * HALF_PI]
+        )
+        np.testing.assert_allclose(
+            an.exact_frequencies([1, 2, 3], L=2.0),
+            [HALF_PI / 2, 3 * HALF_PI / 2, 5 * HALF_PI / 2],
         )
 
     @pytest.mark.parametrize("alpha", [0.0, 0.5, -1 / 12])
@@ -88,12 +93,15 @@ class TestCertifiedSpectrum:
          lambda: an.build_1d_model(40, 1 / 6),
          lambda: an.build_golo_1d_model(40, 1 / 12),
          lambda: an.build_golo_1d_model(40, -1 / 6),
-         lambda: model_2d_bottom_inputs(6)],
-        ids=["mixed-1/12", "mixed-0", "mixed+1/6", "golo+1/12", "golo-1/6", "2d-6x6"],
+         lambda: model_2d_bottom_inputs(6),
+         lambda: an.build_1d_model(640, 0.0),
+         lambda: an.build_1d_model(640, 0.5)],
+        ids=["mixed-1/12", "mixed-0", "mixed+1/6", "golo+1/12", "golo-1/6", "2d-6x6",
+             "mixed-0-N640", "mixed+1/2-N640"],
     )
     def test_agrees_with_dense_eigenvalues(self, build):
         model = build()
-        model.node_blocks()  # certified: the SVD path is taken
+        model.node_blocks()  # certified: the banded or the SVD route is taken
         freqs, ref = an.spectrum(model), dense_spectrum(model)
         assert freqs.size == ref.size
         np.testing.assert_allclose(freqs, ref, rtol=1e-12, atol=0)
@@ -111,6 +119,46 @@ class TestCertifiedSpectrum:
         model = model_2d_bottom_inputs(6)
         assert model.n_p != model.n_q
         assert an.spectrum(model).size == min(model.n_p, model.n_q)
+
+    @pytest.mark.parametrize(
+        "build,dense",
+        [(lambda: an.build_1d_model(40, -1 / 12), False),
+         (lambda: an.build_1d_model(40, 0.0), False),
+         (lambda: an.build_1d_model(40, 1 / 6), False),
+         (lambda: an.build_1d_model(40, 0.5), False),
+         (lambda: an.build_golo_1d_model(40, 0.0), False),
+         (lambda: an.build_golo_1d_model(40, 1 / 12), True),
+         (lambda: an.build_golo_1d_model(40, -1 / 6), True),
+         (lambda: model_2d_bottom_inputs(6), True)],
+        ids=["mixed-1/12", "mixed-0", "mixed+1/6", "mixed+1/2", "golo-0", "golo+1/12",
+             "golo-1/6", "2d-6x6"],
+    )
+    def test_dense_svd_only_for_wide_bands(self, build, dense, monkeypatch):
+        """Narrow-band models (mixed 1-D, golo at alpha' = 0) take the banded
+        eigensolver; the others keep the dense SVD of the node coupling."""
+        model = build()
+        calls = []
+        svd = np.linalg.svd
+
+        def spy(a, *args, **kwargs):
+            calls.append(a.shape)
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        an.spectrum(model)
+        assert calls == ([(model.n_p, model.n_q)] if dense else [])
+
+    def test_banded_route_memory(self):
+        """N = 1280 stays far below the 12.5 MB of the dense node coupling."""
+        model = an.build_1d_model(1280, 0.5)
+        tracemalloc.start()
+        try:
+            freqs = an.spectrum(model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert freqs.size == 1280
+        assert peak < 1_000_000
 
     def test_dense_eigenvalues_only_outside_the_structure(self, monkeypatch):
         calls = []
@@ -233,6 +281,11 @@ class TestTables:
         with pytest.raises(InvalidArgumentError):
             an.eig_table("spectral", [("0", 0.0)], [4])
 
+    @pytest.mark.parametrize("ks", [(0, 1), (1, -1), (1.0,), (True,)])
+    def test_mode_index_below_one_or_not_integer_rejected(self, ks):
+        with pytest.raises(InvalidArgumentError):
+            an.eig_table("mixed", [("0", 0.0)], [20], ks=ks)
+
 
 class TestConvergence:
     def test_first_order_at_zero_weight(self):
@@ -255,3 +308,13 @@ class TestConvergence:
     def test_empty_rejected(self):
         with pytest.raises(InvalidArgumentError):
             an.convergence_study([], [20], [1])
+
+    @pytest.mark.parametrize("ks", [(0,), (1, -1), (1.5,)])
+    def test_mode_index_below_one_or_not_integer_rejected(self, ks):
+        with pytest.raises(InvalidArgumentError):
+            an.convergence_study([0.0], [20, 40], ks)
+
+    @pytest.mark.parametrize("Ns", [(20,), (20, 20)])
+    def test_one_distinct_grid_rejected(self, Ns):
+        with pytest.raises(InvalidArgumentError):
+            an.convergence_study([0.0], Ns, [1])

@@ -312,6 +312,19 @@ class TestEigs:
         rows = list(csv.reader((out / "eigs.csv").open()))
         assert len(rows) == 13
 
+    def test_exact_column_uses_interval_length(self, tmp_path):
+        cfg = write_cfg(tmp_path, {"mesh": {"kind": "interval", "N": 80, "L": 2.0},
+                                   "alpha": 0})
+        model_dir = tmp_path / "model"
+        assert cli.main(["build", "--config", str(cfg), "--out", str(model_dir)]) == 0
+        out = tmp_path / "e"
+        assert cli.main(["eigs", str(model_dir), "--out", str(out)]) == 0
+        rows = list(csv.reader((out / "eigs.csv").open()))
+        assert rows[0] == ["k", "omega", "exact"]
+        assert float(rows[1][1]) == pytest.approx(0.7805, abs=5e-4)
+        for k in (1, 2, 80):
+            assert float(rows[k][2]) == pytest.approx((2 * k - 1) * np.pi / 4.0)
+
     def test_from_2d_model_dir(self, tmp_path):
         cfg = write_cfg(tmp_path, {
             "mesh": {"kind": "rect", "N": 5, "M": 4, "h": 1.0},
