@@ -22,13 +22,30 @@ dt times that residual only.
 The model contract is the mixed structure `PHModel.node_blocks`
 certifies, and every model `build_model` builds or `load_model` loads
 meets it: J = [[0, J_p], [J_q, 0]] with J_q = -J_p^T to SKEW_TOL and a
-positive diagonal Q = diag(Q_p, Q_q).  The midpoint system then reduces
-to the symmetric positive definite node system
+positive diagonal Q = diag(Q_p, Q_q).  With h = dt/2 and u = u_mid, the
+midpoint system then reduces to the symmetric positive definite node system
 
-    (Q_p^-1 + (dt/2)^2 J_p Q_q J_p^T) z = r_p + dt/2 J_p Q_q r_q,
+    (Q_p^-1 + h^2 J_p Q_q J_p^T) z = x_p + h B_p u + h J_p Q_q (x_q + h B_q u),
 
-after which x_p = Q_p^-1 z and x_q = r_q - dt/2 J_p^T z.
-`MidpointStepper` factors it once per run and solves it once per step.
+whose solution gives x_mid = [Q_p^-1 z; x_q + h B_q u - h J_p^T z].
+Substituting that x_mid, the increment is
+
+    x_{k+1} - x_k = dt [J_p Q_q x_q + (B_p + h J_p Q_q B_q) u - h J_p Q_q J_p^T z;
+                        B_q u + J_q z].
+
+`MidpointStepper` factors the node system once per run and builds two
+sparse maps once.  They split the increment into its [x_k; u_mid] part s
+and its z part:
+
+    s = dt [J_p Q_q x_q + (B_p + h J_p Q_q B_q) u;  B_q u],
+    x_{k+1} = x_k + s + dt [-h J_p Q_q J_p^T z;  J_q z].
+
+The node system's right-hand side is x_p plus half the p rows of s, so a
+step is one product, one node solve and one product.  Together the maps
+still form the explicit product dt (A x_mid + B u_mid) at the x_mid that
+z defines: the precomputed blocks J_p Q_q J_p^T and J_p Q_q B_q only
+reorder the floating-point operations.  So the energy argument above
+holds up to round-off, as it did when x_mid was formed first.
 
 `simulate` keeps the outputs, the energy and the supplied energy at every
 grid time, but the state only at the steps `SimConfig.snapshot_times`
@@ -281,33 +298,51 @@ class MidpointStepper:
             raise InvalidArgumentError(f"dt must be positive and finite, got {dt}")
         J_p, q_p, q_q = model.node_blocks()
         h = dt / 2.0
-        n_p = model.n_p
+        n_p, n_q, n = model.n_p, model.n_q, model.n
         J_p_Q_q = (J_p @ sp.diags(q_q)).tocsr()
-        J_p_T = J_p.T.tocsr()
+        coupling = (J_p_Q_q @ J_p.T).tocsr()
+        del J_p
+        # Factor before the maps are built, so that they reuse memory the
+        # factorization freed; each block is dropped once copied into a map.
         try:
-            lu = spla.splu(
-                sp.csc_matrix(sp.diags(1.0 / q_p) + (h * h) * (J_p_Q_q @ J_p_T)),
+            self._lu = spla.splu(
+                sp.csc_matrix(sp.diags(1.0 / q_p) + (h * h) * coupling),
                 permc_spec="MMD_AT_PLUS_A",
             )
         except RuntimeError as e:
             raise NumericalFailureError(f"midpoint node system: {e}") from e
-
-        def solve(r: np.ndarray) -> np.ndarray:
-            """x with (I - dt/2 A) x = r."""
-            r_p, r_q = r[:n_p], r[n_p:]
-            z = lu.solve(r_p + h * (J_p_Q_q @ r_q))
-            return np.concatenate([z / q_p, r_q - h * (J_p_T @ z)])
-
-        self.dt = dt
-        self.A = model.A()
-        self.B = model.B
-        self._solve = solve
+        B = model.B.tocsr()
+        B_mid = B[:n_p] + h * (J_p_Q_q @ B[n_p:])
+        # s = dt [J_p Q_q x_q + B_mid u; B_q u] from [x; u]
+        self._from_xu = sp.vstack(
+            [
+                sp.hstack([sp.csr_matrix((n_p, n_p)), J_p_Q_q, B_mid], format="csr"),
+                sp.hstack([sp.csr_matrix((n_q, n)), B[n_p:]], format="csr"),
+            ],
+            format="csr",
+        )
+        del J_p_Q_q, B_mid
+        self._from_xu.data *= dt
+        # dt [-h J_p Q_q J_p^T z; J_q z] from z
+        coupling.data *= -h
+        self._from_z = sp.vstack([coupling, model.J.tocsr()[n_p:, :n_p]], format="csr")
+        del coupling
+        self._from_z.data *= dt
+        self._n_p, self._n, self._n_u = n_p, n, model.n_u
 
     def step(self, x: np.ndarray, u_mid: np.ndarray) -> np.ndarray:
         """x_{k+1} from x_k with the input held at its midpoint value."""
-        Bu = self.B @ u_mid
-        x_mid = self._solve(x + (self.dt / 2.0) * Bu)
-        return x + self.dt * (self.A @ x_mid + Bu)
+        if np.shape(x) != (self._n,) or np.shape(u_mid) != (self._n_u,):
+            raise InvalidArgumentError(
+                f"step takes x of shape ({self._n},) and u_mid of shape "
+                f"({self._n_u},), got {np.shape(x)} and {np.shape(u_mid)}"
+            )
+        n_p = self._n_p
+        s = self._from_xu @ np.concatenate([x, u_mid])
+        z = self._lu.solve(x[:n_p] + 0.5 * s[:n_p])
+        s += self._from_z @ z
+        s += x
+        return s
 
 
 def _require_finite_input(u: np.ndarray, times: np.ndarray) -> None:
@@ -332,38 +367,49 @@ def simulate(model: PHModel, cfg: SimConfig) -> Trajectory:
     before the first step.
 
     Outputs and energies cover every grid time; states only the steps
-    `cfg.snapshot_times` selects (see `SimConfig`).
+    `cfg.snapshot_times` selects (see `SimConfig`).  Each grid time's
+    y = C Q x + D u is one product of [C Q | D] with [x; u], and its
+    H_d = x . (q * x) / 2 with q the diagonal of Q.  A step count whose
+    grid arrays cannot be allocated raises InvalidArgumentError.
     """
     cfg.validate()
-    n_steps = int(round(cfg.T / cfg.dt))
-    if abs(n_steps * cfg.dt - cfg.T) > 1e-9 * max(1.0, cfg.T):
-        n_steps = int(np.ceil(cfg.T / cfg.dt - 1e-12))
+    n_u = model.n_u
+    try:
+        n_steps = int(round(cfg.T / cfg.dt))
+        if abs(n_steps * cfg.dt - cfg.T) > 1e-9 * max(1.0, cfg.T):
+            n_steps = int(np.ceil(cfg.T / cfg.dt - 1e-12))
+        ts = np.arange(n_steps + 1) * cfg.dt
+        if cfg.input is None:
+            u_grid = np.zeros((n_steps + 1, n_u))
+            u_mid = np.zeros((n_steps, n_u))
+        elif callable(cfg.input):
+            t_half = np.empty(2 * n_steps + 1)
+            u_half = np.empty((t_half.size, n_u))
+    except (OverflowError, ValueError, MemoryError) as e:
+        raise InvalidArgumentError(
+            f"dt = {cfg.dt:g} and T = {cfg.T:g} give {cfg.T / cfg.dt:.4g} steps, "
+            f"too many to allocate the time grid ({e})"
+        ) from e
 
-    ts = np.arange(n_steps + 1) * cfg.dt
-    if cfg.input is None:
-        u_grid = np.zeros((n_steps + 1, model.n_u))
-        u_mid = np.zeros((n_steps, model.n_u))
-    elif callable(cfg.input):
+    if callable(cfg.input):
         # grid and midpoint times interleaved, so samples come in time order
-        t_half = np.empty(2 * n_steps + 1)
         t_half[0::2], t_half[1::2] = ts, ts[:-1] + cfg.dt / 2.0
-        u_half = np.empty((t_half.size, model.n_u))
         for i, tk in enumerate(t_half):
             u = np.asarray(cfg.input(tk), dtype=float)
-            if u.shape != (model.n_u,):
+            if u.shape != (n_u,):
                 raise InvalidArgumentError(
                     f"input at t = {tk:.6g} has shape {u.shape}, expected "
-                    f"({model.n_u},) for the model's {model.n_u} ports"
+                    f"({n_u},) for the model's {n_u} ports"
                 )
             u_half[i] = u
         _require_finite_input(u_half, t_half)
         u_grid, u_mid = u_half[0::2], u_half[1::2]
-    else:
+    elif cfg.input is not None:
         u_grid = np.asarray(cfg.input, dtype=float)
-        if u_grid.shape != (n_steps + 1, model.n_u):
+        if u_grid.shape != (n_steps + 1, n_u):
             raise InvalidArgumentError(
                 f"sampled input has shape {u_grid.shape}, expected "
-                f"({n_steps + 1}, {model.n_u}) for this grid"
+                f"({n_steps + 1}, {n_u}) for this grid"
             )
         _require_finite_input(u_grid, ts)
         u_mid = (u_grid[:-1] + u_grid[1:]) / 2.0
@@ -381,30 +427,36 @@ def simulate(model: PHModel, cfg: SimConfig) -> Trajectory:
         x_steps = np.arange(n_steps + 1)
     else:
         x_steps = np.unique(_grid_steps(cfg.snapshot_times, cfg.dt, n_steps))
-    row_of_step = np.full(n_steps + 1, -1)
-    row_of_step[x_steps] = np.arange(x_steps.size)
 
     stepper = MidpointStepper(model, cfg.dt)
-    xs = np.empty((x_steps.size, model.n))
-    ys = np.empty((n_steps + 1, model.n_u))
+    ys = np.empty((n_steps + 1, n_u))
     energy = np.empty(n_steps + 1)
+    row_of_step = np.full(n_steps + 1, -1)
+    row_of_step[x_steps] = np.arange(x_steps.size)
+    xs = np.empty((x_steps.size, model.n))
+    q = model.Q.diagonal()
+    # y = C Q x + D u in one product on [x; u]
+    output = sp.hstack([model.C @ model.Q, model.D], format="csr")
 
     def record(k: int, x: np.ndarray) -> None:
-        ys[k] = model.output(x, u_grid[k])
-        energy[k] = model.hamiltonian(x)
+        ys[k] = output @ np.concatenate([x, u_grid[k]])
+        energy[k] = 0.5 * float(x @ (q * x))
         if row_of_step[k] >= 0:
             xs[row_of_step[k]] = x
 
-    record(0, x)
-    for k in range(n_steps):
-        x_next = stepper.step(x, u_mid[k])
-        if not np.all(np.isfinite(x_next)):
-            raise NumericalFailureError(
-                f"non-finite state at step {k + 1} (t = {ts[k + 1]:.6g}); "
-                f"max |x| before failure {np.abs(x).max():.3e}"
-            )
-        x = x_next
-        record(k + 1, x)
+    # an overflowing state is reported as a NumericalFailureError below,
+    # an overflowing energy as inf, neither as a RuntimeWarning
+    with np.errstate(over="ignore", invalid="ignore"):
+        record(0, x)
+        for k in range(n_steps):
+            x_next = stepper.step(x, u_mid[k])
+            if not np.all(np.isfinite(x_next)):
+                raise NumericalFailureError(
+                    f"non-finite state at step {k + 1} (t = {ts[k + 1]:.6g}); "
+                    f"max |x| before failure {np.abs(x).max():.3e}"
+                )
+            x = x_next
+            record(k + 1, x)
 
     power = np.einsum("ij,ij->i", ys, u_grid)
     supplied = np.concatenate(

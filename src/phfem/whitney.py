@@ -34,7 +34,9 @@ Every entry is a small integer over a fixed denominator (thirds, 24ths,
 halves, sixths), whatever h and the weights.  `verify_structure` uses this
 for its rank table: each matrix is scaled to integers and its rank is
 certified exactly modulo the prime 2^31 - 1 by sparse elimination
-(`rank_mod_p`), with no dense array and no singular-value threshold.
+(`rank_mod_p`), with no dense array and no singular-value threshold.  The
+incidences d_p and d_q are graphs, ranked exactly by their components
+(`incidence_rank`).
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import reverse_cuthill_mckee
+from scipy.sparse.csgraph import connected_components, reverse_cuthill_mckee
 
 from .mesh import (
     BoundaryPartition,
@@ -315,14 +317,49 @@ def rank_mod_p(mat, scale: int) -> int:
     return rank
 
 
+def incidence_rank(mat) -> int:
+    """Exact rank of a grounded graph incidence, or -1 for any other matrix.
+
+    A grounded incidence has entries +-1 and at most two per row, of
+    opposite sign when there are two: columns are vertices, a two-entry
+    row is an edge between its columns and a one-entry row ties its
+    column to ground.  Such a matrix is totally unimodular, and its rank
+    is #columns - #components (of the column graph) with no one-entry
+    row, found by `connected_components` in O(nnz).  d_q is one, and so
+    is d_p^T: an edge bounds at most two faces, with opposite signs.
+    """
+    a = sp.csr_matrix(mat, dtype=float, copy=True)
+    a.sum_duplicates()
+    a.eliminate_zeros()
+    per_row = np.diff(a.indptr)
+    first = a.indptr[:-1]
+    pairs = first[per_row == 2]
+    if (
+        np.any(np.abs(a.data) != 1)
+        or np.any(per_row > 2)
+        or np.any(a.data[pairs] != -a.data[pairs + 1])
+    ):
+        return -1
+    n = a.shape[1]
+    graph = sp.csr_matrix(
+        (np.ones(pairs.size), (a.indices[pairs], a.indices[pairs + 1])),
+        shape=(n, n),
+    )
+    n_components, label = connected_components(graph, directed=False)
+    grounded = np.unique(label[a.indices[first[per_row == 1]]]).size
+    return n - (n_components - grounded)
+
+
 def verify_structure(
     mesh: SimplexMesh, g: GalerkinMatrices, inc: IncidencePair
 ) -> StructureReport:
     """Check the factorization identities and the rank table.
 
     The rank table runs on 2D grids with at most 3000 nodes and
-    min(N, M) > 2 (N, M read from mesh.grid_shape).  Each rank is an
-    exact certificate (`rank_mod_p`): the matrix is scaled by its known
+    min(N, M) > 2 (N, M read from mesh.grid_shape).  The incidences are
+    ranked by `incidence_rank`, exact for a grounded graph incidence and
+    -1 for any other matrix.  Every other rank is an exact certificate
+    (`rank_mod_p`): the matrix is scaled by its known
     denominator, must be integral there, and is reduced mod
     RANK_PRIME by sparse elimination; nothing is densified and no
     singular-value threshold is involved.  It is at least as strict as a
@@ -360,18 +397,18 @@ def verify_structure(
 
     # name: (matrix, scale, expected rank).  The entries do not depend on
     # h or the weights: M_p holds thirds, M_q 24ths, L_p halves and K + L
-    # sixths; the incidences are integer already.
+    # sixths.  The incidences are ranked as graphs (`incidence_rank`).
     table = {
         "M_p": (g.M_p, 3, n_nodes - 2),
         "M_q": (g.M_q, 24, 2 * (n_nodes - 2)),
         "L_p": (g.L_p, 2, 2 * (N + M) - 1),
         "K_p+L_p": (kl_p, 6, n_nodes - 2),
         "K_q+L_q": (kl_q, 6, n_nodes - 1),
-        "d_p": (inc.d_p, 1, g.M_p.shape[1]),
-        "d_q": (inc.d_q, 1, n_nodes - 1),
     }
     ranks = {
         name: (rank_mod_p(mat, scale), want)
         for name, (mat, scale, want) in table.items()
     }
+    ranks["d_p"] = (incidence_rank(inc.d_p.T), g.M_p.shape[1])
+    ranks["d_q"] = (incidence_rank(inc.d_q), n_nodes - 1)
     return StructureReport(residuals, ranks)

@@ -253,6 +253,21 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert "finite" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("dt", ["1e-300", "1e-12"])
+    def test_ungridable_step_exits_2(self, tmp_path, capsys, dt):
+        """Too many steps to allocate: exit 2 naming dt, T and the count."""
+        model_dir = tmp_path / "model"
+        cfg = write_cfg(tmp_path, INTERVAL)
+        assert cli.main(["build", "--config", str(cfg), "--out", str(model_dir)]) == 0
+        capsys.readouterr()
+        assert cli.main(
+            ["simulate", str(model_dir), "--dt", dt, "--t-end", "1",
+             "--out", str(tmp_path / "r")]
+        ) == 2
+        err = capsys.readouterr().err
+        assert f"dt = {float(dt):g} and T = 1 give" in err and "steps" in err
+        assert "Traceback" not in err
+
     def test_malformed_model_manifest_exits_2(self, tmp_path, capsys):
         model_dir = tmp_path / "model"
         cfg = write_cfg(tmp_path, INTERVAL)

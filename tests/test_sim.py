@@ -124,6 +124,37 @@ class TestStepMidpoint:
         with pytest.raises(InvalidArgumentError):
             sim.MidpointStepper(model, 0.0)
 
+    def test_step_shapes_checked(self):
+        """A state one entry too long with an input one entry short has the
+        right total length; the step still refuses it."""
+        model = model_1d(4, 0.0)
+        stepper = sim.MidpointStepper(model, 0.01)
+        expected = rf"x of shape \({model.n},\) and u_mid of shape \(2,\)"
+        for x, u in (
+            (np.zeros(model.n + 1), np.zeros(1)),
+            (np.zeros(model.n), np.zeros(3)),
+            (np.zeros((model.n, 1)), np.zeros(2)),
+            (np.zeros(model.n), np.zeros((2, 1))),
+        ):
+            with pytest.raises(InvalidArgumentError, match=expected):
+                stepper.step(x, u)
+
+    def test_setup_memory(self):
+        """Set-up peaks at about 3.3 times the storage of J (the factored
+        system's blocks, then the two maps): the bound is four times it.
+        Building the maps from scaled copies of every block peaked at
+        about seven."""
+        model = sim.build_model(wave_config(48)).model
+        J = model.J
+        j_bytes = J.data.nbytes + J.indices.nbytes + J.indptr.nbytes
+        tracemalloc.start()
+        try:
+            sim.MidpointStepper(model, 0.05)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * j_bytes
+
 
 class TestStepperRoutes:
     """The node-system step against a plain LU of the full stepping matrix,
@@ -283,6 +314,16 @@ class TestSimulate:
                 model, sim.SimConfig(dt=0.1, T=1.0, x0=np.full(model.n, 1e308))
             )
 
+    @pytest.mark.parametrize("dt", [1e-300, 1e-12])
+    def test_too_many_steps_rejected(self, dt):
+        """A grid that cannot be allocated is an argument error naming dt,
+        T and the step count (both sizes fail before allocating)."""
+        model = model_1d(4, 0.0)
+        with pytest.raises(
+            InvalidArgumentError, match=rf"dt = {dt:g} and T = 1 give .* steps"
+        ):
+            sim.simulate(model, sim.SimConfig(dt=dt, T=1.0))
+
     def test_config_validation(self):
         model = model_1d(4, 0.0)
         with pytest.raises(InvalidArgumentError):
@@ -330,6 +371,50 @@ class TestSimulate:
 
         with pytest.raises(InvalidArgumentError, match=r"t = 0.35\).*-inf on port 1"):
             sim.simulate(model, sim.SimConfig(dt=0.1, T=1.0, input=spike))
+
+
+class TestRecordedOutputs:
+    """Outputs and energies from the stacked output map, on models with a
+    feedthrough D != 0, against `PHModel.output` and `PHModel.hamiltonian`."""
+
+    @pytest.fixture(
+        params=[
+            {"mesh": {"kind": "interval", "N": 40}, "method": "golo",
+             "alpha_prime": 1 / 12},
+            wave_config(6, {"p_sides": ["bottom"], "q_edges": "rest"}, "set2"),
+        ],
+        ids=["golo", "2d-bottom-input"],
+    )
+    def model(self, request):
+        model = sim.build_model(request.param).model
+        assert model.D.count_nonzero()
+        return model
+
+    def test_match_model_methods(self, model):
+        dt, steps = 0.01, 60
+        rng = np.random.default_rng(9)
+        u = rng.standard_normal((steps + 1, model.n_u))
+        x0 = rng.standard_normal(model.n)
+        traj = sim.simulate(
+            model, sim.SimConfig(dt=dt, T=dt * steps, input=u, x0=x0)
+        )
+        for k in traj.x_steps:
+            x = traj.x[k]
+            y = model.output(x, u[k])
+            assert np.abs(traj.y[k] - y).max() <= 1e-13 * np.abs(y).max()
+            H = model.hamiltonian(x)
+            assert abs(traj.energy[k] - H) <= 1e-13 * H
+
+    def test_zero_input_same_as_no_input(self, model):
+        dt, steps = 0.01, 40
+        x0 = np.random.default_rng(3).standard_normal(model.n)
+        cfg = sim.SimConfig(dt=dt, T=dt * steps, x0=x0)
+        free = sim.simulate(model, cfg)
+        zero = sim.simulate(
+            model, cfg._replace(input=np.zeros((steps + 1, model.n_u)))
+        )
+        assert np.array_equal(free.y, zero.y)
+        assert np.array_equal(free.energy, zero.energy)
 
 
 class TestSnapshots:

@@ -295,6 +295,53 @@ def test_rank_mod_p_can_only_fall_short():
     assert wh.rank_mod_p(sp.csr_matrix((3, 4)), 1) == 0
 
 
+@st.composite
+def grounded_incidences(draw):
+    """A grounded graph incidence: two-entry rows are edges (+-1, opposite
+    signs), one-entry rows tie a column to ground, empty rows are allowed."""
+    n = draw(st.integers(1, 8))
+    row = st.tuples(
+        st.integers(0, n - 1),
+        st.integers(0, n - 1),
+        st.sampled_from([1, -1]),
+        st.sampled_from(["edge", "ground", "empty"]),
+    )
+    rows = draw(st.lists(row, max_size=12))
+    a = np.zeros((len(rows), n))
+    for r, (i, j, sign, kind) in enumerate(rows):
+        if kind == "ground" or (kind == "edge" and i == j):
+            a[r, i] = sign
+        elif kind == "edge":
+            a[r, i], a[r, j] = sign, -sign
+    return a
+
+
+@settings(max_examples=100, deadline=None)
+@given(grounded_incidences())
+def test_incidence_rank_equals_dense_oracle(a):
+    assert wh.incidence_rank(sp.csr_matrix(a)) == np.linalg.matrix_rank(a)
+
+
+@pytest.mark.parametrize(
+    "row",
+    [[1, 1, 0], [1, -1, 1], [2, 0, 0], [0.5, -0.5, 0], [1, -2, 0]],
+    ids=["same-signs", "three-entries", "entry-2", "half-entries", "unequal-pair"],
+)
+def test_incidence_rank_rejects_other_matrices(row):
+    a = sp.csr_matrix(np.array([[1.0, -1.0, 0.0], [0.0, 1.0, -1.0], row]))
+    assert wh.incidence_rank(a) == -1
+
+
+def test_incidence_rank_of_mesh_incidences():
+    """d_q ranks as a connected graph, d_p^T as faces all grounded through
+    the boundary edges; d_p itself (three entries a row) is refused."""
+    m = msh.build_rect_mesh(5, 4, 1.0)
+    inc = msh.incidence(m)
+    assert wh.incidence_rank(inc.d_q) == inc.d_q.shape[1] - 1
+    assert wh.incidence_rank(inc.d_p.T) == inc.d_p.shape[0]
+    assert wh.incidence_rank(inc.d_p) == -1
+
+
 def test_rank_table_24x24_bottom_side():
     m, g, inc = built(24, 24, {"p_sides": ["bottom"]})
     ranks = wh.verify_structure(m, g, inc).ranks
