@@ -1,11 +1,10 @@
 """Spectral analysis of the 1D two-conservation-law family.
 
 Provides the frequencies of a conservative model (`spectrum`: singular
-values of the node coupling S certified by `PHModel.node_blocks()`, dense
-eig(A) only outside that structure), frequency tables over the flow-map
-parameter alpha and over the effort-map parameter alpha' of a comparison
-scheme, and log-log convergence-order estimation against the closed-form
-frequencies (2k - 1) * pi / (2L).
+values of the node coupling S certified by `PHModel.node_blocks()`),
+frequency tables over the flow-map parameter alpha and over the effort-map
+parameter alpha' of a comparison scheme, and log-log convergence-order
+estimation against the closed-form frequencies (2k - 1) * pi / (2L).
 
 The singular values of S are the positive eigenvalues of the symmetric
 matrix [[0, S], [S^T, 0]].  When reverse Cuthill-McKee orders that matrix
@@ -35,15 +34,11 @@ import scipy.sparse as sp
 from scipy.linalg import eigvals_banded
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
-from .errors import (
-    InvalidArgumentError,
-    NumericalFailureError,
-    StructureViolationError,
-)
+from .errors import InvalidArgumentError, NumericalFailureError
 from .sim import build_model
 from .statespace import PHModel
 
-#: bound on |Re(lambda)| for a model to count as conservative
+#: smallest frequency reported; lower singular values count as zero modes
 REAL_PART_TOL = 1e-9
 
 #: mode indices printed in the reference frequency tables
@@ -101,15 +96,10 @@ def spectrum(model: PHModel) -> np.ndarray:
     at 6 x 6 and 181 at 24 x 24) makes the band reduction slower than a
     dense SVD of S, which those models keep.
 
-    Any other model (a hand-built or permuted one) gets the dense
-    eigenvalues of A.  Those must sit on the imaginary axis: a real part
-    beyond REAL_PART_TOL means the model is not conservative and is
-    reported as a structure violation.
+    Any other model (a hand-built or permuted one) has no certified
+    frequencies: the StructureViolationError of `node_blocks` propagates.
     """
-    try:
-        J_p, q_p, q_q = model.node_blocks()
-    except StructureViolationError:
-        return _dense_spectrum(model)
+    J_p, q_p, q_q = model.node_blocks()
     S = (sp.diags(np.sqrt(q_p)) @ J_p @ sp.diags(np.sqrt(q_q))).tocsr()
     H = sp.bmat([[None, S], [S.T, None]], format="coo")
     order = reverse_cuthill_mckee(H.tocsr(), symmetric_mode=True)
@@ -128,20 +118,6 @@ def spectrum(model: PHModel) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(f"singular value computation failed: {exc}") from exc
     return np.sort(sigma[sigma > REAL_PART_TOL])
-
-
-def _dense_spectrum(model: PHModel) -> np.ndarray:
-    """`spectrum` of a model outside the mixed structure, from eig(A)."""
-    try:
-        lam = np.linalg.eigvals(model.A().toarray())
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailureError(f"eigenvalue computation failed: {exc}") from exc
-    worst = float(np.abs(lam.real).max()) if lam.size else 0.0
-    if worst > REAL_PART_TOL:
-        raise StructureViolationError(
-            f"spectrum strays off the imaginary axis: max |Re| = {worst:.3e}"
-        )
-    return np.sort(lam.imag[lam.imag > REAL_PART_TOL])
 
 
 def build_1d_model(N: int, alpha: float, L: float = 1.0) -> PHModel:

@@ -16,6 +16,8 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
+import numbers
 import os
 import pathlib
 import sys
@@ -87,7 +89,7 @@ def _build_from_config(cfg: dict):
     from .sim import build_model
 
     built = build_model(cfg)
-    g = whitney.assemble(built.mesh, built.partition)
+    g = whitney.assemble(built.mesh)
     report = whitney.verify_structure(built.mesh, g, built.inc)
     residuals = {**report.residuals, **built.residuals}
     checks = {"residuals": residuals, "ranks": report.ranks}
@@ -239,6 +241,12 @@ def cmd_eigs(args) -> int:
         model = analysis.build_1d_model(args.n, alpha)
         config = {"method": "mixed", "alpha": alpha, "n": args.n}
 
+    L = model.meta.get("L", 1.0)
+    is_number = isinstance(L, numbers.Real) and not isinstance(L, bool)
+    if not (is_number and math.isfinite(L) and L > 0):
+        raise InvalidArgumentError(
+            f"model length L must be a positive finite number, got {L!r}"
+        )
     freqs = analysis.spectrum(model)
     with_exact = model.meta.get("method") in ("mixed", "golo")
 
@@ -248,9 +256,7 @@ def cmd_eigs(args) -> int:
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["k", "omega"] + (["exact"] if with_exact else []))
-        exact = analysis.exact_frequencies(
-            np.arange(1, freqs.size + 1), model.meta.get("L", 1.0)
-        )
+        exact = analysis.exact_frequencies(np.arange(1, freqs.size + 1), L)
         for i, w in enumerate(freqs):
             row = [str(i + 1), f"{w:.10g}"]
             if with_exact:

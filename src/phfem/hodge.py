@@ -40,14 +40,10 @@ class HodgePair(NamedTuple):
     def as_block(self) -> sp.csr_matrix:
         return sp.block_diag([self.Q_p, self.Q_q], format="csr")
 
-    @property
-    def diagonal(self) -> np.ndarray:
-        return np.concatenate([self.Q_p.diagonal(), self.Q_q.diagonal()])
-
 
 def hodge_2d(mesh: SimplexMesh, maps: MapSet) -> HodgePair:
     """Consistent diagonal Hodge pair for a uniform square grid, from the
-    cell size mesh.h and the map set's P_fp, transverse part parts.perp and
+    cell size mesh.h and the map set's P_fp, transverse part perp of P_fq and
     effort edges q_efforts (the mesh edge behind each P_fq row, which tells
     diagonal from horizontal/vertical edges)."""
     if mesh.dim != 2:
@@ -63,7 +59,7 @@ def hodge_2d(mesh: SimplexMesh, maps: MapSet) -> HodgePair:
         )
     Q_p = sp.diags(2.0 / (h * h * p_weights), format="csr")
 
-    abs_sums = np.asarray(abs(maps.parts.perp).sum(axis=1)).ravel()
+    abs_sums = np.asarray(abs(maps.perp).sum(axis=1)).ravel()
     if np.any(abs_sums <= WEIGHT_FLOOR):
         bad = int(np.argmin(abs_sums))
         raise SingularHodgeError(
@@ -81,8 +77,8 @@ def hodge_1d(N: int, alpha: float, h: float) -> HodgePair:
     the p-inflow end of Q_q, 1 elsewhere, all scaled by 1/h."""
     if N < 1:
         raise InvalidArgumentError(f"need N >= 1, got {N}")
-    if h <= 0:
-        raise InvalidArgumentError(f"mesh size h must be positive, got {h}")
+    if not (np.isfinite(h) and h > 0):
+        raise InvalidArgumentError(f"mesh size h must be positive and finite, got {h}")
     if not np.isfinite(alpha):
         raise InvalidArgumentError(f"alpha must be finite, got {alpha}")
     if alpha >= 1:
@@ -100,7 +96,7 @@ def hodge_golo_1d(N: int, h: float) -> HodgePair:
     """Identity-per-length Hodge pair used with effort-averaged 1D models."""
     if N < 1:
         raise InvalidArgumentError(f"need N >= 1, got {N}")
-    if h <= 0:
-        raise InvalidArgumentError(f"mesh size h must be positive, got {h}")
+    if not (np.isfinite(h) and h > 0):
+        raise InvalidArgumentError(f"mesh size h must be positive and finite, got {h}")
     eye = sp.identity(N, format="csr") / h
     return HodgePair(eye, eye.copy())

@@ -126,22 +126,6 @@ def weights_from_config(obj) -> TriangleWeights:
     return triangle_weights(*values)
 
 
-class PfqParts(NamedTuple):
-    """Decomposition of the q flow map plus its defining residuals.
-
-    residual_map  -- max-abs defect of the flow-map equation on effort-node
-                     columns (must vanish; checked against RESIDUAL_TOL)
-    residual_full -- same defect over all node columns (diagnostic; nonzero
-                     entries can only sit in p-causal input columns)
-    """
-
-    perp: sp.csr_matrix
-    parallel: sp.csr_matrix
-    rot: sp.csr_matrix
-    residual_map: float
-    residual_full: float
-
-
 class MapSet(NamedTuple):
     """Complete set of reduction maps for one mesh + causality + weights.
 
@@ -152,8 +136,9 @@ class MapSet(NamedTuple):
       P_eq (N~_q x M_q), P_ep (N~_p x M_p)     -- effort selectors
       P_fp (N~_p x N_p), P_fq (N~_q x N_q)     -- flow maps
       S_p (M_b x M_p), S_q_hat (M_b_hat x M_q) -- boundary outputs
-      P_fq = perp + parallel + rot             -- stencil decomposition (2D;
-                                                  parts is None in 1D)
+      perp (N~_q x N_q)                        -- transverse part of P_fq,
+                                                  read by the 2D Hodge (None
+                                                  in 1D)
 
     q_inputs/p_inputs and q_efforts/p_efforts record which mesh entities the
     rows refer to (edges/nodes in 2D; nodes for inputs and efforts in 1D).
@@ -167,7 +152,7 @@ class MapSet(NamedTuple):
     P_fq: sp.csr_matrix
     S_p: sp.csr_matrix
     S_q_hat: sp.csr_matrix
-    parts: PfqParts | None
+    perp: sp.csr_matrix | None
     q_inputs: np.ndarray
     p_inputs: np.ndarray
     q_efforts: np.ndarray
@@ -322,9 +307,7 @@ def build_2d_maps(
     ])
     P_fq = (perp + par + rot).tocsr()
 
-    defect = P_fq @ d_q - P_eq @ G
-    residual_full = float(np.abs(defect.data).max()) if defect.nnz else 0.0
-    masked = defect @ P_ep.T
+    masked = (P_fq @ d_q - P_eq @ G) @ P_ep.T
     residual_map = float(np.abs(masked.data).max()) if masked.nnz else 0.0
     if residual_map > RESIDUAL_TOL:
         raise InternalConsistencyError(
@@ -341,7 +324,7 @@ def build_2d_maps(
         P_fq=P_fq,
         S_p=S_p,
         S_q_hat=S_q_hat,
-        parts=PfqParts(perp, par, rot, residual_map, residual_full),
+        perp=perp,
         q_inputs=q_in,
         p_inputs=p_in,
         q_efforts=q_eff,
@@ -403,7 +386,7 @@ def build_1d_maps(N: int, alpha: float) -> MapSet:
         P_fq=P_fq,
         S_p=S_p,
         S_q_hat=S_q_hat,
-        parts=None,
+        perp=None,
         q_inputs=np.array([0]),
         p_inputs=np.array([N]),
         q_efforts=np.arange(N),
@@ -454,7 +437,7 @@ def build_golo_1d_maps(N: int, alpha_prime: float) -> MapSet:
         P_fq=eye,
         S_p=S_p,
         S_q_hat=S_q_hat,
-        parts=None,
+        perp=None,
         q_inputs=np.array([0]),
         p_inputs=np.array([N]),
         q_efforts=np.arange(N),

@@ -75,7 +75,6 @@ from .errors import (
 )
 from .hodge import hodge_1d, hodge_2d, hodge_golo_1d
 from .mesh import (
-    BoundaryPartition,
     IncidencePair,
     SimplexMesh,
     build_interval_mesh,
@@ -103,7 +102,6 @@ class BuiltModel(NamedTuple):
 
     model: PHModel
     mesh: SimplexMesh
-    partition: BoundaryPartition
     inc: IncidencePair
     maps: MapSet
     residuals: dict
@@ -207,7 +205,7 @@ def build_model(config: dict) -> BuiltModel:
             f"state-space model violates power balance: residual {balance:.3e}"
         )
     residuals = {"power_preservation": preservation, "power_balance": balance}
-    return BuiltModel(model, mesh, part, inc, maps, residuals)
+    return BuiltModel(model, mesh, inc, maps, residuals)
 
 
 class SimConfig(NamedTuple):
@@ -494,8 +492,14 @@ def wave2d_experiment(
     Snapshots are full nodal grids of the reconstructed effort field e~_p
     ((N+1) x (N+1), row-major in y), with the input value filling the
     driven corner.  The run keeps only the snapshot states; each snapshot
-    time reads the row of its grid step (see `SimConfig`).
+    time reads the row of its grid step (see `SimConfig`).  Of the built
+    pipeline only the model and the effort and input node lists are kept
+    through the run.
     """
+    if isinstance(N, bool) or not isinstance(N, numbers.Integral) or N < 1:
+        raise InvalidArgumentError(
+            f"grid size N must be a positive integer, got {N!r}"
+        )
     h = 20.0 / N
     built = build_model(
         {
@@ -504,18 +508,19 @@ def wave2d_experiment(
             "weights": weights,
         }
     )
-    model, mesh, maps = built.model, built.mesh, built.maps
+    model = built.model
+    m_b = built.maps.T_q.shape[0]
+    p_efforts, p_inputs = built.maps.p_efforts, built.maps.p_inputs
     meta = {
         "experiment": "wave2d",
-        "mesh": mesh_summary(mesh),
+        "mesh": mesh_summary(built.mesh),
         "h": h,
         "dt": dt,
         "T": T,
         "weights": model.meta["weights"],
         "reference": "circle with radius 14 at t = 18",
     }
-
-    m_b = maps.T_q.shape[0]
+    del built
 
     def u_of_t(t: float) -> np.ndarray:
         u = np.zeros(1 + m_b)
@@ -532,8 +537,8 @@ def wave2d_experiment(
     for t_snap, row in zip(snap_set, rows):
         e_p = Q_p @ traj.x[row, : model.n_p]
         grid = np.empty((N + 1) ** 2)
-        grid[maps.p_efforts] = e_p
-        grid[maps.p_inputs] = corner_pulse(traj.t[traj.x_steps[row]])
+        grid[p_efforts] = e_p
+        grid[p_inputs] = corner_pulse(traj.t[traj.x_steps[row]])
         snapshots[t_snap] = grid.reshape(N + 1, N + 1)
     return WaveResult(traj, snapshots, model, meta)
 

@@ -1,9 +1,9 @@
-"""Finite-dimensional Dirac structure representations and PH state space.
+"""Explicit port-Hamiltonian state space of the discrete Dirac structure.
 
-Stacking the reduced flow/effort relations gives an image representation
-(E, F) of the discrete Dirac structure with E F^T + F E^T = 0 and F of
-full rank.  Resolving the (signed) permutations between interior efforts
-and boundary inputs turns it into an explicit input-output form
+The reduced flow/effort relations of the power-preserving maps define the
+discrete Dirac structure.  Resolving the (signed) permutations between
+interior efforts and boundary inputs (`assemble_model`) turns it into an
+explicit input-output form
 
     d/dt [p~; q~] = J Q x + B u,      y = B^T Q x + D u,
 
@@ -37,66 +37,6 @@ from .power_maps import MapSet
 SKEW_TOL = 1e-12
 
 
-class ImageRep(NamedTuple):
-    """Image representation of the discrete Dirac structure.
-
-    Row blocks of E: reduced flows (p then q), then boundary outputs
-    (p-type then q-type); column blocks: all node efforts, all edge
-    efforts.  F holds the matching effort selections.
-    """
-
-    E: sp.csr_matrix
-    F: sp.csr_matrix
-
-    def residual(self) -> float:
-        S = self.E @ self.F.T + self.F @ self.E.T
-        S = sp.csr_matrix(S)
-        return float(np.abs(S.data).max()) if S.nnz else 0.0
-
-
-def image_rep(maps: MapSet, inc: IncidencePair) -> ImageRep:
-    d_p = inc.d_p.astype(float)
-    d_q = inc.d_q.astype(float)
-    sgn = (-1.0) ** maps.r
-    n_p, n_q = maps.P_fp.shape[0], maps.P_fq.shape[0]
-    m_hat, m_b = maps.T_p_hat.shape[0], maps.T_q.shape[0]
-    M_p, M_q = maps.P_ep.shape[1], maps.P_eq.shape[1]
-
-    E = sp.bmat(
-        [
-            [None, sgn * (maps.P_fp @ d_p)],
-            [maps.P_fq @ d_q, None],
-            [sp.csr_matrix((m_hat, M_p)), maps.S_q_hat],
-            [maps.S_p, sp.csr_matrix((m_b, M_q))],
-        ],
-        format="csr",
-    )
-    F = sp.bmat(
-        [
-            [maps.P_ep, None],
-            [None, maps.P_eq],
-            [maps.T_p_hat, sp.csr_matrix((m_hat, M_q))],
-            [sp.csr_matrix((m_b, M_p)), maps.T_q],
-        ],
-        format="csr",
-    )
-    assert E.shape == F.shape == (n_p + n_q + m_hat + m_b, M_p + M_q)
-    return ImageRep(E, F)
-
-
-class IORep(NamedTuple):
-    """Explicit (sparse) blocks of the resolved Dirac structure."""
-
-    J_p: sp.csr_matrix
-    B_p: sp.csr_matrix
-    C_q: sp.csr_matrix
-    D_q: sp.csr_matrix
-    J_q: sp.csr_matrix
-    B_q: sp.csr_matrix
-    C_p: sp.csr_matrix
-    D_p: sp.csr_matrix
-
-
 def _resolve(stack: sp.csr_matrix, Pi: sp.csr_matrix) -> sp.csr_matrix:
     """Right-multiply by Pi^{-1}.
 
@@ -114,34 +54,6 @@ def _resolve(stack: sp.csr_matrix, Pi: sp.csr_matrix) -> sp.csr_matrix:
         return X
     lu = spla.splu(sp.csc_matrix(Pi.T))
     return sp.csr_matrix(lu.solve(stack.toarray().T).T)
-
-
-def io_rep(maps: MapSet, inc: IncidencePair) -> IORep:
-    d_p = inc.d_p.astype(float)
-    d_q = inc.d_q.astype(float)
-    sgn = (-1.0) ** maps.r
-    n_p, n_q = maps.P_fp.shape[0], maps.P_fq.shape[0]
-
-    Pi_q = sp.vstack([maps.P_eq, maps.T_q]).tocsr()
-    Pi_p = sp.vstack([maps.P_ep, maps.T_p_hat]).tocsr()
-    if Pi_q.shape[0] != Pi_q.shape[1] or Pi_p.shape[0] != Pi_p.shape[1]:
-        raise InvalidArgumentError(
-            "effort selectors and input traces do not tile the effort spaces"
-        )
-
-    X_q = _resolve(sp.vstack([sgn * (maps.P_fp @ d_p), maps.S_q_hat]).tocsr(), Pi_q)
-    X_p = _resolve(sp.vstack([maps.P_fq @ d_q, maps.S_p]).tocsr(), Pi_p)
-
-    return IORep(
-        J_p=-X_q[:n_p, :n_q],
-        B_p=-X_q[:n_p, n_q:],
-        C_q=X_q[n_p:, :n_q],
-        D_q=X_q[n_p:, n_q:],
-        J_q=-X_p[:n_q, :n_p],
-        B_q=-X_p[:n_q, n_p:],
-        C_p=X_p[n_q:, :n_p],
-        D_p=X_p[n_q:, n_p:],
-    )
 
 
 class PHModel(NamedTuple):
@@ -173,13 +85,6 @@ class PHModel(NamedTuple):
     def A(self) -> sp.csr_matrix:
         return (self.J @ self.Q).tocsr()
 
-    def hamiltonian(self, x: np.ndarray) -> float:
-        x = np.asarray(x, dtype=float)
-        return 0.5 * float(x @ (self.Q @ x))
-
-    def output(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        return self.C @ (self.Q @ x) + self.D @ u
-
     def node_blocks(self) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
         """Certificate of the mixed structure: (J_p, diag Q_p, diag Q_q)
         when J = [[0, J_p], [J_q, 0]] with exactly zero diagonal blocks and
@@ -210,35 +115,38 @@ def assemble_model(
 ) -> PHModel:
     """Combine structure (maps) and metric (Hodge pair) into a PH model.
 
-    The power balance of the result is checked by the callers that build
-    (`sim.build_model`) or load (`load_model`) a model, each once.
+    The flow and output rows of each law are right-multiplied by the
+    inverse of its stacked effort map [P_e; T] (`_resolve`), which gives
+    the blocks of J, B, C and D in one product per law.  The power balance
+    of the result is checked by the callers that build (`sim.build_model`)
+    or load (`load_model`) a model, each once.
     """
-    rep = io_rep(maps, inc)
-    n_p, n_q = rep.J_p.shape[0], rep.J_q.shape[0]
-    m_hat, m = rep.B_q.shape[1], rep.B_p.shape[1]
+    n_p, n_q = maps.P_fp.shape[0], maps.P_fq.shape[0]
+    Pi_q = sp.vstack([maps.P_eq, maps.T_q]).tocsr()
+    Pi_p = sp.vstack([maps.P_ep, maps.T_p_hat]).tocsr()
+    if Pi_q.shape[0] != Pi_q.shape[1] or Pi_p.shape[0] != Pi_p.shape[1]:
+        raise InvalidArgumentError(
+            "effort selectors and input traces do not tile the effort spaces"
+        )
+    # rows of X_q: p flows, then p-type outputs; columns: q efforts, then
+    # q-type inputs.  X_p mirrors this with p and q swapped.
+    sgn = (-1.0) ** maps.r
+    X_q = _resolve(
+        sp.vstack([sgn * (maps.P_fp @ inc.d_p.astype(float)), maps.S_q_hat]).tocsr(),
+        Pi_q,
+    )
+    X_p = _resolve(
+        sp.vstack([maps.P_fq @ inc.d_q.astype(float), maps.S_p]).tocsr(), Pi_p
+    )
 
-    J = sp.bmat([[None, rep.J_p], [rep.J_q, None]], format="csr")
-    B = sp.bmat(
-        [
-            [sp.csr_matrix((n_p, m_hat)), rep.B_p],
-            [rep.B_q, sp.csr_matrix((n_q, m))],
-        ],
-        format="csr",
-    )
-    C = sp.bmat(
-        [
-            [sp.csr_matrix((m_hat, n_p)), rep.C_q],
-            [rep.C_p, sp.csr_matrix((m, n_q))],
-        ],
-        format="csr",
-    )
-    D = sp.bmat(
-        [
-            [sp.csr_matrix((m_hat, m_hat)), rep.D_q],
-            [rep.D_p, sp.csr_matrix((m, m))],
-        ],
-        format="csr",
-    )
+    def off_diagonal(upper, lower):
+        return sp.bmat([[None, upper], [lower, None]], format="csr")
+
+    J = off_diagonal(-X_q[:n_p, :n_q], -X_p[:n_q, :n_p])
+    B = off_diagonal(-X_q[:n_p, n_q:], -X_p[:n_q, n_p:])
+    C = off_diagonal(X_q[n_p:, :n_q], X_p[n_q:, :n_p])
+    D = off_diagonal(X_q[n_p:, n_q:], X_p[n_q:, n_p:])
+    m_hat, m = X_p.shape[1] - n_p, X_q.shape[1] - n_q
     if hodge.Q_p.shape[0] != n_p or hodge.Q_q.shape[0] != n_q:
         raise InvalidArgumentError(
             f"Hodge blocks ({hodge.Q_p.shape[0]}, {hodge.Q_q.shape[0]}) do not "
@@ -306,6 +214,13 @@ def load_model(indir) -> PHModel:
             f"manifest parse error in {mf} at line {exc.lineno}, "
             f"column {exc.colno}: {exc.msg}"
         ) from None
+    if not isinstance(manifest, dict):
+        raise InvalidArgumentError(
+            f"{mf} must hold a JSON object, not a {type(manifest).__name__}"
+        )
+    meta = manifest.get("meta", {})
+    if not isinstance(meta, dict):
+        raise InvalidArgumentError(f"{mf}: meta must be an object, got {meta!r}")
     dims = {key: manifest.get(key) for key in ("n_p", "n_q", "m_hat", "m")}
     for key, v in dims.items():
         if isinstance(v, bool) or not isinstance(v, int) or v < 0:
@@ -353,7 +268,7 @@ def load_model(indir) -> PHModel:
                 f"model matrix {path} has entry ({mat.row[i]}, {mat.col[i]}) {why}"
             )
         mats[name] = mat.tocsr()
-    model = PHModel(**mats, **dims, meta=manifest.get("meta", {}))
+    model = PHModel(**mats, **dims, meta=meta)
     resid = power_balance_residual(model)
     if not resid <= SKEW_TOL:
         raise StructureViolationError(

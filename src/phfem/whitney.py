@@ -47,13 +47,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components, reverse_cuthill_mckee
 
-from .mesh import (
-    BoundaryPartition,
-    IncidencePair,
-    SimplexMesh,
-    boundary_edges,
-    q_input_edges,
-)
+from .mesh import IncidencePair, SimplexMesh, boundary_edges
 
 
 class GalerkinMatrices(NamedTuple):
@@ -62,8 +56,6 @@ class GalerkinMatrices(NamedTuple):
     M_p -- phi^p x psi^p mass pairing (nodes x faces in 2D, nodes x edges 1D)
     M_q -- phi^q x psi^q mass pairing (edges x edges in 2D; skew)
     K_p, K_q -- exterior-derivative pairings (signs as in module docstring)
-    L_q_segments -- one boundary pairing per q-type segment
-    L_p_hat_segments -- one boundary pairing per p-type segment
     L_p, L_q -- boundary pairings over the full boundary, L_p == L_q^T
     """
 
@@ -71,8 +63,6 @@ class GalerkinMatrices(NamedTuple):
     M_q: sp.csr_matrix
     K_p: sp.csr_matrix
     K_q: sp.csr_matrix
-    L_q_segments: tuple
-    L_p_hat_segments: tuple
     L_p: sp.csr_matrix
     L_q: sp.csr_matrix
 
@@ -82,11 +72,11 @@ class GalerkinMatrices(NamedTuple):
 _SIGMA = np.array([[0, 1, -1], [-1, 0, 1], [1, -1, 0]], dtype=np.int64)
 
 
-def assemble(mesh: SimplexMesh, partition: BoundaryPartition) -> GalerkinMatrices:
-    """Assemble all Galerkin pairings for the given mesh and causality split."""
+def assemble(mesh: SimplexMesh) -> GalerkinMatrices:
+    """Assemble all Galerkin pairings for the given mesh."""
     if mesh.dim == 1:
-        return _assemble_1d(mesh, partition)
-    return _assemble_2d(mesh, partition)
+        return _assemble_1d(mesh)
+    return _assemble_2d(mesh)
 
 
 def _triples(rows, cols, vals, shape):
@@ -97,7 +87,7 @@ def _triples(rows, cols, vals, shape):
     return sp.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=shape)
 
 
-def _assemble_2d(mesh, partition):
+def _assemble_2d(mesh):
     n_nodes = mesh.node_coords.shape[0]
     n_edges = mesh.edges.shape[0]
     n_faces = mesh.faces.shape[0]
@@ -144,27 +134,16 @@ def _assemble_2d(mesh, partition):
         mesh.faces.ravel(), weights=mesh.face_signs.ravel(), minlength=n_edges
     )
 
-    def edge_pairing(edge_list):
-        e = np.asarray(edge_list, dtype=np.int64)
-        vals = np.repeat(orientation[e] / 2.0, 2)
-        return sp.csr_matrix(
-            (vals, (mesh.edges[e].ravel(), np.repeat(e, 2))), shape=(n_nodes, n_edges)
-        )
-
-    all_bedges = boundary_edges(mesh)
-    pairing_full = edge_pairing(all_bedges)
-
-    q_edges = set(q_input_edges(partition).tolist())
-    hat_edges = [e for e in all_bedges.tolist() if e not in q_edges]
-
-    L_q_segments = tuple(edge_pairing(seg).T.tocsr() for seg in partition.q_segments)
-    L_p_hat_segments = (edge_pairing(hat_edges),) if hat_edges else tuple()
-    L_p = pairing_full.tocsr()
-    L_q = pairing_full.T.tocsr()
-    return GalerkinMatrices(M_p, M_q, K_p, K_q, L_q_segments, L_p_hat_segments, L_p, L_q)
+    bedges = boundary_edges(mesh)
+    vals = np.repeat(orientation[bedges] / 2.0, 2)
+    L_p = sp.csr_matrix(
+        (vals, (mesh.edges[bedges].ravel(), np.repeat(bedges, 2))),
+        shape=(n_nodes, n_edges),
+    )
+    return GalerkinMatrices(M_p, M_q, K_p, K_q, L_p, L_p.T.tocsr())
 
 
-def _assemble_1d(mesh, partition):
+def _assemble_1d(mesh):
     N = mesh.grid_shape[0]
     n_nodes, n_edges = N + 1, N
     # sign factors at (p, q, r) = (1, 1, 2): K carries +1, L carries -1
@@ -188,23 +167,11 @@ def _assemble_1d(mesh, partition):
         shape=(n_nodes, n_nodes),
     )
 
-    # boundary pairing: signed point evaluation (+ at x=L, - at x=0)
-    def point_pairing(node_list):
-        nd = np.asarray(node_list, dtype=np.int64)
-        vals = np.where(nd == N, 1.0, -1.0)
-        return sp.csr_matrix((vals, (nd, nd)), shape=(n_nodes, n_nodes))
-
-    L_full = -point_pairing([0, N])
-    L_q_segments = tuple(
-        (-point_pairing(seg)).T.tocsr() for seg in partition.q_segments
-    )
-    L_p_hat_segments = tuple(-point_pairing(seg) for seg in partition.p_segments)
+    # boundary pairing: minus the signed point evaluation (+ at x=L, - at x=0)
+    L = sp.csr_matrix(([1.0, -1.0], ([0, N], [0, N])), shape=(n_nodes,) * 2)
     # in 1D both efforts are nodal, so the q-law pairings coincide with the
     # p-law ones entry for entry
-    return GalerkinMatrices(
-        M, M.copy(), K, K.copy(), L_q_segments, L_p_hat_segments,
-        L_full.tocsr(), L_full.T.tocsr(),
-    )
+    return GalerkinMatrices(M, M.copy(), K, K.copy(), L, L.T.tocsr())
 
 
 # ---------------------------------------------------------------------------

@@ -3,14 +3,17 @@
 Everything in this file is deliberately built by a different route than the
 library: numerical quadrature instead of closed-form integrals, physical
 finite-volume indexing instead of algebraic map composition, dense matrix
-exponentials instead of implicit stepping, and a least-squares flow-map
-solve instead of constructive stencils.
+exponentials instead of implicit stepping, a least-squares flow-map
+solve instead of constructive stencils, the image representation (E, F) of
+the Dirac structure instead of its resolved input-output form, and the
+textbook energy and output formulas instead of the recorded series.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sp
 
 # ---------------------------------------------------------------------------
 # symmetric triangle quadrature, degree 4 (6 points)
@@ -328,3 +331,61 @@ def range_projector(d_q: np.ndarray) -> np.ndarray:
     that influences products with d_q)."""
     d_q = np.asarray(d_q, dtype=float)
     return d_q @ np.linalg.pinv(d_q)
+
+
+# ---------------------------------------------------------------------------
+# image representation of the discrete Dirac structure
+
+
+def image_rep(maps, inc) -> tuple:
+    """(E, F) with E F^T + F E^T = 0 and F of full rank.
+
+    Row blocks of E: reduced flows (p then q), then boundary outputs
+    (p-type then q-type); column blocks: all node efforts, all edge
+    efforts.  F holds the matching effort selections.
+    """
+    d_p = inc.d_p.astype(float)
+    d_q = inc.d_q.astype(float)
+    sgn = (-1.0) ** maps.r
+    m_hat, m_b = maps.T_p_hat.shape[0], maps.T_q.shape[0]
+    M_p, M_q = maps.P_ep.shape[1], maps.P_eq.shape[1]
+    E = sp.bmat(
+        [
+            [None, sgn * (maps.P_fp @ d_p)],
+            [maps.P_fq @ d_q, None],
+            [sp.csr_matrix((m_hat, M_p)), maps.S_q_hat],
+            [maps.S_p, sp.csr_matrix((m_b, M_q))],
+        ],
+        format="csr",
+    )
+    F = sp.bmat(
+        [
+            [maps.P_ep, None],
+            [None, maps.P_eq],
+            [maps.T_p_hat, sp.csr_matrix((m_hat, M_q))],
+            [sp.csr_matrix((m_b, M_p)), maps.T_q],
+        ],
+        format="csr",
+    )
+    return E, F
+
+
+def dirac_residual(E, F) -> float:
+    """Max-abs entry of E F^T + F E^T."""
+    S = sp.csr_matrix(E @ F.T + F @ E.T)
+    return float(np.abs(S.data).max()) if S.nnz else 0.0
+
+
+# ---------------------------------------------------------------------------
+# energy and output of a PH model
+
+
+def hamiltonian(model, x) -> float:
+    """H_d = x^T Q x / 2."""
+    x = np.asarray(x, dtype=float)
+    return 0.5 * float(x @ (model.Q @ x))
+
+
+def output(model, x, u) -> np.ndarray:
+    """y = C Q x + D u."""
+    return model.C @ (model.Q @ x) + model.D @ u

@@ -29,7 +29,7 @@ import pytest
 import scipy.sparse as sp
 
 import test_power_maps as printed
-from oracles import expm_trajectory
+from oracles import dirac_residual, expm_trajectory, image_rep
 from phfem import analysis, cli, sim, statespace, whitney
 from phfem import hodge as hg
 from phfem import mesh as msh
@@ -280,7 +280,7 @@ class TestStructureBattery:
                     cases += 1
                     tag = f"{N}x{M} {preset} {causality}"
                     part = msh.partition_boundary(mesh, causality)
-                    g = whitney.assemble(mesh, part)
+                    g = whitney.assemble(mesh)
                     report = whitney.verify_structure(mesh, g, inc)
                     fold(tag, report.residuals)
                     if report.ranks is not None:
@@ -292,9 +292,9 @@ class TestStructureBattery:
                         ]
                     maps = pm.build_2d_maps(mesh, part, w, inc)
                     fold(tag, {"power_preservation": pm.power_residual(maps, inc)})
-                    rep = statespace.image_rep(maps, inc)
-                    fold(tag, {"image_rep": rep.residual()})
-                    F = rep.F.toarray()
+                    E, F = image_rep(maps, inc)
+                    fold(tag, {"image_rep": dirac_residual(E, F)})
+                    F = F.toarray()
                     if np.linalg.matrix_rank(F) != F.shape[0]:
                         f_rank_deficit.append(tag)
                     hodge = hg.hodge_2d(mesh, maps)
@@ -304,8 +304,7 @@ class TestStructureBattery:
         for N in cls.NS_1D:
             mesh = msh.build_interval_mesh(N, 1.0)
             inc = msh.incidence(mesh)
-            part = msh.partition_boundary(mesh, None)
-            g = whitney.assemble(mesh, part)
+            g = whitney.assemble(mesh)
             report = whitney.verify_structure(mesh, g, inc)
             fold(f"1d N={N}", report.residuals)
             for alpha in cls.ALPHAS_1D:
@@ -313,9 +312,9 @@ class TestStructureBattery:
                 tag = f"1d N={N} alpha={alpha}"
                 maps = pm.build_1d_maps(N, alpha)
                 fold(tag, {"power_preservation": pm.power_residual(maps, inc)})
-                rep = statespace.image_rep(maps, inc)
-                fold(tag, {"image_rep": rep.residual()})
-                F = rep.F.toarray()
+                E, F = image_rep(maps, inc)
+                fold(tag, {"image_rep": dirac_residual(E, F)})
+                F = F.toarray()
                 if np.linalg.matrix_rank(F) != F.shape[0]:
                     f_rank_deficit.append(tag)
                 model = statespace.assemble_model(

@@ -39,6 +39,9 @@ class TestSpectrum:
         assert abs(an.spectrum(an.build_1d_model(80, 1 / 6))[1] - 4.6910) <= 5e-4
 
     def test_permutation_invariance(self):
+        """Permuting the states keeps the power balance and the dense
+        eigenvalues, but leaves the certified structure: `spectrum` raises
+        instead of returning them."""
         model = an.build_1d_model(16, 1 / 6)
         ref = an.spectrum(model)
         rng = np.random.default_rng(11)
@@ -53,7 +56,9 @@ class TestSpectrum:
             C=(model.C @ P.T).tocsr(),
         )
         assert power_balance_residual(permuted) <= 1e-12
-        np.testing.assert_allclose(an.spectrum(permuted), ref, atol=1e-12)
+        np.testing.assert_allclose(dense_spectrum(permuted), ref, atol=1e-12)
+        with pytest.raises(StructureViolationError, match="mixed structure"):
+            an.spectrum(permuted)
 
     @pytest.mark.parametrize("alpha", [np.nan, -np.inf])
     def test_nonfinite_alpha_rejected(self, alpha):
@@ -160,7 +165,8 @@ class TestCertifiedSpectrum:
         assert freqs.size == 1280
         assert peak < 1_000_000
 
-    def test_dense_eigenvalues_only_outside_the_structure(self, monkeypatch):
+    def test_dense_eigenvalues_never_computed(self, monkeypatch):
+        """Neither a certified model nor a rejected one reaches eig(A)."""
         calls = []
         eigvals = np.linalg.eigvals
 
@@ -175,9 +181,9 @@ class TestCertifiedSpectrum:
         assert calls == []
         model = an.build_1d_model(8, 0.0)
         leak = sp.identity(model.n, format="csr") * 1e-6
-        with pytest.raises(StructureViolationError):
+        with pytest.raises(StructureViolationError, match="nonzero diagonal block"):
             an.spectrum(model._replace(J=(model.J + leak).tocsr()))
-        assert calls == [(model.n, model.n)]
+        assert calls == []
 
 
 class TestComparisonScheme:

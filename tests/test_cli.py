@@ -279,6 +279,19 @@ class TestSimulate:
         ) == 2
         assert "line 1, column 2" in capsys.readouterr().err
 
+    def test_non_object_manifest_exits_2(self, tmp_path, capsys):
+        model_dir = tmp_path / "model"
+        cfg = write_cfg(tmp_path, INTERVAL)
+        assert cli.main(["build", "--config", str(cfg), "--out", str(model_dir)]) == 0
+        (model_dir / "manifest.json").write_text("[]")
+        capsys.readouterr()
+        assert cli.main(
+            ["simulate", str(model_dir), "--dt", "0.01", "--t-end", "1.0",
+             "--out", str(tmp_path / "r")]
+        ) == 2
+        err = capsys.readouterr().err
+        assert "must hold a JSON object" in err and "Traceback" not in err
+
     def test_missing_model_dir(self, tmp_path):
         assert cli.main(
             ["simulate", str(tmp_path / "ghost"), "--dt", "0.1", "--t-end", "1.0",
@@ -339,6 +352,29 @@ class TestEigs:
         assert float(rows[1][1]) == pytest.approx(0.7805, abs=5e-4)
         for k in (1, 2, 80):
             assert float(rows[k][2]) == pytest.approx((2 * k - 1) * np.pi / 4.0)
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda mf: [], "must hold a JSON object"),
+            (lambda mf: {**mf, "meta": []}, "meta must be an object"),
+            (lambda mf: {**mf, "meta": {**mf["meta"], "L": "2"}}, "positive finite"),
+            (lambda mf: {**mf, "meta": {**mf["meta"], "L": 0}}, "positive finite"),
+            (lambda mf: {**mf, "meta": {**mf["meta"], "L": float("nan")}},
+             "positive finite"),
+        ],
+        ids=["manifest-array", "meta-array", "L-string", "L-zero", "L-nan"],
+    )
+    def test_malformed_manifest_exits_2(self, tmp_path, capsys, edit, message):
+        cfg = write_cfg(tmp_path, INTERVAL)
+        model_dir = tmp_path / "model"
+        assert cli.main(["build", "--config", str(cfg), "--out", str(model_dir)]) == 0
+        mf = model_dir / "manifest.json"
+        mf.write_text(json.dumps(edit(json.loads(mf.read_text()))))
+        capsys.readouterr()
+        assert cli.main(["eigs", str(model_dir), "--out", str(tmp_path / "e")]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
 
     def test_from_2d_model_dir(self, tmp_path):
         cfg = write_cfg(tmp_path, {

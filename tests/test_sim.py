@@ -99,11 +99,11 @@ class TestStepMidpoint:
         model = model_1d(10, alpha)
         rng = np.random.default_rng(3)
         x = rng.standard_normal(model.n)
-        h0 = model.hamiltonian(x)
+        h0 = oracles.hamiltonian(model, x)
         stepper = sim.MidpointStepper(model, 0.02)
         for _ in range(50):
             x = stepper.step(x, np.zeros(2))
-        assert abs(model.hamiltonian(x) - h0) <= 1e-12 * h0 + 1e-14
+        assert abs(oracles.hamiltonian(model, x) - h0) <= 1e-12 * h0 + 1e-14
 
     def test_exact_step_balance(self):
         """Energy change per step equals dt * u_mid^T y_mid identically."""
@@ -115,8 +115,8 @@ class TestStepMidpoint:
             dt = 0.015
             x_next = sim.MidpointStepper(model, dt).step(x, u_mid)
             x_mid = (x + x_next) / 2.0
-            y_mid = model.output(x_mid, u_mid)
-            dH = model.hamiltonian(x_next) - model.hamiltonian(x)
+            y_mid = oracles.output(model, x_mid, u_mid)
+            dH = oracles.hamiltonian(model, x_next) - oracles.hamiltonian(model, x)
             assert abs(dH - dt * (u_mid @ y_mid)) <= 1e-12
 
     def test_invalid_dt(self):
@@ -375,7 +375,7 @@ class TestSimulate:
 
 class TestRecordedOutputs:
     """Outputs and energies from the stacked output map, on models with a
-    feedthrough D != 0, against `PHModel.output` and `PHModel.hamiltonian`."""
+    feedthrough D != 0, against `oracles.output` and `oracles.hamiltonian`."""
 
     @pytest.fixture(
         params=[
@@ -400,9 +400,9 @@ class TestRecordedOutputs:
         )
         for k in traj.x_steps:
             x = traj.x[k]
-            y = model.output(x, u[k])
+            y = oracles.output(model, x, u[k])
             assert np.abs(traj.y[k] - y).max() <= 1e-13 * np.abs(y).max()
-            H = model.hamiltonian(x)
+            H = oracles.hamiltonian(model, x)
             assert abs(traj.energy[k] - H) <= 1e-13 * H
 
     def test_zero_input_same_as_no_input(self, model):
@@ -525,6 +525,11 @@ class TestWaveExperiment:
             sim.wave2d_experiment(8, weights="set9")
         with pytest.raises(InvalidArgumentError):
             sim.wave2d_experiment(8.5)
+
+    @pytest.mark.parametrize("N", [0, -4, True])
+    def test_grid_size_not_positive_integer_rejected(self, N):
+        with pytest.raises(InvalidArgumentError, match="positive integer"):
+            sim.wave2d_experiment(N)
 
     def test_front_radius_helper(self):
         grid = np.zeros((41, 41))

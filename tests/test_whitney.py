@@ -53,7 +53,7 @@ def oracle_assemble_2d(m):
 @pytest.mark.parametrize("N,M,h", [(1, 1, 1.0), (2, 1, 1.0), (3, 2, 0.7), (2, 3, 1.3)])
 def test_assembly_matches_quadrature_oracle(N, M, h):
     m = msh.build_rect_mesh(N, M, h)
-    g = wh.assemble(m, msh.partition_boundary(m, None))
+    g = wh.assemble(m)
     Mp, Mq, Kp, Kq = oracle_assemble_2d(m)
     assert np.abs(g.M_p.toarray() - Mp).max() < 1e-13
     assert np.abs(g.M_q.toarray() - Mq).max() < 1e-13
@@ -64,7 +64,7 @@ def test_assembly_matches_quadrature_oracle(N, M, h):
 @pytest.mark.parametrize("N,M", [(1, 1), (2, 1), (3, 3), (4, 3), (6, 6)])
 def test_assembly_bitwise_equals_face_loop(N, M):
     m = msh.build_rect_mesh(N, M, 1.0)
-    g = wh.assemble(m, msh.partition_boundary(m, None))
+    g = wh.assemble(m)
     for name, ref in zip(("M_p", "M_q", "K_p", "K_q"), loop_assemble_2d(m)):
         got = getattr(g, name)
         for arr in ("data", "indices", "indptr"):
@@ -75,7 +75,7 @@ def test_boundary_pairing_matches_trace_quadrature():
     # evaluate int hat_i * tr w_e over each boundary edge from the adjacent
     # triangle, traversed in the CCW-induced direction
     m = msh.build_rect_mesh(2, 2, 0.8)
-    g = wh.assemble(m, msh.partition_boundary(m, None))
+    g = wh.assemble(m)
     fverts = m.face_nodes
     L_oracle = np.zeros(g.L_p.shape)
     for e in msh.boundary_edges(m).tolist():
@@ -117,7 +117,7 @@ def test_frozen_reference_values():
     assert quad_wedge_node_dedge(tri, 0, (0, 1)) == pytest.approx(1 / 3, abs=1e-13)
 
     m = msh.build_rect_mesh(1, 1, 1.0)
-    g = wh.assemble(m, msh.partition_boundary(m, None))
+    g = wh.assemble(m)
     # nonzero mass entries are all 1/3; columns sum to 1
     Mp = g.M_p.toarray()
     assert np.allclose(Mp[Mp != 0], 1 / 3)
@@ -145,7 +145,7 @@ def test_frozen_reference_values():
 def test_structure_battery_2d(N, M):
     m = msh.build_rect_mesh(N, M, 0.5)
     inc = msh.incidence(m)
-    g = wh.assemble(m, msh.partition_boundary(m, None))
+    g = wh.assemble(m)
     rep = wh.verify_structure(m, g, inc)
     assert max(rep.residuals.values()) <= 1e-12
     if N > 2 and M > 2:
@@ -161,7 +161,7 @@ def test_structure_battery_2d(N, M):
 @pytest.mark.parametrize("N", [2, 3, 5, 8, 13, 21, 34, 55, 80])
 def test_structure_battery_1d(N):
     m = msh.build_interval_mesh(N, 1.0)
-    g = wh.assemble(m, msh.partition_boundary(m, None))
+    g = wh.assemble(m)
     rep = wh.verify_structure(m, g, msh.incidence(m))
     assert max(rep.residuals.values()) <= 1e-12
 
@@ -173,43 +173,11 @@ def test_h_independence():
         lambda h: msh.build_interval_mesh(7, 7 * h),
     ):
         m1, m2 = build(0.25), build(2.0)
-        g1 = wh.assemble(m1, msh.partition_boundary(m1, None))
-        g2 = wh.assemble(m2, msh.partition_boundary(m2, None))
+        g1 = wh.assemble(m1)
+        g2 = wh.assemble(m2)
         for name in ("M_p", "M_q", "K_p", "K_q", "L_p", "L_q"):
             diff = (getattr(g1, name) - getattr(g2, name)).toarray()
             assert np.abs(diff).max() == 0.0, name
-
-
-def test_boundary_pairings_localized_to_segments():
-    m = msh.build_rect_mesh(3, 2, 1.0)
-    part = msh.partition_boundary(
-        m, {"q_segments": [msh.boundary_side_edges(m, "bottom").tolist(),
-                           msh.boundary_side_edges(m, "top").tolist()]}
-    )
-    g = wh.assemble(m, part)
-    assert len(g.L_q_segments) == 2
-    for seg_edges, L in zip(part.q_segments, g.L_q_segments):
-        coo = L.tocoo()
-        for j, i, v in zip(coo.row, coo.col, coo.data):
-            assert j in seg_edges              # row: an edge of this segment
-            assert i in m.edges[j]             # col: one of its endpoints
-            assert abs(abs(v) - 0.5) < 1e-15
-    # segment pairings tile the q part of the full pairing
-    q_edges = set(msh.q_input_edges(part).tolist())
-    total = sum(L for L in g.L_q_segments).toarray()
-    full = g.L_q.toarray()
-    for e in q_edges:
-        assert np.allclose(total[e], full[e])
-
-
-def test_lphat_segment_for_covered_edge():
-    m = msh.build_rect_mesh(2, 1, 1.0)
-    part = msh.partition_boundary(m, {"p_nodes": [0, 1]})
-    g = wh.assemble(m, part)
-    assert len(g.L_p_hat_segments) == 1
-    Lhat = g.L_p_hat_segments[0].toarray()
-    # only edge 0 (between the two p-causal nodes) is paired
-    assert np.nonzero(np.abs(Lhat).sum(axis=0))[0].tolist() == [0]
 
 
 def test_eval_whitney_support():
@@ -239,27 +207,15 @@ def test_eval_whitney_support():
 # ---------------------------------------------------------------------------
 # exact rank certificate (np.linalg.matrix_rank is the oracle)
 
-ACCEPTANCE_CAUSALITIES = [
-    {"q_edges": "all"},
-    {"p_nodes": [0, 1], "q_edges": "rest"},
-    {"p_sides": ["bottom", "left"], "q_edges": "rest"},
-]
-
-
-def built(N, M, causality):
+def built(N, M):
     m = msh.build_rect_mesh(N, M, 1.0)
-    inc = msh.incidence(m)
-    return m, wh.assemble(m, msh.partition_boundary(m, causality)), inc
+    return m, wh.assemble(m), msh.incidence(m)
 
 
 @settings(max_examples=20, deadline=None)
-@given(
-    N=st.integers(3, 9),
-    M=st.integers(3, 9),
-    causality=st.sampled_from(ACCEPTANCE_CAUSALITIES),
-)
-def test_rank_table_equals_dense_oracle(N, M, causality):
-    m, g, inc = built(N, M, causality)
+@given(N=st.integers(3, 9), M=st.integers(3, 9))
+def test_rank_table_equals_dense_oracle(N, M):
+    m, g, inc = built(N, M)
     ranks = wh.verify_structure(m, g, inc).ranks
     matrices = {
         "M_p": g.M_p, "M_q": g.M_q, "L_p": g.L_p, "K_p+L_p": g.K_p + g.L_p,
@@ -343,7 +299,7 @@ def test_incidence_rank_of_mesh_incidences():
 
 
 def test_rank_table_24x24_bottom_side():
-    m, g, inc = built(24, 24, {"p_sides": ["bottom"]})
+    m, g, inc = built(24, 24)
     ranks = wh.verify_structure(m, g, inc).ranks
     assert ranks == {
         "M_p": (623, 623),
@@ -357,7 +313,7 @@ def test_rank_table_24x24_bottom_side():
 
 
 def test_rank_certificate_sees_mutations():
-    m, g, inc = built(4, 3, {"q_edges": "all"})
+    m, g, inc = built(4, 3)
     n = g.M_q.shape[0]
     u, v = np.zeros(n), np.zeros(n)
     u[[0, 5]], v[[3, 7]] = 1.0, 2.0
@@ -373,7 +329,7 @@ def test_rank_certificate_sees_mutations():
 
 
 def test_rank_table_never_densifies():
-    m, g, inc = built(24, 24, {"p_sides": ["bottom"]})
+    m, g, inc = built(24, 24)
     dense_bytes = 8 * g.M_q.shape[0] ** 2  # one float64 edges x edges array
     tracemalloc.start()
     try:
