@@ -180,6 +180,8 @@ def cmd_simulate(args) -> int:
     from .sim import SimConfig, simulate, write_energy_csv
     from .statespace import load_model
 
+    if args.seed < 0:
+        raise InvalidArgumentError(f"--seed must be non-negative, got {args.seed}")
     model = load_model(args.model_dir)
     if args.x0 == "random":
         x0 = np.random.default_rng(args.seed).standard_normal(model.n)
@@ -210,6 +212,7 @@ def cmd_simulate(args) -> int:
             {
                 "relative_energy_drift": drift,
                 "max_relative_energy_drift": max_drift,
+                "node_solve": traj.node_solve,
             },
         ),
     )

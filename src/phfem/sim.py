@@ -33,9 +33,8 @@ Substituting that x_mid, the increment is
     x_{k+1} - x_k = dt [J_p Q_q x_q + (B_p + h J_p Q_q B_q) u - h J_p Q_q J_p^T z;
                         B_q u + J_q z].
 
-`MidpointStepper` factors the node system once per run and builds two
-sparse maps once.  They split the increment into its [x_k; u_mid] part s
-and its z part:
+`MidpointStepper` builds two sparse maps once per run.  They split the
+increment into its [x_k; u_mid] part s and its z part:
 
     s = dt [J_p Q_q x_q + (B_p + h J_p Q_q B_q) u;  B_q u],
     x_{k+1} = x_k + s + dt [-h J_p Q_q J_p^T z;  J_q z].
@@ -46,6 +45,25 @@ still form the explicit product dt (A x_mid + B u_mid) at the x_mid that
 z defines: the precomputed blocks J_p Q_q J_p^T and J_p Q_q B_q only
 reorder the floating-point operations.  So the energy argument above
 holds up to round-off, as it did when x_mid was formed first.
+
+The node solve works on the node matrix K scaled to unit diagonal,
+K~ = W K W with W = diag(K)^-1/2, and z = W y for K~ y = W rhs.  The
+spectrum of K~ lies in a certified interval [a, b]: a = min_i
+(1/q_p,i) / K_ii, because h^2 J_p Q_q J_p^T is positive semidefinite, and
+b is the largest absolute row sum of K~ (Gershgorin).  With kappa = b/a
+the number k of Chebyshev steps that bring the relative 2-norm error
+under CHEBYSHEV_TOL is known before the first step
+(`chebyshev_iterations`; the Chebyshev semi-iterative method of Golub and
+Varga, Numer. Math. 1961).  The solve is either that fixed-count
+iteration, k - 1 products with K~ and no inner products, or a SuperLU
+factor of K~ (`MMD_AT_PLUS_A` ordering), whichever `_chebyshev_pays`
+estimates to cost less per step: k - 1 products against one solve through
+the estimated fill.  kappa grows with the CFL number and the fill with the
+model, so small dt on large models takes Chebyshev (the stepper then holds
+K~, its nnz, and no factor) and large dt or small models take SuperLU.
+The choice reads only the model and dt.  A Chebyshev step is bitwise
+deterministic, and both routes solve to round-off, so the energy argument
+is the same on either.
 
 `simulate` keeps the outputs, the energy and the supplied energy at every
 grid time, but the state only at the steps `SimConfig.snapshot_times`
@@ -67,6 +85,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .errors import (
     InvalidArgumentError,
@@ -271,7 +290,8 @@ class Trajectory(NamedTuple):
     only the states `SimConfig.snapshot_times` asked for, one row per kept
     grid step in time order; `x_steps` gives the grid step of each row
     (`arange(len(t))` when every state is kept), so row i is the state at
-    `t[x_steps[i]]`.
+    `t[x_steps[i]]`.  `node_solve` is the run's
+    `MidpointStepper.node_solve`.
     """
 
     t: np.ndarray
@@ -280,16 +300,100 @@ class Trajectory(NamedTuple):
     y: np.ndarray
     energy: np.ndarray
     supplied: np.ndarray
+    node_solve: dict
 
     def energy_defect(self) -> np.ndarray:
         """|H_d(t) - H_d(0) - W(t)|: O(dt^2) per unit time."""
         return np.abs(self.energy - self.energy[0] - self.supplied)
 
 
+#: largest certified iteration count for which the node solve can be a
+#: Chebyshev iteration.  On 2-D node systems from N = 64 up the envelope
+#: estimate of `_chebyshev_pays` overstates the SuperLU fill, and the
+#: measured per-step crossover lies between about 13 (N = 64) and 22
+#: (N = 160) iterations (the CFL sweep in CHANGES.md)
+CHEBYSHEV_MAX_ITERATIONS = 14
+
+#: fixed cost of one call, a product with K~ or a SuperLU solve, counted in
+#: stored matrix entries: about 9 us of call overhead at about 1.1 ns per
+#: entry (the CFL sweep in CHANGES.md)
+CALL_OVERHEAD_ENTRIES = 8000
+
+#: relative 2-norm error of the node solve the iteration count certifies
+CHEBYSHEV_TOL = 1e-16
+
+
+def chebyshev_iterations(a: float, b: float) -> int:
+    """The least k >= 1 with 2 rho^k sqrt(kappa) <= CHEBYSHEV_TOL, where
+    kappa = b / a and rho = (sqrt(kappa) - 1) / (sqrt(kappa) + 1).
+
+    For an SPD K with spectrum in [a, b], k Chebyshev steps from y_0 = 0
+    leave an error e_k = p_k(K) y with |p_k| <= 1 / T_k((b + a) / (b - a))
+    <= 2 rho^k on [a, b], so |e_k|_K <= 2 rho^k |y|_K.  Since
+    a |e|_2^2 <= |e|_K^2 and |y|_K^2 <= b |y|_2^2, the 2-norm error is at
+    most 2 rho^k sqrt(kappa) |y|_2.
+    """
+    kappa = b / a
+    rho = (math.sqrt(kappa) - 1.0) / (math.sqrt(kappa) + 1.0)
+    if rho <= 0.0:
+        return 1
+    bound = math.log(CHEBYSHEV_TOL / (2.0 * math.sqrt(kappa))) / math.log(rho)
+    return max(1, math.ceil(bound))
+
+
+def _chebyshev_updates(a: float, b: float, k: int):
+    """1/theta and the k - 1 update coefficients (alpha_j, beta_j) of k
+    Chebyshev steps on [a, b], in the residual form of Saad (Iterative
+    Methods for Sparse Linear Systems, Alg. 12.1): y = d = r / theta, then
+    per update r <- r - K d, d <- alpha_j d + beta_j r, y <- y + d."""
+    theta, delta = (a + b) / 2.0, (b - a) / 2.0
+    updates, rho = [], delta / theta
+    for _ in range(k - 1):
+        rho_next = 1.0 / (2.0 * theta / delta - rho)
+        updates.append((rho_next * rho, 2.0 / (2.0 * theta - delta * rho)))
+        rho = rho_next
+    return 1.0 / theta, updates
+
+
+def _profile_fill(K: sp.csr_matrix) -> int:
+    """Entries of the L + U factors of a symmetric K factored without
+    pivoting in reverse Cuthill-McKee order: the envelope of each triangle
+    plus the diagonal twice.  Every row of K must hold its diagonal."""
+    order = reverse_cuthill_mckee(K, symmetric_mode=True)
+    pos = np.empty_like(order)
+    pos[order] = np.arange(order.size, dtype=order.dtype)
+    first = np.minimum.reduceat(pos[K.indices], K.indptr[:-1])
+    return 2 * int(np.sum(pos - first, dtype=np.int64)) + 2 * K.shape[0]
+
+
+def _chebyshev_pays(K: sp.csr_matrix, k: int) -> bool:
+    """Whether k Chebyshev steps on the scaled node matrix K cost less per
+    step than one SuperLU solve.
+
+    The steps make k - 1 products, each reading nnz(K) entries.  The solve
+    reads the L + U factors, estimated by `_profile_fill`: the
+    minimum-degree ordering SuperLU takes filled no more on any model of
+    the CFL sweep.  Every call adds CALL_OVERHEAD_ENTRIES.  Past
+    CHEBYSHEV_MAX_ITERATIONS the estimate is not trusted and SuperLU is
+    taken.
+    """
+    if k == 1:
+        return True
+    if k > CHEBYSHEV_MAX_ITERATIONS:
+        return False
+    cost = (k - 1) * (K.nnz + CALL_OVERHEAD_ENTRIES)
+    return cost <= _profile_fill(K) + CALL_OVERHEAD_ENTRIES
+
+
 class MidpointStepper:
-    """Implicit midpoint steps of one model at one step size dt, with the
-    node system factored once (see the module docstring).  Raises
-    StructureViolationError for a model outside the mixed structure."""
+    """Implicit midpoint steps of one model at one step size dt (see the
+    module docstring).  Raises StructureViolationError for a model outside
+    the mixed structure.
+
+    `node_solve` records the route of the node solve ("chebyshev" or
+    "superlu"), its certified Chebyshev iteration count and the certified
+    spectral interval [a, b] of the scaled node system.
+    """
 
     def __init__(self, model: PHModel, dt: float):
         if not (math.isfinite(dt) and dt > 0):
@@ -300,15 +404,6 @@ class MidpointStepper:
         J_p_Q_q = (J_p @ sp.diags(q_q)).tocsr()
         coupling = (J_p_Q_q @ J_p.T).tocsr()
         del J_p
-        # Factor before the maps are built, so that they reuse memory the
-        # factorization freed; each block is dropped once copied into a map.
-        try:
-            self._lu = spla.splu(
-                sp.csc_matrix(sp.diags(1.0 / q_p) + (h * h) * coupling),
-                permc_spec="MMD_AT_PLUS_A",
-            )
-        except RuntimeError as e:
-            raise NumericalFailureError(f"midpoint node system: {e}") from e
         B = model.B.tocsr()
         B_mid = B[:n_p] + h * (J_p_Q_q @ B[n_p:])
         # s = dt [J_p Q_q x_q + B_mid u; B_q u] from [x; u]
@@ -324,9 +419,46 @@ class MidpointStepper:
         # dt [-h J_p Q_q J_p^T z; J_q z] from z
         coupling.data *= -h
         self._from_z = sp.vstack([coupling, model.J.tocsr()[n_p:, :n_p]], format="csr")
-        del coupling
         self._from_z.data *= dt
+        # K = Q_p^-1 + h^2 J_p Q_q J_p^T in the memory of the coupling, then
+        # K~ = W K W with W = diag(K)^-1/2; the step solves K~ y = W rhs
+        # and takes z = W y
+        K = coupling
+        K.data *= -h
+        K.setdiag(K.diagonal() + 1.0 / q_p)
+        d = K.diagonal()
+        self._w = 1.0 / np.sqrt(d)
+        K.data *= np.repeat(self._w, np.diff(K.indptr))
+        K.data *= self._w[K.indices]
+        # spectrum of K~: above the scaled Q_p^-1 (the coupling is PSD),
+        # below the largest Gershgorin row sum; [1, 1] when n_p = 0
+        a = float(np.min((1.0 / q_p) / d, initial=1.0))
+        b = float(np.add.reduceat(np.abs(K.data), K.indptr[:-1]).max(initial=1.0))
+        k = chebyshev_iterations(a, b)
+        if _chebyshev_pays(K, k):
+            self._K = K
+            self._inv_theta, self._updates = _chebyshev_updates(a, b, k)
+            self._solve, route = self._chebyshev, "chebyshev"
+        else:
+            try:
+                lu = spla.splu(sp.csc_matrix(K), permc_spec="MMD_AT_PLUS_A")
+            except RuntimeError as e:
+                raise NumericalFailureError(f"midpoint node system: {e}") from e
+            self._solve, route = lu.solve, "superlu"
+        self.node_solve = {"route": route, "iterations": k, "interval": [a, b]}
         self._n_p, self._n, self._n_u = n_p, n, model.n_u
+
+    def _chebyshev(self, r: np.ndarray) -> np.ndarray:
+        """y with K~ y = r to CHEBYSHEV_TOL: k Chebyshev steps from y = 0
+        (`_chebyshev_updates`).  r is overwritten by the residual."""
+        y = r * self._inv_theta
+        d, res = y.copy(), r
+        for alpha, beta in self._updates:
+            res -= self._K @ d
+            d *= alpha
+            d += beta * res
+            y += d
+        return y
 
     def step(self, x: np.ndarray, u_mid: np.ndarray) -> np.ndarray:
         """x_{k+1} from x_k with the input held at its midpoint value."""
@@ -337,8 +469,12 @@ class MidpointStepper:
             )
         n_p = self._n_p
         s = self._from_xu @ np.concatenate([x, u_mid])
-        z = self._lu.solve(x[:n_p] + 0.5 * s[:n_p])
-        s += self._from_z @ z
+        r = 0.5 * s[:n_p]
+        r += x[:n_p]
+        r *= self._w
+        y = self._solve(r)
+        y *= self._w
+        s += self._from_z @ y
         s += x
         return s
 
@@ -355,8 +491,8 @@ def _require_finite_input(u: np.ndarray, times: np.ndarray) -> None:
 
 
 def simulate(model: PHModel, cfg: SimConfig) -> Trajectory:
-    """Integrate the model over [0, T]; the factorization of the node
-    system is reused across the whole run.
+    """Integrate the model over [0, T] with one `MidpointStepper`, built
+    once for the whole run.
 
     `cfg.input` is None (zero input), a callable of t returning one value
     per port (sampled at the grid and midpoint times), or an array of
@@ -460,7 +596,7 @@ def simulate(model: PHModel, cfg: SimConfig) -> Trajectory:
     supplied = np.concatenate(
         [[0.0], np.cumsum((power[1:] + power[:-1]) * cfg.dt / 2.0)]
     )
-    return Trajectory(ts, xs, x_steps, ys, energy, supplied)
+    return Trajectory(ts, xs, x_steps, ys, energy, supplied, stepper.node_solve)
 
 
 # ---------------------------------------------------------------------------

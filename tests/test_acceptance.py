@@ -274,14 +274,14 @@ class TestStructureBattery:
             prod = inc.d_p @ inc.d_q
             prod.eliminate_zeros()
             dp_dq_nnz = max(dp_dq_nnz, prod.nnz)
+            # the Galerkin matrices and their checks depend on the mesh alone
+            report = whitney.verify_structure(mesh, whitney.assemble(mesh), inc)
             for preset in cls.PRESETS:
                 w = pm.triangle_weights(*pm.PRESETS[preset])
                 for causality in cls.CAUSALITIES:
                     cases += 1
                     tag = f"{N}x{M} {preset} {causality}"
                     part = msh.partition_boundary(mesh, causality)
-                    g = whitney.assemble(mesh)
-                    report = whitney.verify_structure(mesh, g, inc)
                     fold(tag, report.residuals)
                     if report.ranks is not None:
                         rank_cases += 1

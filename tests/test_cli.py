@@ -242,6 +242,32 @@ class TestSimulate:
         )
         assert manifest["run"]["max_relative_energy_drift"] <= 1e-12
 
+    def test_manifest_records_node_solve(self, tmp_path):
+        """The run records the node-solve route and its certificate."""
+        cfg = write_cfg(tmp_path, INTERVAL)
+        model_dir = tmp_path / "model"
+        assert cli.main(["build", "--config", str(cfg), "--out", str(model_dir)]) == 0
+        out = tmp_path / "run"
+        assert cli.main(
+            ["simulate", str(model_dir), "--dt", "0.01", "--t-end", "0.1",
+             "--out", str(out)]
+        ) == 0
+        run = json.loads((out / "manifest.json").read_text())["run"]
+        assert set(run["node_solve"]) == {"route", "iterations", "interval"}
+
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        model_dir = tmp_path / "model"
+        cfg = write_cfg(tmp_path, INTERVAL)
+        assert cli.main(["build", "--config", str(cfg), "--out", str(model_dir)]) == 0
+        capsys.readouterr()
+        assert cli.main(
+            ["simulate", str(model_dir), "--dt", "0.1", "--t-end", "1",
+             "--x0", "random", "--seed", "-1", "--out", str(tmp_path / "r")]
+        ) == 2
+        err = capsys.readouterr().err
+        assert "--seed must be non-negative, got -1" in err
+        assert "Traceback" not in err
+
     def test_nonfinite_horizon_exits_2(self, tmp_path, capsys):
         model_dir = tmp_path / "model"
         cfg = write_cfg(tmp_path, INTERVAL)

@@ -43,6 +43,18 @@ def wave_config(N, causality=None, weights="set4"):
     }
 
 
+def bottom_config(N, M, weights):
+    return {
+        "mesh": {"kind": "rect", "N": N, "M": M},
+        "causality": {"p_sides": ["bottom"], "q_edges": "rest"},
+        "weights": weights,
+    }
+
+
+BOTTOM_4X3 = bottom_config(4, 3, "set1")
+BOTTOM_24X24 = bottom_config(24, 24, "set2")
+
+
 def reference_step(model, x, u_mid, dt):
     """One midpoint step by a plain LU of the full stepping matrix."""
     A = model.A()
@@ -140,10 +152,12 @@ class TestStepMidpoint:
                 stepper.step(x, u)
 
     def test_setup_memory(self):
-        """Set-up peaks at about 3.3 times the storage of J (the factored
-        system's blocks, then the two maps): the bound is four times it.
-        Building the maps from scaled copies of every block peaked at
-        about seven."""
+        """Set-up peaks at about 3.5 times the storage of J (the node
+        blocks, then the two maps, then the scaled node matrix built in the
+        memory of the coupling block): the bound is four times it.  Building
+        the maps from scaled copies of every block peaked at about seven.
+        At this dt the node solve is a Chebyshev iteration; the SuperLU
+        route's factor lives in C memory that tracemalloc does not see."""
         model = sim.build_model(wave_config(48)).model
         J = model.J
         j_bytes = J.data.nbytes + J.indices.nbytes + J.indptr.nbytes
@@ -181,6 +195,128 @@ class TestStepperRoutes:
             ref = reference_step(model, x, u_mid, dt)
             got = stepper.step(x, u_mid)
             assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize(
+        "config, dt, route",
+        [
+            (BOTTOM_24X24, 0.01, "chebyshev"),
+            (BOTTOM_24X24, 1.0, "superlu"),
+            # four iterations as at 24x24, but on 15 p-states a SuperLU
+            # solve costs less than three products
+            (BOTTOM_4X3, 0.01, "superlu"),
+            (BOTTOM_4X3, 1.0, "superlu"),
+        ],
+        ids=["24x24-small-dt", "24x24-large-dt", "4x3-small-dt", "4x3-large-dt"],
+    )
+    def test_each_node_solve_route_matches_full_lu(self, config, dt, route):
+        """The route follows the certified count and the model's size; the
+        4x3 and 24x24 cases are the models and step sizes CI runs through
+        the console script."""
+        model = sim.build_model(config).model
+        stepper = sim.MidpointStepper(model, dt)
+        assert stepper.node_solve["route"] == route
+        rng = np.random.default_rng(12)
+        for _ in range(5):
+            x = rng.standard_normal(model.n)
+            u_mid = rng.standard_normal(model.n_u)
+            ref = reference_step(model, x, u_mid, dt)
+            got = stepper.step(x, u_mid)
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            wave_config(6, {"p_sides": ["bottom"], "q_edges": "rest"}, "set2"),
+            wave_config(12),
+            wave_config(12, {"q_edges": "all"}, "set1"),
+            {"mesh": {"kind": "interval", "N": 40}, "method": "golo",
+             "alpha_prime": 1 / 12},
+            {"mesh": {"kind": "interval", "N": 12}, "alpha": 0.5},
+        ],
+        ids=["6x6-mixed", "12x12-corner", "12x12-q-all", "golo", "mixed-1d"],
+    )
+    @pytest.mark.parametrize("dt", [0.01, 0.5, 5.0])
+    def test_certified_interval_holds_spectrum(self, config, dt):
+        """Every eigenvalue of the diagonally scaled node matrix lies in the
+        stepper's [a, b], up to the round-off of eigvalsh."""
+        model = sim.build_model(config).model
+        J_p, q_p, q_q = model.node_blocks()
+        h = dt / 2.0
+        K = np.diag(1.0 / q_p) + h * h * (J_p @ sp.diags(q_q) @ J_p.T).toarray()
+        w = 1.0 / np.sqrt(np.diag(K))
+        eigs = np.linalg.eigvalsh(w[:, None] * K * w[None, :])
+        a, b = sim.MidpointStepper(model, dt).node_solve["interval"]
+        assert a * (1 - 1e-13) <= eigs.min() and eigs.max() <= b * (1 + 1e-13)
+
+    @pytest.mark.parametrize(
+        "config, exact",
+        [
+            ({"mesh": {"kind": "interval", "N": 40}, "alpha": 0.5}, True),
+            (wave_config(12), False),
+            (BOTTOM_24X24, False),
+        ],
+        ids=["mixed-1d", "12x12-corner", "24x24-bottom"],
+    )
+    def test_profile_fill_bounds_superlu_fill(self, config, exact):
+        """The route's estimate of the L + U fill is exact for the
+        tridiagonal node matrix of a 1-D model and at least SuperLU's
+        minimum-degree fill on 2-D ones."""
+        model = sim.build_model(config).model
+        J_p, q_p, q_q = model.node_blocks()
+        h = 0.05 / 2.0
+        K = sp.diags(1.0 / q_p) + h * h * (J_p @ sp.diags(q_q) @ J_p.T)
+        lu = spla.splu(sp.csc_matrix(K), permc_spec="MMD_AT_PLUS_A")
+        fill = lu.L.nnz + lu.U.nnz
+        estimate = sim._profile_fill(sp.csr_matrix(K))
+        assert estimate == fill if exact else estimate >= fill
+
+    @pytest.mark.parametrize("dt", [0.01, 1.0], ids=["chebyshev", "superlu"])
+    def test_steppers_on_one_model_agree_bitwise(self, dt):
+        model = sim.build_model(BOTTOM_24X24).model
+        rng = np.random.default_rng(13)
+        x, u_mid = rng.standard_normal(model.n), rng.standard_normal(model.n_u)
+        first = sim.MidpointStepper(model, dt).step(x, u_mid)
+        second = sim.MidpointStepper(model, dt).step(x, u_mid)
+        assert first.tobytes() == second.tobytes()
+
+    def test_identity_node_system_takes_one_iteration(self):
+        """With J = 0 and Q = I the scaled node matrix is I: kappa = 1."""
+        model = hand_built_model(np.zeros((6, 6)), np.eye(6))
+        stepper = sim.MidpointStepper(model, 0.1)
+        assert stepper.node_solve == {
+            "route": "chebyshev", "iterations": 1, "interval": [1.0, 1.0]
+        }
+        rng = np.random.default_rng(14)
+        x, u_mid = rng.standard_normal(model.n), rng.standard_normal(model.n_u)
+        ref = reference_step(model, x, u_mid, 0.1)
+        assert np.abs(stepper.step(x, u_mid) - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_model_without_p_states(self):
+        """A 1x1 rectangle with p-type ports on every side has no p-state:
+        the node system is empty and a step is the explicit q update."""
+        model = sim.build_model(
+            {"mesh": {"kind": "rect", "N": 1, "M": 1},
+             "causality": {"p_sides": ["bottom", "top", "left", "right"]},
+             "weights": "set1"}
+        ).model
+        assert model.n_p == 0
+        stepper = sim.MidpointStepper(model, 0.1)
+        assert stepper.node_solve["iterations"] == 1
+        rng = np.random.default_rng(15)
+        x, u_mid = rng.standard_normal(model.n), rng.standard_normal(model.n_u)
+        ref = reference_step(model, x, u_mid, 0.1)
+        assert np.abs(stepper.step(x, u_mid) - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize(
+        "a, b, k", [(1.0, 1.0, 1), (0.9776342512583099, 1.0252489145057093, 9)]
+    )
+    def test_chebyshev_iterations_least_certified_count(self, a, b, k):
+        """k is the least count with 2 rho^k sqrt(kappa) <= CHEBYSHEV_TOL."""
+        assert sim.chebyshev_iterations(a, b) == k
+        kappa = b / a
+        rho = (np.sqrt(kappa) - 1) / (np.sqrt(kappa) + 1)
+        assert 2 * rho**k * np.sqrt(kappa) <= sim.CHEBYSHEV_TOL
+        assert k == 1 or 2 * rho ** (k - 1) * np.sqrt(kappa) > sim.CHEBYSHEV_TOL
 
     @pytest.mark.parametrize(
         "kind, condition",
