@@ -11,8 +11,11 @@ matrix [[0, S], [S^T, 0]].  When reverse Cuthill-McKee orders that matrix
 into a band of half-width b with b^2 <= min(n_p, n_q) (the 1-D mixed
 models), `spectrum` takes them from a banded eigensolver in O(n^2 b)
 work and O(n b) memory; wider bands (the comparison scheme at alpha' != 0,
-2-D meshes) keep a dense SVD of S.  The Bauer-Fike bound of the
-certificate's skew slack holds on both routes (see `spectrum`).
+2-D meshes) keep a dense SVD of S.  A caller that reads only the lowest k
+frequencies (`spectrum(model, k)`, the convergence study, `phfem eigs
+--k`) gets them by shift-invert Lanczos on the sparse Gram matrix of S,
+with no dense array.  The Bauer-Fike bound of the certificate's skew slack
+holds on every route (see `spectrum`).
 
 The comparison scheme (`build_golo_1d_model`) keeps both flow maps at the
 identity and instead forms the reduced efforts as convex combinations of the
@@ -33,13 +36,15 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import eigvals_banded
 from scipy.sparse.csgraph import reverse_cuthill_mckee
+from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, splu
 
 from .errors import InvalidArgumentError, NumericalFailureError
 from .sim import build_model
 from .statespace import PHModel
 
-#: smallest frequency reported; lower singular values count as zero modes
-REAL_PART_TOL = 1e-9
+#: singular values of the node coupling S at or below this fraction of the
+#: certified bound sqrt(||S||_1 ||S||_inf) on ||S||_2 count as zero modes
+ZERO_MODE_RTOL = 1e-5
 
 #: mode indices printed in the reference frequency tables
 TABLE_KS = (1, 2, 3, 4, 5, 10, 20, 40, 80)
@@ -58,18 +63,19 @@ def exact_frequencies(ks, L: float = 1.0) -> np.ndarray:
     return (2.0 * ks - 1.0) * np.pi / (2.0 * L)
 
 
-def _mode_indices(ks) -> tuple:
-    """ks as a tuple of mode indices, each an integer >= 1."""
-    ks = tuple(ks)
-    for k in ks:
-        if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
-            raise InvalidArgumentError(f"mode index must be an integer >= 1, got {k!r}")
-    return ks
+def _positive_ints(values, what: str) -> tuple:
+    """values as a tuple of ints, each an integer >= 1 (a bool or a float,
+    even an integral one, is rejected rather than truncated)."""
+    values = tuple(values)
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 1:
+            raise InvalidArgumentError(f"{what} must be an integer >= 1, got {v!r}")
+    return tuple(int(v) for v in values)
 
 
-def spectrum(model: PHModel) -> np.ndarray:
-    """Positive frequencies of the model (imaginary parts of eig(A) above
-    REAL_PART_TOL), ascending.
+def spectrum(model: PHModel, k: int | None = None) -> np.ndarray:
+    """Positive frequencies of the model, ascending: all of them, or the
+    lowest k when k is an integer >= 1 (fewer when the model has fewer).
 
     Every model `sim.build_model` builds or `statespace.load_model` loads
     passes `PHModel.node_blocks()`: J = [[0, J_p], [J_q, 0]] with
@@ -84,23 +90,75 @@ def spectrum(model: PHModel) -> np.ndarray:
     shift this causes by ||Q_q^(1/2) E Q_p^(1/2)||_2: at most SKEW_TOL
     times the largest row or column count of E times max(Q).
 
-    The singular values come from one of two routes, chosen from S alone.
-    The symmetric Jordan-Wielandt matrix H = [[0, S], [S^T, 0]] has the
-    eigenvalues +-sigma_k(S) plus |n_p - n_q| zeros (Golub & Kahan, 1965),
-    so its eigenvalues above REAL_PART_TOL are the frequencies.  Reverse
-    Cuthill-McKee on the bipartite graph of H gives a half-bandwidth b;
-    when b^2 <= min(n_p, n_q) (mixed 1-D models, b <= 2, from N = 4 on,
-    and the comparison scheme at alpha' = 0) the banded LAPACK eigensolver
-    takes H in O(n^2 b) work and O(n b) memory.  A wider band (the
-    comparison scheme at alpha' != 0, b up to N - 1; 2-D meshes, b = 31
-    at 6 x 6 and 181 at 24 x 24) makes the band reduction slower than a
-    dense SVD of S, which those models keep.
+    Zero modes.  A singular value at or below ZERO_MODE_RTOL * beta, with
+    beta = sqrt(||S||_1 ||S||_inf) >= ||S||_2, counts as a zero mode and
+    is not reported, on every route.  Besides the exact zeros, the 2-D
+    models with p-ports on part of the boundary (set2 to set4) carry a
+    pair of boundary modes that decay exponentially in N (set4 with
+    p-ports on the bottom side: 1e-9 beta at 12 x 12, 5e-17 beta at
+    24 x 24).  An absolute threshold would report them at one size and
+    drop them at the next; beta scales with the model.  The lowest 1-D
+    frequency stays above 1e-3 beta up to N = 640.
+
+    Routes.  With k = None, or k >= m - 1 (m = min(n_p, n_q): the lowest
+    k are then nearly all of them, and ARPACK needs k < m), every
+    singular value is computed and the lowest k kept.  The symmetric Jordan-Wielandt matrix
+    H = [[0, S], [S^T, 0]] has the eigenvalues +-sigma_k(S) plus
+    |n_p - n_q| zeros (Golub & Kahan, 1965).  Reverse Cuthill-McKee on the
+    bipartite graph of H gives a half-bandwidth b; when b^2 <= m (mixed
+    1-D models, b <= 2, from N = 4 on, and the comparison scheme at
+    alpha' = 0) the banded LAPACK eigensolver takes H in O(n^2 b) work
+    and O(n b) memory.  A wider band (the comparison scheme at
+    alpha' != 0, b up to N - 1; 2-D meshes, b = 31 at 6 x 6 and 181 at
+    24 x 24) makes the band reduction slower than a dense SVD of S, which
+    those models keep.
+
+    With an integer k < m - 1, the lowest k come from the sparse Gram
+    matrix G (S S^T or S^T S, whichever is m x m): sigma_k = sqrt(lambda_k)
+    for its lowest eigenvalues, found by shift-invert Lanczos (ARPACK;
+    Lehoucq, Sorensen & Yang, 1998) about -1 with a fixed start vector,
+    so that runs repeat exactly.  G + I is SPD, so its sparse LU (in a
+    symmetric minimum-degree order) never meets a zero pivot, whatever
+    the zero modes.  When zero modes take
+    some of the k, the route asks again for as many more.  Nothing on it
+    is dense.  Accuracy: forming G perturbs it by at most about
+    c eps beta^2 in 2-norm (c the largest row count of S; |S| |S|^T has
+    2-norm at most beta^2), and the eigensolver adds a backward error of
+    the same order, so lambda moves by O(eps beta^2) and sigma by a
+    relative O(eps beta^2 / sigma^2): ~1e-13 for the lowest 1-D mode at
+    N = 640.  A zero mode returns as about sqrt(eps) beta, far below the
+    zero-mode threshold.
 
     Any other model (a hand-built or permuted one) has no certified
     frequencies: the StructureViolationError of `node_blocks` propagates.
     """
+    if k is not None:
+        (k,) = _positive_ints((k,), "k")
     J_p, q_p, q_q = model.node_blocks()
-    S = (sp.diags(np.sqrt(q_p)) @ J_p @ sp.diags(np.sqrt(q_q))).tocsr()
+    # S = diag(q_p)^(1/2) J_p diag(q_q)^(1/2), scaled entry by entry
+    row, col = np.repeat(np.arange(J_p.shape[0]), np.diff(J_p.indptr)), J_p.indices
+    S = sp.csr_matrix(
+        (J_p.data * np.sqrt(q_p)[row] * np.sqrt(q_q)[col], col, J_p.indptr),
+        shape=J_p.shape,
+    )
+    w = np.abs(S.data)
+    beta = np.sqrt(np.bincount(row, w).max(initial=0) * np.bincount(col, w).max(initial=0))
+    floor = ZERO_MODE_RTOL * beta
+    m, asked = min(S.shape), k
+    while asked is not None and asked < m - 1:
+        freqs = _lowest_singular_values(S, asked)
+        freqs = freqs[freqs > floor]
+        if freqs.size >= k:
+            return freqs[:k]
+        asked = k + (asked - freqs.size)
+    freqs = _singular_values(S)
+    return freqs[freqs > floor][:k]
+
+
+def _singular_values(S) -> np.ndarray:
+    """Every singular value of S from the banded or the dense route of
+    `spectrum`, ascending; the banded route returns all eigenvalues of H,
+    so its -sigma and zeros come too (the zero-mode filter drops them)."""
     H = sp.bmat([[None, S], [S.T, None]], format="coo")
     order = reverse_cuthill_mckee(H.tocsr(), symmetric_mode=True)
     pos = np.empty_like(order)
@@ -112,12 +170,34 @@ def spectrum(model: PHModel) -> np.ndarray:
             lower = row > col
             band = np.zeros((b + 1, order.size))
             band[row[lower] - col[lower], col[lower]] = H.data[lower]
-            lam = eigvals_banded(band, lower=True, overwrite_a_band=True)
-            return lam[lam > REAL_PART_TOL]
+            return eigvals_banded(band, lower=True, overwrite_a_band=True)
         sigma = np.linalg.svd(S.toarray(), compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(f"singular value computation failed: {exc}") from exc
-    return np.sort(sigma[sigma > REAL_PART_TOL])
+    return np.sort(sigma)
+
+
+def _lowest_singular_values(S, k: int) -> np.ndarray:
+    """The k lowest singular values of S, ascending, from the Gram route
+    of `spectrum` (k < min(S.shape) - 1)."""
+    G = (S @ S.T if S.shape[0] <= S.shape[1] else S.T @ S).tocsc()
+    m = G.shape[0]
+    # G + I is SPD: a symmetric minimum-degree ordering with diagonal
+    # pivots keeps its factor sparser than the default column ordering
+    shifted = splu(
+        G + sp.identity(m, format="csc"),
+        permc_spec="MMD_AT_PLUS_A",
+        options={"SymmetricMode": True},
+    )
+    v0 = np.random.default_rng(0).standard_normal(m)  # fixed: runs repeat
+    try:
+        lam = eigsh(
+            G, k=k, sigma=-1.0, v0=v0, return_eigenvectors=False,
+            OPinv=LinearOperator(G.shape, matvec=shifted.solve),
+        )
+    except ArpackError as exc:
+        raise NumericalFailureError(f"Lanczos eigensolver failed: {exc}") from exc
+    return np.sqrt(np.maximum(np.sort(lam), 0.0))
 
 
 def build_1d_model(N: int, alpha: float, L: float = 1.0) -> PHModel:
@@ -156,12 +236,12 @@ def eig_table(method: str, parameters, Ns, ks=TABLE_KS) -> EigTable:
     }
     if method not in builders:
         raise InvalidArgumentError(f"unknown method {method!r}")
-    ks = _mode_indices(ks)
+    Ns, ks = _positive_ints(Ns, "grid size N"), _positive_ints(ks, "mode index")
     columns = {}
     for label, value in parameters:
         for N in Ns:
-            freqs = spectrum(builders[method](int(N), float(value)))
-            columns[(method, label, int(N))] = np.array(
+            freqs = spectrum(builders[method](N, float(value)))
+            columns[(method, label, N)] = np.array(
                 [freqs[k - 1] if k <= freqs.size else np.nan for k in ks]
             )
     return EigTable(ks=ks, exact=exact_frequencies(ks), columns=columns)
@@ -221,8 +301,12 @@ class ConvergenceStudy(NamedTuple):
 
 
 def convergence_study(alphas, Ns, ks) -> ConvergenceStudy:
-    """Sweep build_1d_model over alphas x Ns and fit convergence orders."""
-    alphas, Ns, ks = tuple(alphas), tuple(int(N) for N in Ns), _mode_indices(ks)
+    """Sweep build_1d_model over alphas x Ns and fit convergence orders.
+
+    Each model is asked for its lowest max(ks) frequencies only (the
+    Lanczos route of `spectrum`)."""
+    alphas = tuple(alphas)
+    Ns, ks = _positive_ints(Ns, "grid size N"), _positive_ints(ks, "mode index")
     if not alphas or not ks:
         raise InvalidArgumentError("alphas and ks must be nonempty")
     if len(set(Ns)) < 2:
@@ -236,7 +320,7 @@ def convergence_study(alphas, Ns, ks) -> ConvergenceStudy:
     exact = exact_frequencies(ks)
     errors: dict = {}
     for alpha in alphas:
-        freqs = {N: spectrum(build_1d_model(N, alpha)) for N in Ns}
+        freqs = {N: spectrum(build_1d_model(N, alpha), max(ks)) for N in Ns}
         for pos, k in enumerate(ks):
             errors[(alpha, k)] = np.array(
                 [abs(freqs[N][k - 1] - exact[pos]) / exact[pos] for N in Ns]

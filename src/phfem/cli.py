@@ -250,7 +250,8 @@ def cmd_eigs(args) -> int:
         raise InvalidArgumentError(
             f"model length L must be a positive finite number, got {L!r}"
         )
-    freqs = analysis.spectrum(model)
+    freqs = analysis.spectrum(model, args.k)
+    config["k"] = args.k
     with_exact = model.meta.get("method") in ("mixed", "golo")
 
     outdir = pathlib.Path(args.out)
@@ -328,6 +329,9 @@ def build_parser() -> argparse.ArgumentParser:
         choices=METHODS_1D,
         default="mixed",
         help="1D model family ('ours' = 'mixed')",
+    )
+    p_eigs.add_argument(
+        "--k", type=int, help="write only the lowest K frequencies (sparse route)"
     )
     p_eigs.add_argument("--out", required=True, help="output directory")
     p_eigs.set_defaults(func=cmd_eigs)

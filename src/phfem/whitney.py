@@ -204,11 +204,14 @@ def rank_mod_p(mat, scale: int) -> int:
     """Exact rank of scale * mat over GF(RANK_PRIME), or -1 when a scaled
     entry is not an integer.
 
-    Rows and columns are reordered by reverse Cuthill-McKee on the
-    bipartite row/column graph, then a frontal row-echelon sweep visits
-    the columns in order.  A row joins the dense front when the sweep
-    reaches its leading column and leaves it when it becomes the pivot or
-    zero, so memory is (front rows) x (front width), never rows x columns.
+    A tall matrix is transposed first (the rank is the same): swept by
+    columns, it would carry fronts of more rows than columns, and they
+    grow with the grid (K_q + L_q, edges x nodes).  Rows and columns are
+    reordered by reverse Cuthill-McKee on the bipartite row/column graph,
+    then a frontal row-echelon sweep visits the columns in order.  A row
+    joins the dense front when the sweep reaches its leading column and
+    leaves it when it becomes the pivot or zero, so memory is
+    (front rows) x (front width), never rows x columns.
 
     For an integer matrix A, rank_p(A) <= rank_Q(A), with equality unless
     p divides every maximal nonzero minor of A: a wrong answer can only
@@ -226,6 +229,8 @@ def rank_mod_p(mat, scale: int) -> int:
     a.eliminate_zeros()
     if not a.nnz:
         return 0
+    if a.shape[0] > a.shape[1]:
+        a = a.T.tocsr()
 
     # renumber the columns in their reverse Cuthill-McKee order
     n_rows, n_cols = a.shape

@@ -6,11 +6,16 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import ArpackNoConvergence
 
 from phfem import analysis as an
 from phfem import power_maps as pm
 from phfem import sim
-from phfem.errors import InvalidArgumentError, StructureViolationError
+from phfem.errors import (
+    InvalidArgumentError,
+    NumericalFailureError,
+    StructureViolationError,
+)
 from phfem.mesh import build_interval_mesh, incidence
 from phfem.statespace import power_balance_residual
 
@@ -73,18 +78,35 @@ class TestSpectrum:
 
 
 def dense_spectrum(model):
-    """Reference: positive imaginary parts of the dense eig(A)."""
+    """Reference: positive imaginary parts of the dense eig(A), with zero
+    modes dropped relative to the largest frequency."""
     lam = np.linalg.eigvals(model.A().toarray())
-    return np.sort(lam.imag[lam.imag > an.REAL_PART_TOL])
+    return np.sort(lam.imag[lam.imag > an.ZERO_MODE_RTOL * np.abs(lam).max()])
 
 
-def model_2d_bottom_inputs(N):
+def model_2d_bottom_inputs(N, weights="set2"):
     """N x N rectangle with p-inputs along the bottom side: n_p != n_q."""
     return sim.build_model(
         {"mesh": {"kind": "rect", "N": N, "M": N, "h": 1.0},
          "causality": {"p_sides": ["bottom"], "q_edges": "rest"},
-         "weights": "set2"}
+         "weights": weights}
     ).model
+
+
+def model_2d_all_sides(N, weights):
+    """N x N rectangle with p-inputs on all four sides."""
+    return sim.build_model(
+        {"mesh": {"kind": "rect", "N": N, "M": N, "h": 1.0},
+         "causality": {"p_sides": ["bottom", "right", "top", "left"]},
+         "weights": weights}
+    ).model
+
+
+def node_coupling(model):
+    """S = Q_p^(1/2) J_p Q_q^(1/2) and its bound sqrt(||S||_1 ||S||_inf)."""
+    J_p, q_p, q_q = model.node_blocks()
+    S = (sp.diags(np.sqrt(q_p)) @ J_p @ sp.diags(np.sqrt(q_q))).tocsr()
+    return S, np.sqrt(abs(S).sum(axis=0).max() * abs(S).sum(axis=1).max())
 
 
 class TestCertifiedSpectrum:
@@ -184,6 +206,115 @@ class TestCertifiedSpectrum:
         with pytest.raises(StructureViolationError, match="nonzero diagonal block"):
             an.spectrum(model._replace(J=(model.J + leak).tocsr()))
         assert calls == []
+
+
+class TestZeroModes:
+    @pytest.mark.parametrize("weights", ["set3", "set4"])
+    @pytest.mark.parametrize("N", [12, 24])
+    def test_boundary_pair_dropped_at_every_size(self, weights, N):
+        """p-ports on the bottom side leave two boundary modes that decay
+        exponentially in N (set4: 1e-9 beta at 12 x 12, 5e-17 beta at
+        24 x 24).  The filter is relative to beta, so both sizes drop the
+        pair; an absolute 1e-9 would keep it at 12 x 12 only."""
+        model = model_2d_bottom_inputs(N, weights)
+        S, beta = node_coupling(model)
+        sigma = np.linalg.svd(S.toarray(), compute_uv=False)
+        tiny = np.sort(sigma)[:2]
+        assert tiny.max() < 1e-5 * beta < np.sort(sigma)[2]
+        assert an.spectrum(model).size == min(S.shape) - 2
+
+    def test_set2_pair_kept(self):
+        """set2's pair decays more slowly (6.6e-5 beta at 24 x 24) and is
+        still a resolved frequency."""
+        model = model_2d_bottom_inputs(24)
+        assert an.spectrum(model).size == min(model.n_p, model.n_q)
+
+
+class TestLowestK:
+    """`spectrum(model, k)`: the lowest k frequencies by shift-invert
+    Lanczos on the Gram matrix of the node coupling."""
+
+    @pytest.mark.parametrize("N", [20, 40, 80, 160, 320, 640])
+    @pytest.mark.parametrize("alpha", [0.0, 0.5])
+    def test_convergence_models_agree_with_full_route(self, alpha, N):
+        model = an.build_1d_model(N, alpha)
+        np.testing.assert_allclose(
+            an.spectrum(model, 6), an.spectrum(model)[:6], rtol=1e-12, atol=0
+        )
+
+    @pytest.mark.parametrize("weights", ["set1", "set2", "set3", "set4"])
+    @pytest.mark.parametrize("N", [6, 12, 24])
+    def test_2d_all_sides_agree_with_full_route(self, weights, N):
+        model = model_2d_all_sides(N, weights)
+        np.testing.assert_allclose(
+            an.spectrum(model, 12), an.spectrum(model)[:12], rtol=1e-12, atol=0
+        )
+
+    @pytest.mark.parametrize("weights", ["set2", "set3", "set4"])
+    @pytest.mark.parametrize("N", [12, 24])
+    def test_bottom_side_models_within_gram_bound(self, weights, N, monkeypatch):
+        """With the boundary pair among the lowest modes, the route asks
+        again for two more and reports the same modes as the full route,
+        within the docstring's bound c eps beta^2 / sigma (c the largest
+        row count of S)."""
+        model = model_2d_bottom_inputs(N, weights)
+        S, beta = node_coupling(model)
+        full = an.spectrum(model)
+        asked = []
+        eigsh = an.eigsh
+
+        def spy(G, k, **kwargs):
+            asked.append(k)
+            return eigsh(G, k=k, **kwargs)
+
+        monkeypatch.setattr(an, "eigsh", spy)
+        low = an.spectrum(model, 6)
+        assert low.size == 6
+        assert asked == ([6] if full.size == min(S.shape) else [6, 8])
+        c = np.diff(S.indptr).max()
+        bound = c * np.finfo(float).eps * beta**2 / full[:6]
+        assert np.all(np.abs(low - full[:6]) <= bound)
+
+    def test_repeats_bitwise(self):
+        model = model_2d_all_sides(12, "set4")
+        assert an.spectrum(model, 5).tobytes() == an.spectrum(model, 5).tobytes()
+
+    def test_nothing_dense(self, monkeypatch):
+        """The Lanczos route reaches neither the dense SVD nor the banded
+        eigensolver of the full route."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("full route taken")
+
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        monkeypatch.setattr(an, "eigvals_banded", refuse)
+        assert an.spectrum(model_2d_all_sides(12, "set2"), 4).size == 4
+        assert an.spectrum(an.build_1d_model(80, 0.0), 3).size == 3
+
+    @pytest.mark.parametrize("k", [19, 20, 25])
+    def test_large_k_takes_full_route(self, k, monkeypatch):
+        """m = min(n_p, n_q) = 20: k >= m - 1 is sliced from the full route."""
+        model = an.build_1d_model(20, 0.5)
+        full = an.spectrum(model)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("Lanczos route taken")
+
+        monkeypatch.setattr(an, "eigsh", refuse)
+        assert an.spectrum(model, k).tobytes() == full[:k].tobytes()
+
+    def test_no_convergence_is_numerical_failure(self, monkeypatch):
+        def stall(*args, **kwargs):
+            raise ArpackNoConvergence("no convergence", np.array([]), np.array([]))
+
+        monkeypatch.setattr(an, "eigsh", stall)
+        with pytest.raises(NumericalFailureError) as exc:
+            an.spectrum(an.build_1d_model(40, 0.0), 2)
+        assert exc.value.exit_code == 4
+
+    @pytest.mark.parametrize("k", [True, 1.5, 2.0, 0, -3])
+    def test_invalid_k_rejected(self, k):
+        with pytest.raises(InvalidArgumentError):
+            an.spectrum(an.build_1d_model(20, 0.0), k)
 
 
 class TestComparisonScheme:
@@ -319,6 +450,18 @@ class TestConvergence:
     def test_mode_index_below_one_or_not_integer_rejected(self, ks):
         with pytest.raises(InvalidArgumentError):
             an.convergence_study([0.0], [20, 40], ks)
+
+    @pytest.mark.parametrize("Ns", [(20.9, 40.2), (20, 40.0), (True, 40)])
+    @pytest.mark.parametrize(
+        "run",
+        [lambda Ns: an.convergence_study([0.0], Ns, [1]),
+         lambda Ns: an.eig_table("mixed", [("0", 0.0)], Ns)],
+        ids=["convergence_study", "eig_table"],
+    )
+    def test_non_integer_grid_rejected(self, run, Ns):
+        """A float or bool N is rejected, not truncated to an int."""
+        with pytest.raises(InvalidArgumentError, match="grid size N"):
+            run(Ns)
 
     @pytest.mark.parametrize("Ns", [(20,), (20, 20)])
     def test_one_distinct_grid_rejected(self, Ns):

@@ -420,6 +420,35 @@ class TestEigs:
         omega = np.array([float(r[1]) for r in rows[1:]])
         np.testing.assert_allclose(omega, ref, rtol=1e-9, atol=0)
 
+    def test_lowest_k_of_model_dir(self, tmp_path):
+        cfg = write_cfg(tmp_path, {
+            "mesh": {"kind": "rect", "N": 6, "M": 5, "h": 1.0},
+            "causality": {"p_sides": ["bottom", "right", "top", "left"]},
+            "weights": "set4",
+        })
+        model_dir = tmp_path / "model"
+        assert cli.main(["build", "--config", str(cfg), "--out", str(model_dir)]) == 0
+        for k in (None, 4):
+            out = tmp_path / f"e{k}"
+            argv = ["eigs", str(model_dir), "--out", str(out)]
+            assert cli.main(argv + ([] if k is None else ["--k", str(k)])) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["run"]["config"]["k"] == k
+        full = list(csv.reader((tmp_path / "eNone" / "eigs.csv").open()))
+        low = list(csv.reader((tmp_path / "e4" / "eigs.csv").open()))
+        assert len(low) == 5
+        np.testing.assert_allclose(
+            [float(r[1]) for r in low[1:]], [float(r[1]) for r in full[1:5]],
+            rtol=1e-12,
+        )
+
+    def test_k_below_one_exits_2(self, tmp_path, capsys):
+        assert cli.main(
+            ["eigs", "--n", "20", "--k", "0", "--out", str(tmp_path / "e")]
+        ) == 2
+        err = capsys.readouterr().err
+        assert "k must be an integer >= 1" in err and "Traceback" not in err
+
     def test_needs_model_or_n(self, tmp_path):
         assert cli.main(["eigs", "--out", str(tmp_path / "e")]) == 2
 

@@ -239,8 +239,11 @@ def test_rank_table_equals_dense_oracle(N, M):
 )
 def test_rank_mod_p_of_small_integer_matrices(a):
     # Hadamard: every minor is at most (2 sqrt 8)^8 < 2^31 - 1 here, so the
-    # rank mod p equals the rank over the rationals
-    assert wh.rank_mod_p(sp.csr_matrix(a), 1) == np.linalg.matrix_rank(a)
+    # rank mod p equals the rank over the rationals; a tall matrix is
+    # swept transposed, so both orientations must agree
+    rank = wh.rank_mod_p(sp.csr_matrix(a), 1)
+    assert rank == np.linalg.matrix_rank(a)
+    assert wh.rank_mod_p(sp.csr_matrix(a.T), 1) == rank
 
 
 def test_rank_mod_p_can_only_fall_short():
