@@ -38,7 +38,13 @@ class HodgePair(NamedTuple):
     Q_q: sp.csr_matrix
 
     def as_block(self) -> sp.csr_matrix:
-        return sp.block_diag([self.Q_p, self.Q_q], format="csr")
+        return _diagonal(np.concatenate([self.Q_p.diagonal(), self.Q_q.diagonal()]))
+
+
+def _diagonal(values: np.ndarray) -> sp.csr_matrix:
+    """Diagonal CSR matrix with the given entries, built from index arrays."""
+    n = len(values)
+    return sp.csr_matrix((values, np.arange(n), np.arange(n + 1)), shape=(n, n))
 
 
 def hodge_2d(mesh: SimplexMesh, maps: MapSet) -> HodgePair:
@@ -57,7 +63,7 @@ def hodge_2d(mesh: SimplexMesh, maps: MapSet) -> HodgePair:
             f"P_fp row {bad} has nonpositive weight sum {p_weights[bad]:.3e}; "
             "the triangle weights leave this node without balance area"
         )
-    Q_p = sp.diags(2.0 / (h * h * p_weights), format="csr")
+    Q_p = _diagonal(2.0 / (h * h * p_weights))
 
     abs_sums = np.asarray(abs(maps.perp).sum(axis=1)).ravel()
     if np.any(abs_sums <= WEIGHT_FLOOR):
@@ -68,7 +74,7 @@ def hodge_2d(mesh: SimplexMesh, maps: MapSet) -> HodgePair:
             "this effort edge"
         )
     factor = np.where(mesh.edge_class[maps.q_efforts] == "d", 2.0, 1.0)
-    Q_q = sp.diags(factor / abs_sums, format="csr")
+    Q_q = _diagonal(factor / abs_sums)
     return HodgePair(Q_p, Q_q)
 
 
@@ -89,7 +95,7 @@ def hodge_1d(N: int, alpha: float, h: float) -> HodgePair:
     dp[0] = 1.0 / (1.0 - alpha)
     dq = np.ones(N)
     dq[-1] = 1.0 / (1.0 - alpha)
-    return HodgePair(sp.diags(dp / h, format="csr"), sp.diags(dq / h, format="csr"))
+    return HodgePair(_diagonal(dp / h), _diagonal(dq / h))
 
 
 def hodge_golo_1d(N: int, h: float) -> HodgePair:
@@ -98,5 +104,4 @@ def hodge_golo_1d(N: int, h: float) -> HodgePair:
         raise InvalidArgumentError(f"need N >= 1, got {N}")
     if not (np.isfinite(h) and h > 0):
         raise InvalidArgumentError(f"mesh size h must be positive and finite, got {h}")
-    eye = sp.identity(N, format="csr") / h
-    return HodgePair(eye, eye.copy())
+    return HodgePair(_diagonal(np.full(N, 1.0 / h)), _diagonal(np.full(N, 1.0 / h)))

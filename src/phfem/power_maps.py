@@ -161,10 +161,21 @@ class MapSet(NamedTuple):
 
 
 def _selector(rows: np.ndarray, n_cols: int, sign: float = 1.0) -> sp.csr_matrix:
-    rows = np.asarray(rows, dtype=np.int64)
-    data = np.full(len(rows), sign)
+    """One entry `sign` per row, row i's in column rows[i]."""
+    rows = np.array(rows, dtype=np.int64)
     return sp.csr_matrix(
-        (data, (np.arange(len(rows)), rows)), shape=(len(rows), n_cols)
+        (np.full(len(rows), sign), rows, np.arange(len(rows) + 1)),
+        shape=(len(rows), n_cols),
+    )
+
+
+def _two_per_row(cols, vals, n_cols: int) -> sp.csr_matrix:
+    """Row i holds vals[2i] and vals[2i + 1] in columns cols[2i] and
+    cols[2i + 1], stored as given (zeros included)."""
+    n_rows = len(cols) // 2
+    return sp.csr_matrix(
+        (np.asarray(vals, dtype=float), np.asarray(cols), np.arange(0, len(cols) + 1, 2)),
+        shape=(n_rows, n_cols),
     )
 
 
@@ -360,22 +371,21 @@ def build_1d_maps(N: int, alpha: float) -> MapSet:
     P_eq = _selector(np.arange(1, n_nodes), n_nodes)
     P_ep = _selector(np.arange(N), n_nodes)
 
-    # upper-bidiagonal q flow map; p flow map is its transpose
-    diag = sp.diags([np.full(N, 1.0 - alpha), np.full(N - 1, alpha)], [0, 1])
-    P_fq = sp.csr_matrix(diag)
+    # upper-bidiagonal q flow map, 1 - alpha on the diagonal and alpha
+    # above it (zero weights not stored); the p flow map is its transpose
+    P_fq = sp.csr_matrix(
+        (
+            np.tile([1.0 - alpha, alpha], N)[:-1],
+            np.repeat(np.arange(N), 2)[1:],
+            np.append(np.arange(0, 2 * N, 2), 2 * N - 1),
+        ),
+        shape=(N, N),
+    )
+    P_fq.eliminate_zeros()
     P_fp = P_fq.T.tocsr()
 
-    S_p = sp.csr_matrix(
-        (np.array([1.0 - alpha, alpha]), (np.zeros(2, dtype=int), np.array([0, 1]))),
-        shape=(1, n_nodes),
-    )
-    S_q_hat = sp.csr_matrix(
-        (
-            np.array([alpha, 1.0 - alpha]),
-            (np.zeros(2, dtype=int), np.array([N - 1, N])),
-        ),
-        shape=(1, n_nodes),
-    )
+    S_p = _two_per_row([0, 1], [1.0 - alpha, alpha], n_nodes)
+    S_q_hat = _two_per_row([N - 1, N], [alpha, 1.0 - alpha], n_nodes)
 
     return MapSet(
         T_q=T_q,
@@ -414,19 +424,10 @@ def build_golo_1d_maps(N: int, alpha_prime: float) -> MapSet:
         )
     a = alpha_prime
     n_nodes = N + 1
-    eye = sp.identity(N, format="csr")
-
-    rows = np.repeat(np.arange(N), 2)
+    eye = _selector(np.arange(N), N)
     cols = np.column_stack([np.arange(N), np.arange(1, n_nodes)]).ravel()
-    P_ep = sp.csr_matrix(
-        (np.tile([1.0 - a, a], N), (rows, cols)), shape=(N, n_nodes)
-    )
-    P_eq = sp.csr_matrix(
-        (np.tile([a, 1.0 - a], N), (rows, cols)), shape=(N, n_nodes)
-    )
-
-    S_p = sp.csr_matrix(([1.0], ([0], [0])), shape=(1, n_nodes))
-    S_q_hat = sp.csr_matrix(([1.0], ([0], [N])), shape=(1, n_nodes))
+    P_ep = _two_per_row(cols, np.tile([1.0 - a, a], N), n_nodes)
+    P_eq = _two_per_row(cols, np.tile([a, 1.0 - a], N), n_nodes)
 
     return MapSet(
         T_q=_selector([0], n_nodes),
@@ -435,8 +436,8 @@ def build_golo_1d_maps(N: int, alpha_prime: float) -> MapSet:
         P_ep=P_ep,
         P_fp=eye,
         P_fq=eye,
-        S_p=S_p,
-        S_q_hat=S_q_hat,
+        S_p=_selector([0], n_nodes),
+        S_q_hat=_selector([N], n_nodes),
         perp=None,
         q_inputs=np.array([0]),
         p_inputs=np.array([N]),

@@ -40,17 +40,26 @@ SKEW_TOL = 1e-12
 def _resolve(stack: sp.csr_matrix, Pi: sp.csr_matrix) -> sp.csr_matrix:
     """Right-multiply by Pi^{-1}.
 
-    A (sign-)orthogonal Pi, the selector case of every mixed model, is its
-    own inverse transpose, so the product stays sparse; sorted indices keep
-    the exported entry order canonical.  Only the merely invertible effort
-    maps of the comparison scheme (1D, small) take a dense LU solve.
+    A signed permutation Pi (one nonzero per row, +1 or -1, in a column no
+    other row uses; the selectors of every mixed model) has Pi^{-1} = Pi^T,
+    so the product is an exact gather of signed columns, with zeros dropped
+    and indices sorted for a canonical entry order.  Any other Pi (the
+    comparison scheme's effort maps, 1D and small) takes a dense LU solve.
     """
-    gram = (Pi @ Pi.T - sp.identity(Pi.shape[0])).tocsr()
-    gram.eliminate_zeros()
-    if gram.nnz == 0 or np.abs(gram.data).max() <= 1e-14:
-        X = (stack @ Pi.T).tocsr()
+    n, entries = Pi.shape[0], Pi.tocoo()
+    nonzero = entries.data != 0
+    rows, cols, signs = entries.row[nonzero], entries.col[nonzero], entries.data[nonzero]
+    if rows.size == n and np.all(np.abs(signs) == 1) and all(
+        np.all(np.bincount(index, minlength=n) == 1) for index in (rows, cols)
+    ):
+        # stack column cols[i] becomes column rows[i] of the product, times signs[i]
+        target, sign = np.empty(n, dtype=stack.indices.dtype), np.empty(n)
+        target[cols], sign[cols] = rows, signs
+        data = sign[stack.indices]
+        data *= stack.data
+        X = sp.csr_matrix((data, target[stack.indices], stack.indptr), shape=stack.shape)
         X.eliminate_zeros()
-        X.sort_indices()
+        X.sum_duplicates()
         return X
     lu = spla.splu(sp.csc_matrix(Pi.T))
     return sp.csr_matrix(lu.solve(stack.toarray().T).T)
@@ -88,16 +97,17 @@ class PHModel(NamedTuple):
     def node_blocks(self) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
         """Certificate of the mixed structure: (J_p, diag Q_p, diag Q_q)
         when J = [[0, J_p], [J_q, 0]] with exactly zero diagonal blocks and
-        |J_q + J_p^T| <= SKEW_TOL, and Q is diagonal and positive; else
-        StructureViolationError naming the condition that failed."""
+        |J_q + J_p^T| <= SKEW_TOL, and Q is diagonal, finite and positive;
+        else StructureViolationError naming the condition that failed."""
         n_p, J, q = self.n_p, self.J.tocsr(), self.Q.diagonal()
-        J_p = J[:n_p, n_p:].tocsr()
-        skew = np.abs((J[n_p:, :n_p] + J_p.T).tocsr().data).max(initial=0.0)
+        J_p, J_q = J[:n_p, n_p:].tocsr(), J[n_p:, :n_p].tocsr()
+        skew = _max_abs_sum(J_q, J_p)
         for failed, condition in (
-            (J[:n_p, :n_p].count_nonzero() or J[n_p:, n_p:].count_nonzero(),
+            (J.count_nonzero() != J_p.count_nonzero() + J_q.count_nonzero(),
              "J has a nonzero diagonal block"),
             (not skew <= SKEW_TOL, f"|J_q + J_p^T| = {skew:.3e} exceeds {SKEW_TOL}"),
-            ((self.Q - sp.diags(q)).count_nonzero(), "Q is not diagonal"),
+            (self.Q.count_nonzero() != np.count_nonzero(q), "Q is not diagonal"),
+            (not np.all(np.isfinite(q)), "Q is not finite and positive"),
             (not np.all(q > 0), f"Q is not positive (min {q.min(initial=1.0):.6g})"),
         ):
             if failed:
@@ -105,6 +115,20 @@ class PHModel(NamedTuple):
                     f"model outside the mixed structure: {condition}"
                 )
         return J_p, q[:n_p], q[n_p:]
+
+
+def _max_abs_sum(A: sp.csr_matrix, B: sp.csr_matrix, sign: float = 1.0) -> float:
+    """Max-abs entry of A + sign B^T.  When B^T stores the same pattern as
+    A (a skew J, and C = B^T up to round-off), the stored values are added
+    in one array operation; otherwise a sparse sum is formed."""
+    Bt = B.T.tocsr(copy=True)
+    if np.array_equal(A.indptr, Bt.indptr) and np.array_equal(A.indices, Bt.indices):
+        total = Bt.data
+        total *= sign
+        total += A.data
+    else:
+        total = (A - Bt if sign < 0 else A + Bt).data
+    return np.abs(total, out=total).max(initial=0.0)
 
 
 def assemble_model(
@@ -116,10 +140,10 @@ def assemble_model(
     """Combine structure (maps) and metric (Hodge pair) into a PH model.
 
     The flow and output rows of each law are right-multiplied by the
-    inverse of its stacked effort map [P_e; T] (`_resolve`), which gives
-    the blocks of J, B, C and D in one product per law.  The power balance
-    of the result is checked by the callers that build (`sim.build_model`)
-    or load (`load_model`) a model, each once.
+    inverse of its stacked effort map [P_e; T] (`_resolve`); one pass over
+    the entries of the two products routes each to J, B, C or D.  The power
+    balance of the result is checked by the callers that build
+    (`sim.build_model`) or load (`load_model`) a model, each once.
     """
     n_p, n_q = maps.P_fp.shape[0], maps.P_fq.shape[0]
     Pi_q = sp.vstack([maps.P_eq, maps.T_q]).tocsr()
@@ -127,6 +151,11 @@ def assemble_model(
     if Pi_q.shape[0] != Pi_q.shape[1] or Pi_p.shape[0] != Pi_p.shape[1]:
         raise InvalidArgumentError(
             "effort selectors and input traces do not tile the effort spaces"
+        )
+    if hodge.Q_p.shape[0] != n_p or hodge.Q_q.shape[0] != n_q:
+        raise InvalidArgumentError(
+            f"Hodge blocks ({hodge.Q_p.shape[0]}, {hodge.Q_q.shape[0]}) do not "
+            f"match state dimensions ({n_p}, {n_q})"
         )
     # rows of X_q: p flows, then p-type outputs; columns: q efforts, then
     # q-type inputs.  X_p mirrors this with p and q swapped.
@@ -138,34 +167,44 @@ def assemble_model(
     X_p = _resolve(
         sp.vstack([maps.P_fq @ inc.d_q.astype(float), maps.S_p]).tocsr(), Pi_p
     )
-
-    def off_diagonal(upper, lower):
-        return sp.bmat([[None, upper], [lower, None]], format="csr")
-
-    J = off_diagonal(-X_q[:n_p, :n_q], -X_p[:n_q, :n_p])
-    B = off_diagonal(-X_q[:n_p, n_q:], -X_p[:n_q, n_p:])
-    C = off_diagonal(X_q[n_p:, :n_q], X_p[n_q:, :n_p])
-    D = off_diagonal(X_q[n_p:, n_q:], X_p[n_q:, n_p:])
     m_hat, m = X_p.shape[1] - n_p, X_q.shape[1] - n_q
-    if hodge.Q_p.shape[0] != n_p or hodge.Q_q.shape[0] != n_q:
-        raise InvalidArgumentError(
-            f"Hodge blocks ({hodge.Q_p.shape[0]}, {hodge.Q_q.shape[0]}) do not "
-            f"match state dimensions ({n_p}, {n_q})"
-        )
-    Q = hodge.as_block()
-
-    return PHModel(J, Q, B, C, D, n_p, n_q, m_hat, m, dict(meta or {}))
+    n, n_u = n_p + n_q, m_hat + m
+    # Two tests route each entry of X_q and X_p: a flow row goes to J or B
+    # (negated), an output row to C or D; an effort column to J or C, an
+    # input column to B or D.  row_at shifts flow and output rows, col_at
+    # effort and input columns, to their place in the target matrix.  The
+    # COO view keeps the CSR order, so the flow rows' entries come first.
+    laws = (
+        (X_q.tocoo(), X_q.indptr[n_p], n_q, (0, -n_p), (n_p, m_hat - n_q)),
+        (X_p.tocoo(), X_p.indptr[n_q], n_p, (n_p, m_hat - n_q), (0, -n_p)),
+    )
+    mats = []
+    for flow, effort, shape in (
+        (True, True, (n, n)), (True, False, (n, n_u)),
+        (False, True, (n_u, n)), (False, False, (n_u, n_u)),
+    ):
+        pieces = []
+        for X, cut, n_efforts, row_at, col_at in laws:
+            part = slice(None, cut) if flow else slice(cut, None)
+            sel = (X.col[part] < n_efforts) == effort
+            data, row, col = X.data[part][sel], X.row[part][sel], X.col[part][sel]
+            if flow:
+                data *= -1.0
+            row += row_at[not flow]
+            col += col_at[not effort]
+            pieces.append((data, row, col))
+        data, row, col = (np.concatenate(arrays) for arrays in zip(*pieces))
+        del pieces
+        mats.append(sp.csr_matrix((data, (row, col)), shape=shape))
+    J, B, C, D = mats
+    return PHModel(J, hodge.as_block(), B, C, D, n_p, n_q, m_hat, m, dict(meta or {}))
 
 
 def power_balance_residual(model: PHModel) -> float:
     """Max-abs violation of skew-symmetry (J, D) and collocation (C = B^T):
     zero means dH_d/dt = y^T u holds exactly along trajectories."""
-    vals = []
-    for mat in (model.J + model.J.T, model.D + model.D.T, model.C - model.B.T):
-        mat = sp.csr_matrix(mat)
-        mat.eliminate_zeros()
-        vals.append(np.abs(mat.data).max() if mat.nnz else 0.0)
-    return float(max(vals))
+    J, B, C, D = (mat.tocsr() for mat in (model.J, model.B, model.C, model.D))
+    return float(max(_max_abs_sum(J, J), _max_abs_sum(D, D), _max_abs_sum(C, B, -1.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -198,11 +237,12 @@ def export_model(model: PHModel, outdir) -> pathlib.Path:
 def load_model(indir) -> PHModel:
     """Read a model written by `export_model` and re-validate it: the
     matrix shapes must agree with the manifest dimensions, every stored
-    entry of J, B, C and D must couple a p-type index with a q-type one
-    (the block pattern `assemble_model` produces, which pins the split
-    into n_p, n_q and m_hat, m), Q must be diagonal, the power balance
-    must hold to SKEW_TOL and the diagonal of Q must be positive.  A
-    loaded model therefore passes `PHModel.node_blocks`."""
+    entry must be finite, every nonzero entry of J, B, C and D must couple
+    a p-type index with a q-type one (the block pattern `assemble_model`
+    produces, which pins the split into n_p, n_q and m_hat, m), Q must be
+    diagonal, the power balance must hold to SKEW_TOL and the diagonal of
+    Q must be positive.  A loaded model therefore passes
+    `PHModel.node_blocks`."""
     indir = pathlib.Path(indir)
     mf = indir / "manifest.json"
     if not mf.is_file():
@@ -261,9 +301,11 @@ def load_model(indir) -> PHModel:
             p_rows, p_cols = p_split[name]
             bad = (mat.row < p_rows) == (mat.col < p_cols)
             why = f"coupling two indices of one type under the manifest split {dims}"
-        bad &= mat.data != 0
+        bad = (bad & (mat.data != 0)) | ~np.isfinite(mat.data)
         if bad.any():
             i = int(np.flatnonzero(bad)[0])
+            if not np.isfinite(mat.data[i]):
+                why = f"= {mat.data[i]}, which is not finite"
             raise InvalidArgumentError(
                 f"model matrix {path} has entry ({mat.row[i]}, {mat.col[i]}) {why}"
             )

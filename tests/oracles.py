@@ -5,8 +5,9 @@ library: numerical quadrature instead of closed-form integrals, physical
 finite-volume indexing instead of algebraic map composition, dense matrix
 exponentials instead of implicit stepping, a least-squares flow-map
 solve instead of constructive stencils, the image representation (E, F) of
-the Dirac structure instead of its resolved input-output form, and the
-textbook energy and output formulas instead of the recorded series.
+the Dirac structure instead of its resolved input-output form, dense
+inverses and hand-placed blocks instead of the sparse state-space split,
+and the textbook energy and output formulas instead of the recorded series.
 """
 
 from __future__ import annotations
@@ -389,3 +390,32 @@ def hamiltonian(model, x) -> float:
 def output(model, x, u) -> np.ndarray:
     """y = C Q x + D u."""
     return model.C @ (model.Q @ x) + model.D @ u
+
+
+# ---------------------------------------------------------------------------
+# dense state-space assembly
+
+
+def dense_model(maps, inc, hodge) -> dict:
+    """J, Q, B, C and D as dense arrays: the flow and output rows of each
+    law times the dense inverse of its stacked effort map, then sliced and
+    placed block by block."""
+    d_p, d_q = inc.d_p.toarray().astype(float), inc.d_q.toarray().astype(float)
+    sgn = (-1.0) ** maps.r
+    X_q = np.vstack([sgn * maps.P_fp.toarray() @ d_p, maps.S_q_hat.toarray()]) @ (
+        np.linalg.inv(np.vstack([maps.P_eq.toarray(), maps.T_q.toarray()]))
+    )
+    X_p = np.vstack([maps.P_fq.toarray() @ d_q, maps.S_p.toarray()]) @ (
+        np.linalg.inv(np.vstack([maps.P_ep.toarray(), maps.T_p_hat.toarray()]))
+    )
+    n_p, n_q = maps.P_fp.shape[0], maps.P_fq.shape[0]
+    m_hat, m = maps.T_p_hat.shape[0], maps.T_q.shape[0]
+    n, n_u = n_p + n_q, m_hat + m
+    J, B = np.zeros((n, n)), np.zeros((n, n_u))
+    C, D = np.zeros((n_u, n)), np.zeros((n_u, n_u))
+    J[:n_p, n_p:], J[n_p:, :n_p] = -X_q[:n_p, :n_q], -X_p[:n_q, :n_p]
+    B[:n_p, m_hat:], B[n_p:, :m_hat] = -X_q[:n_p, n_q:], -X_p[:n_q, n_p:]
+    C[:m_hat, n_p:], C[m_hat:, :n_p] = X_q[n_p:, :n_q], X_p[n_q:, :n_p]
+    D[:m_hat, m_hat:], D[m_hat:, :m_hat] = X_q[n_p:, n_q:], X_p[n_q:, n_p:]
+    Q = np.diag(np.concatenate([hodge.Q_p.diagonal(), hodge.Q_q.diagonal()]))
+    return {"J": J, "Q": Q, "B": B, "C": C, "D": D}

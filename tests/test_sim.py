@@ -96,6 +96,9 @@ def outside_mixed_structure(kind):
         return mixed + np.tril(np.full((n, n), 1e-9), -n // 2), np.diag(q)
     if kind == "non-diagonal-Q":
         return mixed, np.eye(n) + R @ R.T
+    if kind == "non-finite-Q":
+        q[4] = np.inf
+        return mixed, np.diag(q)
     q[4] = -q[4]
     return mixed, np.diag(q)
 
@@ -324,9 +327,13 @@ class TestStepperRoutes:
             ("full-skew-J", "J has a nonzero diagonal block"),
             ("non-skew-blocks", r"\|J_q \+ J_p\^T\| = 1\.000e-09 exceeds"),
             ("non-diagonal-Q", "Q is not diagonal"),
+            ("non-finite-Q", "Q is not finite and positive"),
             ("non-positive-Q", "Q is not positive"),
         ],
-        ids=["full-skew-J", "non-skew-blocks", "non-diagonal-Q", "non-positive-Q"],
+        ids=[
+            "full-skew-J", "non-skew-blocks", "non-diagonal-Q", "non-finite-Q",
+            "non-positive-Q",
+        ],
     )
     def test_model_outside_mixed_structure_rejected(self, kind, condition):
         model = hand_built_model(*outside_mixed_structure(kind))
@@ -334,6 +341,19 @@ class TestStepperRoutes:
             sim.MidpointStepper(model, 1e-3)
         with pytest.raises(StructureViolationError, match=condition):
             sim.simulate(model, sim.SimConfig(dt=1e-3, T=1e-2))
+
+    def test_inf_in_exported_hodge_stops_the_load(self, tmp_path):
+        """An exported model whose Q.mtx holds inf in its first entry is
+        refused by `load_model`, before any stepper or spectrum sees a
+        non-finite Hodge matrix."""
+        model = sim.build_model(GOLDEN_CONFIGS["interval"]).model
+        out = ss.export_model(model, tmp_path / "m")
+        lines = (out / "Q.mtx").read_text().splitlines()
+        first = 1 + next(i for i, line in enumerate(lines) if not line.startswith("%"))
+        lines[first] = " ".join(lines[first].split()[:-1] + ["inf"])
+        (out / "Q.mtx").write_text("\n".join(lines) + "\n")
+        with pytest.raises(InvalidArgumentError, match=r"Q\.mtx has entry \(0, 0\) = inf"):
+            ss.load_model(out)
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS))
     def test_built_and_loaded_models_accepted(self, name, tmp_path):

@@ -9,6 +9,7 @@ from scipy.io import mmwrite
 
 import oracles
 from phfem import hodge as hg
+from phfem import sim
 from phfem import mesh as msh
 from phfem import power_maps as pm
 from phfem import statespace as ss
@@ -18,6 +19,7 @@ from phfem.errors import (
     SingularHodgeError,
     StructureViolationError,
 )
+from test_golden import CONFIGS as GOLDEN_CONFIGS
 
 
 def maps_2d(N, M, causality, w=None, h=1.0):
@@ -109,6 +111,73 @@ class TestIORep:
         b = blocks(model_2d(3, 2, {"p_sides": ["bottom"], "q_edges": "rest"}))
         assert np.abs(b["D_q"]).max() > 0
         np.testing.assert_allclose(b["D_q"], -b["D_p"].T, atol=1e-14)
+
+
+def golden_hodge(config, built):
+    """The Hodge pair `sim.build_model` pairs with a golden config."""
+    if built.mesh.dim == 2:
+        return hg.hodge_2d(built.mesh, built.maps)
+    N, h = config["mesh"]["N"], built.mesh.h
+    if config.get("method") == "golo":
+        return hg.hodge_golo_1d(N, h)
+    return hg.hodge_1d(N, config["alpha"], h)
+
+
+class TestDenseReference:
+    """The one-pass split of `assemble_model` against dense inverses and
+    hand-placed blocks."""
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS))
+    def test_assemble_model_matches_dense_reference(self, name):
+        config = GOLDEN_CONFIGS[name]
+        built = sim.build_model(config)
+        pair = golden_hodge(config, built)
+        model = ss.assemble_model(built.maps, built.inc, pair)
+        ref = oracles.dense_model(built.maps, built.inc, pair)
+        for key, want in ref.items():
+            got = getattr(model, key).toarray()
+            assert got.shape == want.shape, key
+            scale = max(1.0, np.abs(want).max(initial=0.0))
+            np.testing.assert_allclose(
+                got, want, rtol=0, atol=1e-12 * scale, err_msg=key
+            )
+        if name == "golo":
+            assert np.abs(ref["D"]).max() > 0  # alpha' = 1/12 has feedthrough
+        J, B, C, D = (getattr(model, key).toarray() for key in "JBCD")
+        dense_balance = max(
+            np.abs(J + J.T).max(),
+            np.abs(D + D.T).max(initial=0.0),
+            np.abs(C - B.T).max(),
+        )
+        assert ss.power_balance_residual(model) == dense_balance
+
+    def test_signed_permutation_is_an_exact_gather(self, monkeypatch):
+        """A signed permutation Pi, here with an explicitly stored zero as
+        the comparison scheme has at alpha' = 0, skips the LU solve."""
+        data, cols, indptr = [1.0, 0.0, -1.0, 1.0], [1, 2, 2, 0], [0, 2, 3, 4]
+        Pi = sp.csr_matrix((data, cols, indptr), shape=(3, 3))
+        monkeypatch.setattr(ss.spla, "splu", None)
+        stack = sp.csr_matrix(np.random.default_rng(1).standard_normal((4, 3)))
+        X = ss._resolve(stack, Pi)
+        assert X.has_sorted_indices
+        assert np.array_equal(X.toarray(), stack.toarray() @ Pi.toarray().T)
+
+    def test_near_orthogonal_pi_takes_the_lu_solve(self, monkeypatch):
+        """A rotation by 1e-8 is orthogonal to round-off but not a signed
+        permutation: it is solved, not transposed."""
+        s = 1e-8
+        c = np.sqrt(1 - s * s)
+        Pi = sp.csr_matrix(np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, -1.0]]))
+        assert np.abs((Pi @ Pi.T).toarray() - np.eye(3)).max() <= 1e-15
+        calls, splu = [], ss.spla.splu
+        monkeypatch.setattr(
+            ss.spla, "splu", lambda *a, **k: calls.append(1) or splu(*a, **k)
+        )
+        stack = sp.csr_matrix(np.random.default_rng(2).standard_normal((4, 3)))
+        X = ss._resolve(stack, Pi)
+        assert calls == [1]
+        want = np.linalg.solve(Pi.toarray().T, stack.toarray().T).T
+        np.testing.assert_allclose(X.toarray(), want, rtol=0, atol=1e-15)
 
 
 class TestModelAssembly:
@@ -266,6 +335,26 @@ class TestSerialization:
         Q[1, 6] = 0.01
         mmwrite(str(out / "Q.mtx"), sp.coo_matrix(Q))
         with pytest.raises(InvalidArgumentError, match=r"Q\.mtx has entry \(1, 6\)"):
+            ss.load_model(out)
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("name", ["J", "Q", "B", "C", "D"])
+    def test_non_finite_entry_rejected(self, tmp_path, name, value):
+        """A stored inf or NaN is named with its file and position; an inf
+        on the diagonal of Q used to load and fail later as "Q is not
+        diagonal"."""
+        golo = {"mesh": {"kind": "interval", "N": 4}, "method": "golo",
+                "alpha_prime": 0.25}
+        model = sim.build_model(golo).model  # D != 0
+        out = ss.export_model(model, tmp_path / "m")
+        mat = sp.coo_matrix(getattr(model, name))
+        mat.data[-1] = value
+        mmwrite(str(out / f"{name}.mtx"), mat)
+        match = (
+            rf"{name}\.mtx has entry \({mat.row[-1]}, {mat.col[-1]}\) = {value}, "
+            "which is not finite"
+        )
+        with pytest.raises(InvalidArgumentError, match=match):
             ss.load_model(out)
 
     def test_unreadable_matrix(self, tmp_path):
