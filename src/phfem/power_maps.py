@@ -199,17 +199,35 @@ def _build_Pfp_full(mesh: SimplexMesh, w: TriangleWeights) -> sp.csr_matrix:
     )
 
 
-def power_residual(maps: MapSet, inc: IncidencePair) -> float:
-    """Max-abs entry of the power-preservation matrix condition."""
-    d_p = inc.d_p.astype(float)
-    d_q = inc.d_q.astype(float)
-    lhs = (
-        ((-1.0) ** maps.r) * (d_p.T @ maps.P_fp.T @ maps.P_ep)
-        + maps.P_eq.T @ maps.P_fq @ d_q
-        + maps.T_q.T @ maps.S_p
-        + maps.S_q_hat.T @ maps.T_p_hat
+class EffortStacks(NamedTuple):
+    """Each law's flow and output rows over its stacked effort map: the
+    q-law pair F_q = [(-1)^r P_fp d_p; S_q_hat] over Pi_q = [P_eq; T_q] and
+    the p-law pair F_p = [P_fq d_q; S_p] over Pi_p = [P_ep; T_p_hat]."""
+
+    F_q: sp.csr_matrix
+    Pi_q: sp.csr_matrix
+    F_p: sp.csr_matrix
+    Pi_p: sp.csr_matrix
+
+
+def effort_stacks(maps: MapSet, inc: IncidencePair) -> EffortStacks:
+    """The stacks `statespace.assemble_model` resolves (F Pi^{-1})."""
+    return EffortStacks(
+        sp.vstack(
+            [((-1.0) ** maps.r) * (maps.P_fp @ inc.d_p.astype(float)), maps.S_q_hat]
+        ).tocsr(),
+        sp.vstack([maps.P_eq, maps.T_q]).tocsr(),
+        sp.vstack([maps.P_fq @ inc.d_q.astype(float), maps.S_p]).tocsr(),
+        sp.vstack([maps.P_ep, maps.T_p_hat]).tocsr(),
     )
-    lhs = sp.csr_matrix(lhs)
+
+
+def power_residual(maps: MapSet, inc: IncidencePair, *, _stacks=None) -> float:
+    """Max-abs entry of the power-preservation matrix condition, which in
+    terms of the effort stacks reads Pi_q^T F_p + F_q^T Pi_p = 0.
+    `sim.build_model` passes the stacks it also assembles the model from."""
+    s = effort_stacks(maps, inc) if _stacks is None else _stacks
+    lhs = sp.csr_matrix(s.Pi_q.T @ s.F_p + s.F_q.T @ s.Pi_p)
     return float(np.abs(lhs.data).max()) if lhs.nnz else 0.0
 
 

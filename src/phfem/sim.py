@@ -108,6 +108,7 @@ from .power_maps import (
     build_1d_maps,
     build_2d_maps,
     build_golo_1d_maps,
+    effort_stacks,
     power_residual,
     weights_from_config,
 )
@@ -212,12 +213,14 @@ def build_model(config: dict) -> BuiltModel:
             raise InvalidArgumentError(
                 f"method must be 'mixed' (alias 'ours') or 'golo', got {method!r}"
             )
-    preservation = power_residual(maps, inc)
+    stacks = effort_stacks(maps, inc)
+    preservation = power_residual(maps, inc, _stacks=stacks)
     if preservation > RESIDUAL_TOL:
         raise StructureViolationError(
             f"power-preservation residual {preservation:.3e} exceeds {RESIDUAL_TOL}"
         )
-    model = assemble_model(maps, inc, pair, meta=meta)
+    model = assemble_model(maps, inc, pair, meta=meta, _stacks=stacks)
+    del stacks  # resolved into the model; free before the balance check
     balance = power_balance_residual(model)
     if balance > SKEW_TOL:
         raise StructureViolationError(

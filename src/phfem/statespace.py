@@ -32,7 +32,7 @@ from .errors import (
 )
 from .hodge import HodgePair
 from .mesh import IncidencePair
-from .power_maps import MapSet
+from .power_maps import MapSet, effort_stacks
 
 SKEW_TOL = 1e-12
 
@@ -43,8 +43,10 @@ def _resolve(stack: sp.csr_matrix, Pi: sp.csr_matrix) -> sp.csr_matrix:
     A signed permutation Pi (one nonzero per row, +1 or -1, in a column no
     other row uses; the selectors of every mixed model) has Pi^{-1} = Pi^T,
     so the product is an exact gather of signed columns, with zeros dropped
-    and indices sorted for a canonical entry order.  Any other Pi (the
-    comparison scheme's effort maps, 1D and small) takes a dense LU solve.
+    and indices sorted for a canonical entry order.  The gather reuses the
+    stack's arrays, so the stack is consumed: its memory becomes the
+    product's.  Any other Pi (the comparison scheme's effort maps, 1D and
+    small) takes a dense LU solve.
     """
     n, entries = Pi.shape[0], Pi.tocoo()
     nonzero = entries.data != 0
@@ -55,9 +57,9 @@ def _resolve(stack: sp.csr_matrix, Pi: sp.csr_matrix) -> sp.csr_matrix:
         # stack column cols[i] becomes column rows[i] of the product, times signs[i]
         target, sign = np.empty(n, dtype=stack.indices.dtype), np.empty(n)
         target[cols], sign[cols] = rows, signs
-        data = sign[stack.indices]
-        data *= stack.data
-        X = sp.csr_matrix((data, target[stack.indices], stack.indptr), shape=stack.shape)
+        stack.data *= sign[stack.indices]
+        stack.indices[:] = target[stack.indices]
+        X = sp.csr_matrix((stack.data, stack.indices, stack.indptr), shape=stack.shape)
         X.eliminate_zeros()
         X.sum_duplicates()
         return X
@@ -136,19 +138,22 @@ def assemble_model(
     inc: IncidencePair,
     hodge: HodgePair,
     meta: dict | None = None,
+    *,
+    _stacks=None,
 ) -> PHModel:
     """Combine structure (maps) and metric (Hodge pair) into a PH model.
 
     The flow and output rows of each law are right-multiplied by the
-    inverse of its stacked effort map [P_e; T] (`_resolve`); one pass over
-    the entries of the two products routes each to J, B, C or D.  The power
-    balance of the result is checked by the callers that build
-    (`sim.build_model`) or load (`load_model`) a model, each once.
+    inverse of its stacked effort map [P_e; T] (`_resolve` of the
+    `power_maps.effort_stacks`; `sim.build_model` passes in the stacks it
+    checked, which the resolve consumes); one pass over the entries of the
+    two products routes each to J, B, C or D.  The power balance of the
+    result is checked by the callers that build (`sim.build_model`) or load
+    (`load_model`) a model, each once.
     """
     n_p, n_q = maps.P_fp.shape[0], maps.P_fq.shape[0]
-    Pi_q = sp.vstack([maps.P_eq, maps.T_q]).tocsr()
-    Pi_p = sp.vstack([maps.P_ep, maps.T_p_hat]).tocsr()
-    if Pi_q.shape[0] != Pi_q.shape[1] or Pi_p.shape[0] != Pi_p.shape[1]:
+    s = effort_stacks(maps, inc) if _stacks is None else _stacks
+    if s.Pi_q.shape[0] != s.Pi_q.shape[1] or s.Pi_p.shape[0] != s.Pi_p.shape[1]:
         raise InvalidArgumentError(
             "effort selectors and input traces do not tile the effort spaces"
         )
@@ -159,14 +164,8 @@ def assemble_model(
         )
     # rows of X_q: p flows, then p-type outputs; columns: q efforts, then
     # q-type inputs.  X_p mirrors this with p and q swapped.
-    sgn = (-1.0) ** maps.r
-    X_q = _resolve(
-        sp.vstack([sgn * (maps.P_fp @ inc.d_p.astype(float)), maps.S_q_hat]).tocsr(),
-        Pi_q,
-    )
-    X_p = _resolve(
-        sp.vstack([maps.P_fq @ inc.d_q.astype(float), maps.S_p]).tocsr(), Pi_p
-    )
+    X_q = _resolve(s.F_q, s.Pi_q)
+    X_p = _resolve(s.F_p, s.Pi_p)
     m_hat, m = X_p.shape[1] - n_p, X_q.shape[1] - n_q
     n, n_u = n_p + n_q, m_hat + m
     # Two tests route each entry of X_q and X_p: a flow row goes to J or B

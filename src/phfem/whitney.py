@@ -33,10 +33,11 @@ hold exactly, as does the summation-by-parts identity
 Every entry is a small integer over a fixed denominator (thirds, 24ths,
 halves, sixths), whatever h and the weights.  `verify_structure` uses this
 for its rank table: each matrix is scaled to integers and its rank is
-certified exactly modulo the prime 2^31 - 1 by sparse elimination
-(`rank_mod_p`), with no dense array and no singular-value threshold.  The
-incidences d_p and d_q are graphs, ranked exactly by their components
-(`incidence_rank`).
+certified exactly modulo the prime 2^31 - 1 by sparse elimination in
+rounds of independent pivots (`rank_mod_p`: about ten exact Schur updates
+per matrix), with no array denser than a fixed multiple of the remaining
+nonzeros and no singular-value threshold.  The incidences d_p and d_q are
+graphs, ranked exactly by their components (`incidence_rank`).
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components, reverse_cuthill_mckee
+from scipy.sparse.csgraph import connected_components
 
 from .mesh import IncidencePair, SimplexMesh, boundary_edges
 
@@ -186,6 +187,18 @@ RANK_PRIME = 2**31 - 1
 #: round-off (the entries are sums of a few O(1) terms, ~1e-16 off)
 INTEGRAL_TOL = 1e-9
 
+#: bits of the low limb in the Schur product: a limb times a residue is
+#: below 2^(16 + 31), so a sum of up to 2^16 such terms stays below 2^63
+_LIMB_BITS = 16
+#: most pivots eliminated in one round: two limb terms each, so each sum
+#: of the Schur product has at most 2^16 of them
+_ROUND_PIVOTS = 2**15
+#: the rounds stop once the nonzeros fill 1/_DENSE_SHARE of the remainder
+_DENSE_SHARE = 5
+#: priority contests per round: one among all candidates, then two more
+#: among those that conflict with no winner yet
+_LUBY_PASSES = 3
+
 
 class StructureReport(NamedTuple):
     """Numerical residuals and rank checks of the assembled matrices.
@@ -200,18 +213,182 @@ class StructureReport(NamedTuple):
     ranks: dict | None
 
 
+def _inverse_mod_p(d: np.ndarray) -> np.ndarray:
+    """Elementwise inverse of nonzero residues, d^(p-2) mod p (Fermat)."""
+    p = RANK_PRIME
+    out = np.ones_like(d)
+    e = p - 2
+    while e:
+        if e & 1:
+            out = out * d % p
+        d = d * d % p
+        e >>= 1
+    return out
+
+
+def _dense_rank_mod_p(a: np.ndarray) -> int:
+    """Rank mod p of a dense array of residues, one column at a time over
+    the shorter side."""
+    if a.shape[1] > a.shape[0]:
+        a = a.T
+    p = RANK_PRIME
+    rank = 0
+    for c in range(a.shape[1]):
+        nz = np.flatnonzero(a[:, c])
+        if not nz.size:
+            continue
+        k, others = nz[0], nz[1:]
+        # row_i <- a_kc row_i - a_ic row_k: scaling by the unit a_kc keeps
+        # the rank, and both products stay below 2^62
+        piv = a[k, c:]
+        sub = a[others, c:]
+        a[others, c:] = (sub * piv[0] - np.outer(sub[:, 0], piv)) % p
+        a = np.delete(a, k, axis=0)
+        rank += 1
+        if not a.shape[0]:
+            break
+    return rank
+
+
+def _drop_empty(a: sp.csr_matrix) -> sp.csr_matrix:
+    """The matrix without its empty rows and columns."""
+    live = np.diff(a.indptr) > 0
+    used = np.bincount(a.indices, minlength=a.shape[1]) > 0
+    col = np.cumsum(used) - 1
+    indptr = np.concatenate([[0], a.indptr[1:][live]])
+    return sp.csr_matrix(
+        (a.data, col[a.indices], indptr), shape=(int(live.sum()), int(used.sum()))
+    )
+
+
+def _independent_pivots(a, row, rng) -> np.ndarray:
+    """Positions (into a.data, in row order) of nonzeros no two of which
+    share a row or column or meet at a nonzero: the pivot block is diagonal.
+
+    Each row proposes its first entry of least Markowitz cost
+    (r_deg - 1)(c_deg - 1); its key is that cost, ties broken by a random
+    permutation of the rows, so keys are distinct.  Each column keeps the
+    proposal of least key.  A candidate wins a contest when its key is below
+    every candidate it conflicts with (an entry of A in its row at their
+    column, or the reverse); winners and the candidates they conflict with
+    leave, and the rest contest again (Luby, SIAM J. Comput. 1986).
+    """
+    m, n = a.shape
+    r_deg = np.diff(a.indptr)
+    cost = (r_deg - 1)[row] * (np.bincount(a.indices, minlength=n) - 1)[a.indices]
+    least = np.minimum.reduceat(cost, a.indptr[:-1])
+    hit = np.flatnonzero(cost == least[row])
+    first = np.ones(hit.size, dtype=bool)
+    first[1:] = row[hit[1:]] != row[hit[:-1]]
+    cand = hit[first]  # one per row
+    key = least * m + rng.permutation(m)
+    col = a.indices[cand]
+    best = np.full(n, np.iinfo(np.int64).max)
+    np.minimum.at(best, col, key)
+    alive = key == best[col]
+    # conflicts between candidates: the (row, column) owners of each nonzero
+    owner_col = np.full(n, -1)
+    owner_col[col[alive]] = np.flatnonzero(alive)
+    u = np.where(alive, np.arange(m), -1)[row]
+    v = owner_col[a.indices]
+    edge = (u >= 0) & (v >= 0) & (u != v)
+    u, v = u[edge], v[edge]
+    won = np.zeros(m, dtype=bool)
+    for _ in range(_LUBY_PASSES):
+        live = alive[u] & alive[v]
+        u, v = u[live], v[live]
+        low = np.full(m, np.iinfo(np.int64).max)
+        np.minimum.at(low, u, key[v])
+        np.minimum.at(low, v, key[u])
+        win = alive & (key < low)
+        won |= win
+        alive &= ~win
+        alive[v[win[u]]] = False
+        alive[u[win[v]]] = False
+    rows = np.flatnonzero(won)
+    if rows.size > _ROUND_PIVOTS:
+        rows = np.sort(rows[np.argsort(key[rows])[:_ROUND_PIVOTS]])
+    return cand[rows]
+
+
+def _schur_complement(a, row, piv) -> sp.csr_matrix:
+    """A22 - A21 D^-1 A12 mod p for the diagonal pivot block D at piv, as
+    one sparse product of integer matrices.
+
+    With X = -D^-1 A12 mod p split into 16-bit limbs X_lo + 2^16 X_hi,
+
+        A22 - A21 D^-1 A12 = [A21, 2^16 A21, I] [X_lo; X_hi; A22]   (mod p).
+
+    An entry of that product sums two terms per pivot, each a residue
+    times a limb, at most (2^31 - 2)(2^16 - 1) < 2^47 - 2^31, and one
+    residue of A22: with at most 2^15 pivots (_ROUND_PIVOTS) the sum stays
+    below 2^63, so int64 holds it exactly.
+    """
+    p = RANK_PRIME
+    m, n = a.shape
+    k = piv.size
+    in_piv_row = np.full(m, -1)
+    in_piv_row[row[piv]] = np.arange(k)  # increasing: pivots are in row order
+    in_piv_col = np.full(n, -1)
+    in_piv_col[a.indices[piv]] = np.arange(k)
+    pr, pc = in_piv_row[row], in_piv_col[a.indices]
+    a12 = (pr >= 0) & (pc < 0)
+    a21 = (pr < 0) & (pc >= 0)
+    a22 = (pr < 0) & (pc < 0)
+
+    # right factor: A12 and A22 keep their row-major entry order
+    x = a.data[a12] * (p - _inverse_mod_p(a.data[piv]))[pr[a12]] % p
+    x_count = np.bincount(pr[a12], minlength=k)
+    right = sp.csr_matrix(
+        (
+            np.concatenate([x & (2**_LIMB_BITS - 1), x >> _LIMB_BITS, a.data[a22]]),
+            np.concatenate([a.indices[a12], a.indices[a12], a.indices[a22]]),
+            np.cumsum(
+                np.concatenate([[0], x_count, x_count, np.bincount(row[a22], minlength=m)])
+            ),
+        ),
+        shape=(2 * k + m, n),
+    )
+    # left factor: row i holds its A21 entries, then them times 2^16, then
+    # the 1 that selects row i of A22
+    y, y_row, y_col = a.data[a21], row[a21], pc[a21]
+    left = sp.csr_matrix(
+        (
+            np.concatenate([y, y * 2**_LIMB_BITS % p, np.ones(m, dtype=np.int64)]),
+            (
+                np.concatenate([y_row, y_row, np.arange(m)]),
+                np.concatenate([y_col, k + y_col, 2 * k + np.arange(m)]),
+            ),
+        ),
+        shape=(m, 2 * k + m),
+    )
+    out = left @ right
+    out.data %= p
+    out.eliminate_zeros()
+    return out
+
+
 def rank_mod_p(mat, scale: int) -> int:
     """Exact rank of scale * mat over GF(RANK_PRIME), or -1 when a scaled
     entry is not an integer.
 
-    A tall matrix is transposed first (the rank is the same): swept by
-    columns, it would carry fronts of more rows than columns, and they
-    grow with the grid (K_q + L_q, edges x nodes).  Rows and columns are
-    reordered by reverse Cuthill-McKee on the bipartite row/column graph,
-    then a frontal row-echelon sweep visits the columns in order.  A row
-    joins the dense front when the sweep reaches its leading column and
-    leaves it when it becomes the pivot or zero, so memory is
-    (front rows) x (front width), never rows x columns.
+    Elimination runs in rounds of independent pivots (Saad's ILUM, SIAM
+    J. Sci. Comput. 1996).  Each round drops the empty rows and columns,
+    picks a set of nonzeros whose block is diagonal (`_independent_pivots`:
+    least Markowitz cost per row and per column, then a fixed-seed
+    priority contest), adds its size to the rank and replaces the matrix by
+    the Schur complement A22 - A21 D^-1 A12 mod p, formed as one sparse
+    product (`_schur_complement`).  The rounds stop once the nonzeros fill
+    at least 1/5 of the remaining rows x columns; a dense elimination mod p
+    finishes that remainder.  So no array is denser than five times the
+    remaining nonzeros, and the Whitney matrices take about ten rounds.
+
+    Termination: keys are distinct, so the candidate of least key wins its
+    contest, and every round eliminates at least one pivot.  Exactness:
+    all arithmetic is on residues in int64.  Products of two residues stay
+    below 2^62; the Schur product splits one factor into 16-bit limbs, so
+    each term is below 2^47, and with at most 2^15 pivots a round each sum
+    has at most 2^16 of them and stays below 2^63.
 
     For an integer matrix A, rank_p(A) <= rank_Q(A), with equality unless
     p divides every maximal nonzero minor of A: a wrong answer can only
@@ -227,65 +404,16 @@ def rank_mod_p(mat, scale: int) -> int:
         (ints.astype(np.int64) % RANK_PRIME, a.indices, a.indptr), shape=a.shape
     )
     a.eliminate_zeros()
-    if not a.nnz:
-        return 0
-    if a.shape[0] > a.shape[1]:
-        a = a.T.tocsr()
-
-    # renumber the columns in their reverse Cuthill-McKee order
-    n_rows, n_cols = a.shape
-    graph = sp.bmat([[None, a], [a.T, None]], format="csr")
-    order = reverse_cuthill_mckee(graph, symmetric_mode=True)
-    col_pos = np.empty(n_cols, dtype=a.indices.dtype)
-    col_pos[order[order >= n_rows] - n_rows] = np.arange(n_cols)
-    a = sp.csr_matrix((a.data, col_pos[a.indices], a.indptr), shape=a.shape)
-
-    # nonzero rows sorted by leading column
-    live = np.flatnonzero(np.diff(a.indptr))
-    lead = np.minimum.reduceat(a.indices, a.indptr[live])
-    a = a[live[np.argsort(lead, kind="stable")]]
-    lead = np.sort(lead)
-    # first column past the rows that have entered by each sweep position
-    reach = np.maximum.accumulate(np.maximum.reduceat(a.indices, a.indptr[:-1])) + 1
-    row_of = np.repeat(np.arange(live.size), np.diff(a.indptr))
-    enter = np.searchsorted(lead, np.arange(n_cols + 1))
-
-    p = RANK_PRIME
-    rank, hi = 0, 0
-    # active rows over the absolute columns [base, base + width); entries
-    # left of the sweep or at/after hi are zero
-    base, front = 0, np.zeros((0, 0), dtype=np.int64)
-    for j in range(n_cols):
-        r0, r1 = enter[j], enter[j + 1]
-        if r1 > r0:
-            hi = int(reach[r1 - 1])
-            if hi > base + front.shape[1]:
-                grown = np.zeros((front.shape[0], 2 * (hi - j)), dtype=np.int64)
-                grown[:, : base + front.shape[1] - j] = front[:, j - base :]
-                base, front = j, grown
-            s, e = a.indptr[r0], a.indptr[r1]
-            block = np.zeros((r1 - r0, front.shape[1]), dtype=np.int64)
-            block[row_of[s:e] - r0, a.indices[s:e] - base] = a.data[s:e]
-            front = np.concatenate([front, block])
-        elif not front.shape[0]:
-            continue
-        c, w = j - base, hi - base
-        nz = np.flatnonzero(front[:, c])
-        if not nz.size:
-            continue
-        k, others = nz[0], nz[1:]
-        alive = np.ones(front.shape[0], dtype=bool)
-        alive[k] = False
-        if others.size:
-            # row_i <- a_kc row_i - a_ic row_k: scaling by the unit a_kc
-            # keeps the rank, and both products stay below 2^62
-            piv = front[k, c:w]
-            sub = front[others, c:w]
-            sub = (sub * piv[0] - np.outer(sub[:, 0], piv)) % p
-            front[others, c:w] = sub
-            alive[others] = sub[:, 1:].any(axis=1)
-        front = front[alive]
-        rank += 1
+    rng = np.random.default_rng(0)
+    rank = 0
+    while a.nnz:
+        a = _drop_empty(a)
+        if _DENSE_SHARE * a.nnz >= a.shape[0] * a.shape[1]:
+            return rank + _dense_rank_mod_p(a.toarray())
+        row = np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
+        piv = _independent_pivots(a, row, rng)
+        rank += piv.size
+        a = _schur_complement(a, row, piv)
     return rank
 
 
@@ -331,9 +459,9 @@ def verify_structure(
     min(N, M) > 2 (N, M read from mesh.grid_shape).  The incidences are
     ranked by `incidence_rank`, exact for a grounded graph incidence and
     -1 for any other matrix.  Every other rank is an exact certificate
-    (`rank_mod_p`): the matrix is scaled by its known
-    denominator, must be integral there, and is reduced mod
-    RANK_PRIME by sparse elimination; nothing is densified and no
+    (`rank_mod_p`): the matrix is scaled by its known denominator, must
+    be integral there, and is reduced mod RANK_PRIME by sparse
+    elimination; only a remainder at least 1/5 full is made dense, and no
     singular-value threshold is involved.  It is at least as strict as a
     floating-point rank: a non-integral entry reports -1, and a rank mod
     p can differ from the rank over the rationals only by being lower

@@ -7,7 +7,8 @@ exponentials instead of implicit stepping, a least-squares flow-map
 solve instead of constructive stencils, the image representation (E, F) of
 the Dirac structure instead of its resolved input-output form, dense
 inverses and hand-placed blocks instead of the sparse state-space split,
-and the textbook energy and output formulas instead of the recorded series.
+the textbook energy and output formulas instead of the recorded series,
+and dense row reduction mod p instead of rounds of sparse Schur updates.
 """
 
 from __future__ import annotations
@@ -307,6 +308,30 @@ def expm_trajectory(A: np.ndarray, B: np.ndarray, u_of_t, dt: float, n_steps: in
         phi = sla.expm(aug * dt)
         xs[k + 1] = phi[:n, :n] @ xs[k] + phi[:n, n]
     return xs
+
+
+# ---------------------------------------------------------------------------
+# dense rank over GF(p) (textbook row reduction)
+
+
+def dense_rank_mod_p(a, p: int) -> int:
+    """Rank of an integer array over GF(p), p < 2^31, by row reduction
+    with row swaps and pivots normalized by Python's modular inverse, on the
+    dense array (products of two residues stay below 2^62 in int64)."""
+    a = np.array(a, dtype=np.int64) % p
+    rank = 0
+    for c in range(a.shape[1]):
+        nz = np.flatnonzero(a[rank:, c])
+        if not nz.size:
+            continue
+        k = rank + nz[0]
+        a[[rank, k]] = a[[k, rank]]
+        a[rank] = a[rank] * pow(int(a[rank, c]), -1, p) % p
+        a[rank + 1 :] = (a[rank + 1 :] - np.outer(a[rank + 1 :, c], a[rank])) % p
+        rank += 1
+        if rank == a.shape[0]:
+            break
+    return rank
 
 
 # ---------------------------------------------------------------------------

@@ -189,9 +189,9 @@ class TestBuild:
             (power_maps, "power_residual"), (sim, "power_residual"),
             (statespace, "power_balance_residual"), (sim, "power_balance_residual"),
         ):
-            def counted(*args, _fn=getattr(module, name), _name=name):
+            def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
                 calls[_name] += 1
-                return _fn(*args)
+                return _fn(*args, **kwargs)
 
             monkeypatch.setattr(module, name, counted)
         config = {**MIXED_2X1, "mesh": {"kind": "rect", "N": 3, "M": 3, "h": 1.0}}

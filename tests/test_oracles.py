@@ -10,6 +10,7 @@ from oracles import (
     TRI_QP,
     TRI_QW,
     TriangleFrame,
+    dense_rank_mod_p,
     expm_trajectory,
     staggered_fv_1d,
 )
@@ -90,3 +91,18 @@ def test_expm_trajectory_matches_analytic_rotation():
     R = np.array([[np.cos(T), np.sin(T)], [-np.sin(T), np.cos(T)]])
     exact = R @ x0 + np.linalg.solve(A, (R - np.eye(2)) @ b)
     assert np.abs(xs[-1] - exact).max() < 1e-12
+
+
+def test_dense_rank_mod_p_matches_rational_rank():
+    # small entries keep every minor below p: the rank over GF(p) is the
+    # rank over the rationals; a multiple of p vanishes
+    rng = np.random.default_rng(3)
+    p = 2**31 - 1
+    for shape in [(1, 1), (4, 7), (9, 5), (12, 12)]:
+        a = rng.integers(-2, 3, shape)
+        if shape[0] > 2:
+            a[-1] = a[0] - 2 * a[1]  # a planted dependent row
+        assert dense_rank_mod_p(a, p) == np.linalg.matrix_rank(a)
+    assert dense_rank_mod_p(np.array([[p, 0], [0, 1]]), p) == 1
+    assert dense_rank_mod_p(np.array([[2, 1], [1, 1]]), 3) == 2
+    assert dense_rank_mod_p(np.array([[2, 1], [1, 2]]), 3) == 1

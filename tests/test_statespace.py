@@ -158,7 +158,7 @@ class TestDenseReference:
         Pi = sp.csr_matrix((data, cols, indptr), shape=(3, 3))
         monkeypatch.setattr(ss.spla, "splu", None)
         stack = sp.csr_matrix(np.random.default_rng(1).standard_normal((4, 3)))
-        X = ss._resolve(stack, Pi)
+        X = ss._resolve(stack.copy(), Pi)  # the gather consumes its stack
         assert X.has_sorted_indices
         assert np.array_equal(X.toarray(), stack.toarray() @ Pi.toarray().T)
 

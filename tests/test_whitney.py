@@ -11,6 +11,7 @@ from phfem import whitney as wh
 
 from oracles import (
     TriangleFrame,
+    dense_rank_mod_p,
     eval_whitney,
     local_edge_vertices,
     loop_assemble_2d,
@@ -205,7 +206,8 @@ def test_eval_whitney_support():
 
 
 # ---------------------------------------------------------------------------
-# exact rank certificate (np.linalg.matrix_rank is the oracle)
+# exact rank certificate (np.linalg.matrix_rank and row reduction mod p
+# are the oracles)
 
 def built(N, M):
     m = msh.build_rect_mesh(N, M, 1.0)
@@ -252,6 +254,83 @@ def test_rank_mod_p_can_only_fall_short():
     a = sp.csr_matrix(np.array([[wh.RANK_PRIME, 0], [0, 1]], dtype=float))
     assert wh.rank_mod_p(a, 1) == 1
     assert wh.rank_mod_p(sp.csr_matrix((3, 4)), 1) == 0
+
+
+def banded_residues(rows, cols, width, density, big, n_dependent, seed):
+    """A sparse banded integer matrix: entries in [-3, 3] (negative ones sit
+    at p - 3 .. p - 1 mod p) or, with `big`, in [p - 50, p); then
+    `n_dependent` rows replaced by random combinations of two others mod p."""
+    p = wh.RANK_PRIME
+    rng = np.random.default_rng(seed)
+    i, j = np.indices((rows, cols))
+    band = np.abs(i * cols - j * rows) < width * max(rows, cols)
+    mask = band & (rng.random((rows, cols)) < density)
+    vals = rng.integers(p - 50, p, (rows, cols)) if big else rng.integers(-3, 4, (rows, cols))
+    a = np.where(mask, vals, 0).astype(np.int64) % p
+    for _ in range(n_dependent):
+        x, y, z = rng.choice(rows, 3, replace=False)
+        cx, cy = rng.integers(1, p, 2)
+        a[z] = (a[x] * cx % p + a[y] * cy % p) % p
+    return a
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    rows=st.integers(40, 150),
+    cols=st.integers(40, 150),
+    width=st.integers(2, 12),
+    density=st.floats(0.2, 0.8),
+    big=st.booleans(),
+    n_dependent=st.integers(0, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_rank_mod_p_rounds_match_dense_oracle(rows, cols, width, density, big, n_dependent, seed):
+    # minors of these matrices exceed p, so the oracle is exact row
+    # reduction mod p, not matrix_rank; entries near p - 1 fill both
+    # 16-bit limbs of the Schur product
+    a = banded_residues(rows, cols, width, density, big, n_dependent, seed)
+    want = dense_rank_mod_p(a, wh.RANK_PRIME)
+    assert wh.rank_mod_p(sp.csr_matrix(a.astype(float)), 1) == want
+    assert wh.rank_mod_p(sp.csr_matrix(a.T.astype(float)), 1) == want
+
+
+def counted_rounds(monkeypatch):
+    rounds = []
+    schur = wh._schur_complement
+
+    def counted(a, row, piv):
+        rounds.append(piv.size)
+        return schur(a, row, piv)
+
+    monkeypatch.setattr(wh, "_schur_complement", counted)
+    return rounds
+
+
+def test_rank_mod_p_eliminates_in_rounds(monkeypatch):
+    a = banded_residues(150, 120, 6, 0.5, True, 4, seed=7)
+    rounds = counted_rounds(monkeypatch)
+    assert wh.rank_mod_p(sp.csr_matrix(a.astype(float)), 1) == dense_rank_mod_p(
+        a, wh.RANK_PRIME
+    )
+    assert len(rounds) >= 3 and min(rounds) >= 1
+
+
+def test_rank_mod_p_caps_pivots_per_round(monkeypatch):
+    # the cap that bounds the limb sums, exercised at a size it bites
+    monkeypatch.setattr(wh, "_ROUND_PIVOTS", 3)
+    rounds = counted_rounds(monkeypatch)
+    a = banded_residues(60, 80, 4, 0.5, True, 3, seed=11)
+    assert wh.rank_mod_p(sp.csr_matrix(a.astype(float)), 1) == dense_rank_mod_p(
+        a, wh.RANK_PRIME
+    )
+    assert max(rounds) == 3
+
+
+def test_rank_table_m_q_takes_about_ten_rounds(monkeypatch):
+    m, g, inc = built(24, 24)
+    rounds = counted_rounds(monkeypatch)
+    assert wh.rank_mod_p(g.M_q, 24) == 2 * (m.node_coords.shape[0] - 2)
+    assert 3 <= len(rounds) <= 15
 
 
 @st.composite
@@ -312,6 +391,25 @@ def test_rank_table_24x24_bottom_side():
         "K_q+L_q": (624, 624),
         "d_p": (1152, 1152),
         "d_q": (624, 624),
+    }
+
+
+@pytest.mark.parametrize("N,M", [(54, 53), (80, 30)])
+def test_rank_table_at_the_cutoff(N, M):
+    # 54 x 53 has 2 970 nodes, the largest square-ish grid under the
+    # 3000-node cutoff; 80 x 30 (2 511 nodes) is far from square
+    m, g, inc = built(N, M)
+    n = m.node_coords.shape[0]
+    assert n <= 3000
+    ranks = wh.verify_structure(m, g, inc).ranks
+    assert ranks == {
+        "M_p": (n - 2, n - 2),
+        "M_q": (2 * (n - 2), 2 * (n - 2)),
+        "L_p": (2 * (N + M) - 1, 2 * (N + M) - 1),
+        "K_p+L_p": (n - 2, n - 2),
+        "K_q+L_q": (n - 1, n - 1),
+        "d_p": (2 * N * M, 2 * N * M),
+        "d_q": (n - 1, n - 1),
     }
 
 
