@@ -159,19 +159,9 @@ def cmd_build(args) -> int:
 
     model, checks = _build_from_config(cfg)
     outdir = export_model(model, args.out)
-    _write_manifest(outdir, _run_info("build", cfg, outdir, {"checks": _jsonable(checks)}))
+    _write_manifest(outdir, _run_info("build", cfg, outdir, {"checks": checks}))
     print(f"model written to {outdir} (states = {model.n}, inputs = {model.n_u})")
     return 0
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if hasattr(obj, "item"):  # numpy scalar
-        return obj.item()
-    return obj
 
 
 def cmd_simulate(args) -> int:

@@ -37,8 +37,6 @@ import scipy.sparse as sp
 
 from .errors import InvalidArgumentError
 
-NUMBERING_VERSION = "grouped-lower-upper/v1"
-
 _SIDES = ("bottom", "right", "top", "left")
 
 
@@ -155,22 +153,6 @@ def build_rect_mesh(N: int, M: int, h: float) -> SimplexMesh:
 
 # ---------------------------------------------------------------------------
 # index helpers
-
-
-def grid_counts(mesh: SimplexMesh) -> dict:
-    """Entity counts; in 2D also the per-class edge counts."""
-    if mesh.dim == 1:
-        N = mesh.grid_shape[0]
-        return {"nodes": N + 1, "edges": N}
-    N, M = mesh.grid_shape
-    return {
-        "nodes": (N + 1) * (M + 1),
-        "edges": mesh.edges.shape[0],
-        "faces": 2 * N * M,
-        "hor_edges": N * (M + 1),
-        "ver_edges": (N + 1) * M,
-        "dia_edges": N * M,
-    }
 
 
 def boundary_nodes(mesh: SimplexMesh) -> np.ndarray:
@@ -374,18 +356,3 @@ def q_input_edges(part: BoundaryPartition) -> np.ndarray:
 def p_input_nodes(part: BoundaryPartition) -> np.ndarray:
     flat = [n for seg in part.p_segments for n in seg]
     return np.array(flat, dtype=np.int64)
-
-
-# ---------------------------------------------------------------------------
-# export helpers
-
-
-def mesh_summary(mesh: SimplexMesh) -> dict:
-    """JSON-ready description (counts, size, numbering version)."""
-    return {
-        "dim": mesh.dim,
-        "grid_shape": list(mesh.grid_shape),
-        "h": mesh.h,
-        "counts": grid_counts(mesh),
-        "numbering": NUMBERING_VERSION,
-    }

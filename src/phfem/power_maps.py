@@ -140,8 +140,10 @@ class MapSet(NamedTuple):
                                                   read by the 2D Hodge (None
                                                   in 1D)
 
-    q_inputs/p_inputs and q_efforts/p_efforts record which mesh entities the
-    rows refer to (edges/nodes in 2D; nodes for inputs and efforts in 1D).
+    q_inputs/p_inputs and q_efforts/p_efforts name the column each row of
+    T_q/T_p_hat and P_eq/P_ep selects (edges/nodes in 2D, nodes in 1D); the
+    comparison scheme's P_eq/P_ep rows interpolate two nodes, so its effort
+    rows name edges.
     """
 
     T_q: sp.csr_matrix
@@ -417,7 +419,7 @@ def build_1d_maps(N: int, alpha: float) -> MapSet:
         perp=None,
         q_inputs=np.array([0]),
         p_inputs=np.array([N]),
-        q_efforts=np.arange(N),
+        q_efforts=np.arange(1, N + 1),
         p_efforts=np.arange(N),
         r=2,
     )

@@ -1,5 +1,5 @@
-"""Model construction from a config, time integration, energy accounting,
-and the 2D wave experiment.
+"""Model construction from a config, time integration, energy accounting
+with its `energy.csv` writer, and the 2D wave experiment.
 
 `build_model` is the one path from a config (the `phfem build` JSON schema)
 to a PH model: mesh -> boundary partition -> incidence -> power-preserving
@@ -75,7 +75,6 @@ follows the model (nnz plus O(n)), not the number of steps; the
 from __future__ import annotations
 
 import csv
-import json
 import math
 import numbers
 import pathlib
@@ -99,7 +98,6 @@ from .mesh import (
     build_interval_mesh,
     build_rect_mesh,
     incidence,
-    mesh_summary,
     partition_boundary,
 )
 from .power_maps import (
@@ -615,7 +613,6 @@ class WaveResult(NamedTuple):
     trajectory: Trajectory
     snapshots: dict
     model: PHModel
-    meta: dict
 
 
 def wave2d_experiment(
@@ -631,14 +628,18 @@ def wave2d_experiment(
     Snapshots are full nodal grids of the reconstructed effort field e~_p
     ((N+1) x (N+1), row-major in y), with the input value filling the
     driven corner.  The run keeps only the snapshot states; each snapshot
-    time reads the row of its grid step (see `SimConfig`).  Of the built
-    pipeline only the model and the effort and input node lists are kept
-    through the run.
+    time reads the row of its grid step (`SimConfig` checks the times before
+    the build).  Of the built pipeline only the model and the effort and
+    input node lists are kept through the run.  On the 20 x 20 domain the
+    reference front is a circle with radius 14 at t = 18.
     """
     if isinstance(N, bool) or not isinstance(N, numbers.Integral) or N < 1:
         raise InvalidArgumentError(
             f"grid size N must be a positive integer, got {N!r}"
         )
+    if snapshot_times is None:
+        raise InvalidArgumentError("snapshot_times must be a sequence of times, got None")
+    SimConfig(dt=dt, T=T, snapshot_times=snapshot_times).validate()
     h = 20.0 / N
     built = build_model(
         {
@@ -650,15 +651,6 @@ def wave2d_experiment(
     model = built.model
     m_b = built.maps.T_q.shape[0]
     p_efforts, p_inputs = built.maps.p_efforts, built.maps.p_inputs
-    meta = {
-        "experiment": "wave2d",
-        "mesh": mesh_summary(built.mesh),
-        "h": h,
-        "dt": dt,
-        "T": T,
-        "weights": model.meta["weights"],
-        "reference": "circle with radius 14 at t = 18",
-    }
     del built
 
     def u_of_t(t: float) -> np.ndarray:
@@ -679,7 +671,7 @@ def wave2d_experiment(
         grid[p_efforts] = e_p
         grid[p_inputs] = corner_pulse(traj.t[traj.x_steps[row]])
         snapshots[t_snap] = grid.reshape(N + 1, N + 1)
-    return WaveResult(traj, snapshots, model, meta)
+    return WaveResult(traj, snapshots, model)
 
 
 def diagonal_front_radius(snapshot: np.ndarray, h: float) -> float:
@@ -691,7 +683,7 @@ def diagonal_front_radius(snapshot: np.ndarray, h: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# artifact writers
+# energy writer
 
 
 def write_energy_csv(traj: Trajectory, path) -> pathlib.Path:
@@ -702,46 +694,4 @@ def write_energy_csv(traj: Trajectory, path) -> pathlib.Path:
         wr.writerow(["t", "H_d", "E_supplied"])
         for tk, hk, wk in zip(traj.t, traj.energy, traj.supplied):
             wr.writerow([f"{tk:.10g}", f"{hk:.16e}", f"{wk:.16e}"])
-    return path
-
-
-def write_snapshot_csv(snapshot: np.ndarray, h: float, path) -> pathlib.Path:
-    """Nodal grid as (x, y, value) rows, y-major to match the grid layout."""
-    path = pathlib.Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    rows_y, cols_x = snapshot.shape
-    with path.open("w", newline="") as f:
-        wr = csv.writer(f)
-        wr.writerow(["x", "y", "value"])
-        for j in range(rows_y):
-            for i in range(cols_x):
-                wr.writerow([f"{i * h:.10g}", f"{j * h:.10g}", f"{snapshot[j, i]:.16e}"])
-    return path
-
-
-def write_snapshot_index(result: WaveResult, outdir) -> pathlib.Path:
-    """Write all snapshots + energy series + a JSON index for the run."""
-    out = pathlib.Path(outdir)
-    out.mkdir(parents=True, exist_ok=True)
-    h = result.meta["h"]
-    entries = []
-    for t_snap, grid in sorted(result.snapshots.items()):
-        name = f"snapshot_t{t_snap:g}.csv"
-        write_snapshot_csv(grid, h, out / name)
-        entries.append(
-            {
-                "t": t_snap,
-                "file": name,
-                "diagonal_front_radius": diagonal_front_radius(grid, h),
-            }
-        )
-    write_energy_csv(result.trajectory, out / "energy.csv")
-    index = {
-        "format": "phfem-wave2d/v1",
-        "meta": result.meta,
-        "energy": "energy.csv",
-        "snapshots": entries,
-    }
-    path = out / "index.json"
-    path.write_text(json.dumps(index, indent=2, sort_keys=True))
     return path

@@ -20,6 +20,21 @@ MIXED_2X1 = {
 INTERVAL = {"mesh": {"kind": "interval", "N": 12}, "alpha": 0.0}
 
 
+def non_json_entries(obj, path="checks"):
+    """Paths in `obj` whose exact type json.dumps does not write as such
+    (numpy scalars included, although np.float64 subclasses float)."""
+    if type(obj) is dict:
+        for key, value in obj.items():
+            if type(key) is not str:
+                yield f"{path} key {key!r}"
+            yield from non_json_entries(value, f"{path}[{key!r}]")
+    elif type(obj) in (tuple, list):
+        for i, value in enumerate(obj):
+            yield from non_json_entries(value, f"{path}[{i}]")
+    elif type(obj) not in (str, int, float, type(None)):
+        yield f"{path}: {type(obj).__name__}"
+
+
 def write_cfg(tmp_path, obj, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(obj))
@@ -205,6 +220,21 @@ class TestBuild:
             k: checks["residuals"][k] for k in ("power_preservation", "power_balance")
         } == sim.build_model(config).residuals
         assert all(got == want for got, want in checks["ranks"].values())
+
+    @pytest.mark.parametrize(
+        "config, ranked",
+        [
+            ({**MIXED_2X1, "mesh": {"kind": "rect", "N": 4, "M": 4, "h": 1.0}}, True),
+            ({**MIXED_2X1, "mesh": {"kind": "rect", "N": 2, "M": 2, "h": 1.0}}, False),
+            (INTERVAL, False),
+        ],
+        ids=["rect-4x4-ranked", "rect-2x2-unranked", "interval"],
+    )
+    def test_checks_hold_only_json_types(self, config, ranked):
+        # the manifest writes `checks` as they are, with no conversion
+        _, checks = cli._build_from_config(json.loads(json.dumps(config)))
+        assert (checks["ranks"] is not None) == ranked
+        assert list(non_json_entries(checks)) == []
 
     def test_structure_gate_maps_to_exit_1(self, tmp_path, monkeypatch, capsys):
         def broken(cfg):

@@ -122,6 +122,19 @@ def flow_map_defect(m, w, inc, maps):
     return (maps.P_fq @ inc.d_q.astype(float) - maps.P_eq @ G).toarray()
 
 
+def assert_entity_lists_match(maps):
+    """Each entity list names, row by row, the one column its selector
+    picks."""
+    for names, sel in (
+        (maps.q_inputs, maps.T_q),
+        (maps.p_inputs, maps.T_p_hat),
+        (maps.q_efforts, maps.P_eq),
+        (maps.p_efforts, maps.P_ep),
+    ):
+        assert np.all(np.diff(sel.indptr) == 1)
+        np.testing.assert_array_equal(names, sel.indices)
+
+
 def build_case(N, M, causality, w):
     m = msh.build_rect_mesh(N, M, 1.0)
     part = msh.partition_boundary(m, causality)
@@ -298,6 +311,7 @@ class TestInvariants:
         for w in (pm.triangle_weights(*pm.PRESETS["set2"]), rand_weights(rng)):
             m, part, inc, maps = build_case(*dims, CAUSALITIES[ci], w)
             assert pm.power_residual(maps, inc) <= 1e-12
+            assert_entity_lists_match(maps)
             # the flow-map defect is confined to p-input columns and never
             # reaches the power identity
             defect = flow_map_defect(m, w, inc, maps)
@@ -365,6 +379,7 @@ class TestOneDimensional:
         maps = pm.build_1d_maps(N, alpha)
         inc = msh.incidence(msh.build_interval_mesh(N, 1.0))
         assert pm.power_residual(maps, inc) <= 1e-12
+        assert_entity_lists_match(maps)
 
         Pfq = maps.P_fq.toarray()
         assert np.allclose(np.diag(Pfq), 1 - alpha)

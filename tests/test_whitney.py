@@ -153,7 +153,6 @@ def test_structure_battery_2d(N, M):
         assert rep.ranks is not None
         for name, (got, want) in rep.ranks.items():
             assert got == want, name
-    counts = msh.grid_counts(m)
     # M_q is skew with even rank; M_p columns sum to one
     assert np.abs((g.M_q + g.M_q.T).toarray()).max() == 0.0
     assert np.allclose(np.asarray(g.M_p.sum(axis=0)).ravel(), 1.0)
