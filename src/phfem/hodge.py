@@ -50,8 +50,8 @@ def _diagonal(values: np.ndarray) -> sp.csr_matrix:
 def hodge_2d(mesh: SimplexMesh, maps: MapSet) -> HodgePair:
     """Consistent diagonal Hodge pair for a uniform square grid, from the
     cell size mesh.h and the map set's P_fp, transverse part perp of P_fq and
-    effort edges q_efforts (the mesh edge behind each P_fq row, which tells
-    diagonal from horizontal/vertical edges)."""
+    effort edges P_eq.indices (the mesh edge behind each P_fq row, which
+    tells diagonal from horizontal/vertical edges)."""
     if mesh.dim != 2:
         raise InvalidArgumentError("hodge_2d requires a 2D mesh")
     h = mesh.h
@@ -69,11 +69,11 @@ def hodge_2d(mesh: SimplexMesh, maps: MapSet) -> HodgePair:
     if np.any(abs_sums <= WEIGHT_FLOOR):
         bad = int(np.argmin(abs_sums))
         raise SingularHodgeError(
-            f"transverse part of P_fq row {bad} (edge {maps.q_efforts[bad]}) has "
+            f"transverse part of P_fq row {bad} (edge {maps.P_eq.indices[bad]}) has "
             f"absolute sum {abs_sums[bad]:.3e}; no flux information crosses "
             "this effort edge"
         )
-    factor = np.where(mesh.edge_class[maps.q_efforts] == "d", 2.0, 1.0)
+    factor = np.where(mesh.edge_class[maps.P_eq.indices] == "d", 2.0, 1.0)
     Q_q = _diagonal(factor / abs_sums)
     return HodgePair(Q_p, Q_q)
 

@@ -37,7 +37,8 @@ import scipy.sparse as sp
 
 from .errors import InvalidArgumentError
 
-_SIDES = ("bottom", "right", "top", "left")
+#: each rectangle side as a cut of a [j, i] id grid of `_id_grids`
+_SIDES = {"bottom": np.s_[0], "right": np.s_[:, -1], "top": np.s_[-1], "left": np.s_[:, 0]}
 
 
 class SimplexMesh(NamedTuple):
@@ -80,16 +81,17 @@ class IncidencePair(NamedTuple):
 
 
 class BoundaryPartition(NamedTuple):
-    """Disjoint causality segments on the mesh boundary.
+    """Disjoint causality sets on the mesh boundary, as flat int64 arrays.
 
-    q_segments -- tuple of tuples of boundary edge indices (2D) or boundary
-                  node indices (1D); efforts there are imposed as inputs e^b
-    p_segments -- tuple of tuples of boundary node indices; efforts there
-                  are imposed as inputs ehat^b
+    q_inputs -- boundary edge indices (2D) or boundary node indices (1D)
+                whose efforts are imposed as inputs e^b: the q segments in
+                the order given, each sorted
+    p_inputs -- sorted boundary node indices whose efforts are imposed as
+                inputs ehat^b
     """
 
-    q_segments: tuple
-    p_segments: tuple
+    q_inputs: np.ndarray
+    p_inputs: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -120,23 +122,17 @@ def build_rect_mesh(N: int, M: int, h: float) -> SimplexMesh:
 
     ii, jj = np.meshgrid(np.arange(N + 1), np.arange(M + 1), indexing="xy")
     coords = np.column_stack([ii.ravel() * h, jj.ravel() * h]).astype(float)
-
-    # entity ids as [j, i] grids, in the numbering of the module docstring
-    node = np.arange((N + 1) * (M + 1)).reshape(M + 1, N + 1)
-    n_hor, n_ver = N * (M + 1), (N + 1) * M
-    hor = np.arange(n_hor).reshape(M + 1, N)
-    ver = n_hor + np.arange(n_ver).reshape(M, N + 1)
-    dia = n_hor + n_ver + np.arange(N * M).reshape(M, N)
+    node, hor, ver, dia = _id_grids(N, M)
 
     def rows(*grids):
-        return np.column_stack([g.ravel() for g in grids]).astype(np.int64)
+        return np.column_stack([g.ravel() for g in grids])
 
     edges = np.concatenate([
         rows(node[:, 1:], node[:, :-1]),
         rows(node[:-1, :], node[1:, :]),
         rows(node[1:, 1:], node[:-1, :-1]),
     ])
-    edge_class = np.repeat(np.array(["h", "v", "d"]), [n_hor, n_ver, N * M])
+    edge_class = np.repeat(np.array(["h", "v", "d"]), [hor.size, ver.size, dia.size])
 
     # lower triangles first, then upper; CCW boundary traversal of each:
     # lower (i,j) -> (i+1,j) -> (i+1,j+1), upper (i,j) -> (i+1,j+1) -> (i,j+1)
@@ -155,47 +151,51 @@ def build_rect_mesh(N: int, M: int, h: float) -> SimplexMesh:
 # index helpers
 
 
+def _id_grids(N: int, M: int) -> tuple[np.ndarray, ...]:
+    """Node, horizontal, vertical and diagonal edge ids of an N x M grid as
+    [j, i] int64 grids, in the numbering of the module docstring."""
+    n_hor, n_ver = N * (M + 1), (N + 1) * M
+    node = np.arange((N + 1) * (M + 1), dtype=np.int64).reshape(M + 1, N + 1)
+    hor = np.arange(n_hor, dtype=np.int64).reshape(M + 1, N)
+    ver = n_hor + np.arange(n_ver, dtype=np.int64).reshape(M, N + 1)
+    dia = n_hor + n_ver + np.arange(N * M, dtype=np.int64).reshape(M, N)
+    return node, hor, ver, dia
+
+
 def boundary_nodes(mesh: SimplexMesh) -> np.ndarray:
     if mesh.dim == 1:
         N = mesh.grid_shape[0]
         return np.array([0, N], dtype=np.int64)
-    return np.unique(np.concatenate([boundary_side_nodes(mesh, s) for s in _SIDES]))
+    grids = _id_grids(*mesh.grid_shape)
+    return np.unique(np.concatenate([_side(grids, s, edges=False) for s in _SIDES]))
 
 
 def boundary_edges(mesh: SimplexMesh) -> np.ndarray:
     """2D boundary edge indices (bottom/top horizontals, left/right verticals)."""
     if mesh.dim == 1:
         raise InvalidArgumentError("boundary edges are a 2D notion")
-    return np.sort(np.concatenate([boundary_side_edges(mesh, s) for s in _SIDES]))
+    grids = _id_grids(*mesh.grid_shape)
+    return np.sort(np.concatenate([_side(grids, s, edges=True) for s in _SIDES]))
 
 
 def boundary_side_nodes(mesh: SimplexMesh, side: str) -> np.ndarray:
     """Node indices on one side of the 2D rectangle (corners included)."""
-    N, M = mesh.grid_shape
-    if side == "bottom":
-        return np.arange(N + 1, dtype=np.int64)
-    if side == "top":
-        return M * (N + 1) + np.arange(N + 1, dtype=np.int64)
-    if side == "left":
-        return (N + 1) * np.arange(M + 1, dtype=np.int64)
-    if side == "right":
-        return (N + 1) * np.arange(M + 1, dtype=np.int64) + N
-    raise InvalidArgumentError(f"unknown side {side!r}")
+    return _side(_id_grids(*mesh.grid_shape), side, edges=False)
 
 
 def boundary_side_edges(mesh: SimplexMesh, side: str) -> np.ndarray:
     """Edge indices along one side of the 2D rectangle."""
-    N, M = mesh.grid_shape
-    n_hor = N * (M + 1)
-    if side == "bottom":
-        return np.arange(N, dtype=np.int64)
-    if side == "top":
-        return M * N + np.arange(N, dtype=np.int64)
-    if side == "left":
-        return n_hor + (N + 1) * np.arange(M, dtype=np.int64)
-    if side == "right":
-        return n_hor + (N + 1) * np.arange(M, dtype=np.int64) + N
-    raise InvalidArgumentError(f"unknown side {side!r}")
+    return _side(_id_grids(*mesh.grid_shape), side, edges=True)
+
+
+def _side(grids: tuple, side: str, edges: bool) -> np.ndarray:
+    """One side's cut of the `_id_grids` node grid, or of the horizontal
+    (bottom, top) or vertical (left, right) edge grid."""
+    if side not in _SIDES:
+        raise InvalidArgumentError(f"unknown side {side!r}")
+    node, hor, ver, _ = grids
+    grid = (hor if side in ("bottom", "top") else ver) if edges else node
+    return grid[_SIDES[side]]
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +265,7 @@ def partition_boundary(mesh: SimplexMesh, causality: dict | None) -> BoundaryPar
                 "1D supports exactly the two-ended causality: q at node 0, "
                 f"p at node {N}"
             )
-        return BoundaryPartition(((0,),), ((N,),))
+        return BoundaryPartition(*np.array([[0], [N]], dtype=np.int64))
 
     bnodes = set(boundary_nodes(mesh).tolist())
     bedges = set(boundary_edges(mesh).tolist())
@@ -293,27 +293,28 @@ def partition_boundary(mesh: SimplexMesh, causality: dict | None) -> BoundaryPar
                 "causality key 'q_segments' must be a list of edge lists, "
                 f"got {q_segments_spec!r}"
             )
-        segments = [tuple(sorted(_indices(seg, "q_segments"))) for seg in q_segments_spec]
+        q_inputs = [
+            e for seg in q_segments_spec for e in sorted(_indices(seg, "q_segments"))
+        ]
     elif q_edges_spec == "rest":
-        segments = [tuple(sorted(e for e in bedges if not covered(e)))]
+        q_inputs = sorted(e for e in bedges if not covered(e))
     elif q_edges_spec == "all":
-        segments = [tuple(sorted(bedges))]
+        q_inputs = sorted(bedges)
     else:
-        segments = [tuple(sorted(_indices(q_edges_spec, "q_edges")))]
+        q_inputs = sorted(_indices(q_edges_spec, "q_edges"))
 
     seen: set[int] = set()
-    for seg in segments:
-        for e in seg:
-            if e not in bedges:
-                raise InvalidArgumentError(f"q-causal edge {e} is not a boundary edge")
-            if e in seen:
-                raise InvalidArgumentError(f"q-causal edge {e} listed twice")
-            if covered(e):
-                raise InvalidArgumentError(
-                    f"edge {e} has both endpoints p-causal; it cannot also "
-                    "carry a q-type input"
-                )
-            seen.add(e)
+    for e in q_inputs:
+        if e not in bedges:
+            raise InvalidArgumentError(f"q-causal edge {e} is not a boundary edge")
+        if e in seen:
+            raise InvalidArgumentError(f"q-causal edge {e} listed twice")
+        if covered(e):
+            raise InvalidArgumentError(
+                f"edge {e} has both endpoints p-causal; it cannot also "
+                "carry a q-type input"
+            )
+        seen.add(e)
     for side in q_sides:
         for e in boundary_side_edges(mesh, side).tolist():
             if e not in seen:
@@ -322,9 +323,9 @@ def partition_boundary(mesh: SimplexMesh, causality: dict | None) -> BoundaryPar
                     f"q side {side!r}: edge {e} is not a q-type input ({why})"
                 )
 
-    segments = [seg for seg in segments if seg]
-    p_segments = [tuple(sorted(p_nodes))] if p_nodes else []
-    return BoundaryPartition(tuple(segments), tuple(p_segments))
+    return BoundaryPartition(
+        np.array(q_inputs, dtype=np.int64), np.array(sorted(p_nodes), dtype=np.int64)
+    )
 
 
 def _side_names(value, key: str) -> list:
@@ -346,13 +347,3 @@ def _indices(value, key: str) -> list:
         )
     return [int(v) for v in value]
 
-
-def q_input_edges(part: BoundaryPartition) -> np.ndarray:
-    """All q-causal input entities, segment by segment."""
-    flat = [e for seg in part.q_segments for e in seg]
-    return np.array(flat, dtype=np.int64)
-
-
-def p_input_nodes(part: BoundaryPartition) -> np.ndarray:
-    flat = [n for seg in part.p_segments for n in seg]
-    return np.array(flat, dtype=np.int64)

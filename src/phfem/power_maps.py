@@ -34,14 +34,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import InternalConsistencyError, InvalidArgumentError
-from .mesh import (
-    BoundaryPartition,
-    IncidencePair,
-    SimplexMesh,
-    boundary_edges,
-    p_input_nodes,
-    q_input_edges,
-)
+from .mesh import BoundaryPartition, IncidencePair, SimplexMesh, boundary_edges
 
 RESIDUAL_TOL = 1e-12
 
@@ -140,10 +133,10 @@ class MapSet(NamedTuple):
                                                   read by the 2D Hodge (None
                                                   in 1D)
 
-    q_inputs/p_inputs and q_efforts/p_efforts name the column each row of
-    T_q/T_p_hat and P_eq/P_ep selects (edges/nodes in 2D, nodes in 1D); the
-    comparison scheme's P_eq/P_ep rows interpolate two nodes, so its effort
-    rows name edges.
+    T_q, T_p_hat and the mixed models' P_eq, P_ep hold one entry per row, so
+    their `.indices` is the entity list: the column (edge or node in 2D,
+    node in 1D) each row selects.  The comparison scheme's P_eq/P_ep rows
+    interpolate two nodes.
     """
 
     T_q: sp.csr_matrix
@@ -155,10 +148,6 @@ class MapSet(NamedTuple):
     S_p: sp.csr_matrix
     S_q_hat: sp.csr_matrix
     perp: sp.csr_matrix | None
-    q_inputs: np.ndarray
-    p_inputs: np.ndarray
-    q_efforts: np.ndarray
-    p_efforts: np.ndarray
     r: int
 
 
@@ -204,12 +193,16 @@ def _build_Pfp_full(mesh: SimplexMesh, w: TriangleWeights) -> sp.csr_matrix:
 class EffortStacks(NamedTuple):
     """Each law's flow and output rows over its stacked effort map: the
     q-law pair F_q = [(-1)^r P_fp d_p; S_q_hat] over Pi_q = [P_eq; T_q] and
-    the p-law pair F_p = [P_fq d_q; S_p] over Pi_p = [P_ep; T_p_hat]."""
+    the p-law pair F_p = [P_fq d_q; S_p] over Pi_p = [P_ep; T_p_hat].
+    n_p and n_q are the rows of P_fp and P_fq, the reduced state sizes;
+    the remaining rows of F_q and F_p are the p- and q-type outputs."""
 
     F_q: sp.csr_matrix
     Pi_q: sp.csr_matrix
     F_p: sp.csr_matrix
     Pi_p: sp.csr_matrix
+    n_p: int
+    n_q: int
 
 
 def effort_stacks(maps: MapSet, inc: IncidencePair) -> EffortStacks:
@@ -221,15 +214,15 @@ def effort_stacks(maps: MapSet, inc: IncidencePair) -> EffortStacks:
         sp.vstack([maps.P_eq, maps.T_q]).tocsr(),
         sp.vstack([maps.P_fq @ inc.d_q.astype(float), maps.S_p]).tocsr(),
         sp.vstack([maps.P_ep, maps.T_p_hat]).tocsr(),
+        maps.P_fp.shape[0],
+        maps.P_fq.shape[0],
     )
 
 
-def power_residual(maps: MapSet, inc: IncidencePair, *, _stacks=None) -> float:
+def power_residual(stacks: EffortStacks) -> float:
     """Max-abs entry of the power-preservation matrix condition, which in
-    terms of the effort stacks reads Pi_q^T F_p + F_q^T Pi_p = 0.
-    `sim.build_model` passes the stacks it also assembles the model from."""
-    s = effort_stacks(maps, inc) if _stacks is None else _stacks
-    lhs = sp.csr_matrix(s.Pi_q.T @ s.F_p + s.F_q.T @ s.Pi_p)
+    terms of the effort stacks reads Pi_q^T F_p + F_q^T Pi_p = 0."""
+    lhs = sp.csr_matrix(stacks.Pi_q.T @ stacks.F_p + stacks.F_q.T @ stacks.Pi_p)
     return float(np.abs(lhs.data).max()) if lhs.nnz else 0.0
 
 
@@ -257,8 +250,7 @@ def build_2d_maps(
     r = 3  # 2D wave setting (p, q) = (2, 1)
     n_edges = mesh.edges.shape[0]
     n_nodes = mesh.node_coords.shape[0]
-    q_in = q_input_edges(partition)
-    p_in = p_input_nodes(partition)
+    q_in, p_in = partition
     bedges = boundary_edges(mesh)
     portless = bedges[
         ~np.isin(bedges, q_in) & ~np.isin(mesh.edges[bedges], p_in).all(axis=1)
@@ -356,10 +348,6 @@ def build_2d_maps(
         S_p=S_p,
         S_q_hat=S_q_hat,
         perp=perp,
-        q_inputs=q_in,
-        p_inputs=p_in,
-        q_efforts=q_eff,
-        p_efforts=p_eff,
         r=r,
     )
 
@@ -417,10 +405,6 @@ def build_1d_maps(N: int, alpha: float) -> MapSet:
         S_p=S_p,
         S_q_hat=S_q_hat,
         perp=None,
-        q_inputs=np.array([0]),
-        p_inputs=np.array([N]),
-        q_efforts=np.arange(1, N + 1),
-        p_efforts=np.arange(N),
         r=2,
     )
 
@@ -459,9 +443,5 @@ def build_golo_1d_maps(N: int, alpha_prime: float) -> MapSet:
         S_p=_selector([0], n_nodes),
         S_q_hat=_selector([N], n_nodes),
         perp=None,
-        q_inputs=np.array([0]),
-        p_inputs=np.array([N]),
-        q_efforts=np.arange(N),
-        p_efforts=np.arange(N),
         r=2,
     )

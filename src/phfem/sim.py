@@ -212,12 +212,12 @@ def build_model(config: dict) -> BuiltModel:
                 f"method must be 'mixed' (alias 'ours') or 'golo', got {method!r}"
             )
     stacks = effort_stacks(maps, inc)
-    preservation = power_residual(maps, inc, _stacks=stacks)
+    preservation = power_residual(stacks)
     if preservation > RESIDUAL_TOL:
         raise StructureViolationError(
             f"power-preservation residual {preservation:.3e} exceeds {RESIDUAL_TOL}"
         )
-    model = assemble_model(maps, inc, pair, meta=meta, _stacks=stacks)
+    model = assemble_model(stacks, pair, meta=meta)
     del stacks  # resolved into the model; free before the balance check
     balance = power_balance_residual(model)
     if balance > SKEW_TOL:
@@ -258,8 +258,9 @@ class SimConfig(NamedTuple):
         times = self.snapshot_times
         if times is None:
             return
-        if isinstance(times, (str, bytes)) or not isinstance(
-            times, (Sequence, np.ndarray)
+        if isinstance(times, (str, bytes)) or not (
+            isinstance(times, Sequence)
+            or isinstance(times, np.ndarray) and times.ndim == 1
         ):
             raise InvalidArgumentError(
                 f"snapshot_times must be None or a sequence of times, got {times!r}"
@@ -649,12 +650,11 @@ def wave2d_experiment(
         }
     )
     model = built.model
-    m_b = built.maps.T_q.shape[0]
-    p_efforts, p_inputs = built.maps.p_efforts, built.maps.p_inputs
+    p_efforts, p_inputs = built.maps.P_ep.indices, built.maps.T_p_hat.indices
     del built
 
     def u_of_t(t: float) -> np.ndarray:
-        u = np.zeros(1 + m_b)
+        u = np.zeros(model.n_u)
         u[0] = corner_pulse(t)
         return u
 

@@ -31,8 +31,7 @@ from .errors import (
     StructureViolationError,
 )
 from .hodge import HodgePair
-from .mesh import IncidencePair
-from .power_maps import MapSet, effort_stacks
+from .power_maps import EffortStacks
 
 SKEW_TOL = 1e-12
 
@@ -134,26 +133,20 @@ def _max_abs_sum(A: sp.csr_matrix, B: sp.csr_matrix, sign: float = 1.0) -> float
 
 
 def assemble_model(
-    maps: MapSet,
-    inc: IncidencePair,
-    hodge: HodgePair,
-    meta: dict | None = None,
-    *,
-    _stacks=None,
+    stacks: EffortStacks, hodge: HodgePair, meta: dict | None = None
 ) -> PHModel:
-    """Combine structure (maps) and metric (Hodge pair) into a PH model.
+    """Combine structure (the `power_maps.effort_stacks` of the maps) and
+    metric (Hodge pair) into a PH model.
 
     The flow and output rows of each law are right-multiplied by the
-    inverse of its stacked effort map [P_e; T] (`_resolve` of the
-    `power_maps.effort_stacks`; `sim.build_model` passes in the stacks it
-    checked, which the resolve consumes); one pass over the entries of the
-    two products routes each to J, B, C or D.  The power balance of the
-    result is checked by the callers that build (`sim.build_model`) or load
-    (`load_model`) a model, each once.
+    inverse of its stacked effort map [P_e; T] (`_resolve`, which consumes
+    the stacks: their memory becomes the model's); one pass over the
+    entries of the two products routes each to J, B, C or D.  The power
+    balance of the result is checked by the callers that build
+    (`sim.build_model`) or load (`load_model`) a model, each once.
     """
-    n_p, n_q = maps.P_fp.shape[0], maps.P_fq.shape[0]
-    s = effort_stacks(maps, inc) if _stacks is None else _stacks
-    if s.Pi_q.shape[0] != s.Pi_q.shape[1] or s.Pi_p.shape[0] != s.Pi_p.shape[1]:
+    F_q, Pi_q, F_p, Pi_p, n_p, n_q = stacks
+    if Pi_q.shape[0] != Pi_q.shape[1] or Pi_p.shape[0] != Pi_p.shape[1]:
         raise InvalidArgumentError(
             "effort selectors and input traces do not tile the effort spaces"
         )
@@ -164,8 +157,8 @@ def assemble_model(
         )
     # rows of X_q: p flows, then p-type outputs; columns: q efforts, then
     # q-type inputs.  X_p mirrors this with p and q swapped.
-    X_q = _resolve(s.F_q, s.Pi_q)
-    X_p = _resolve(s.F_p, s.Pi_p)
+    X_q = _resolve(F_q, Pi_q)
+    X_p = _resolve(F_p, Pi_p)
     m_hat, m = X_p.shape[1] - n_p, X_q.shape[1] - n_q
     n, n_u = n_p + n_q, m_hat + m
     # Two tests route each entry of X_q and X_p: a flow row goes to J or B
@@ -210,6 +203,7 @@ def power_balance_residual(model: PHModel) -> float:
 # serialization
 
 _MATRICES = ("J", "Q", "B", "C", "D")
+_FORMAT = "phfem-model/v1"
 
 
 def export_model(model: PHModel, outdir) -> pathlib.Path:
@@ -222,7 +216,7 @@ def export_model(model: PHModel, outdir) -> pathlib.Path:
         mat = sp.coo_matrix(getattr(model, name))
         mmwrite(str(out / f"{name}.mtx"), mat)
     manifest = {
-        "format": "phfem-model/v1",
+        "format": _FORMAT,
         "n_p": model.n_p,
         "n_q": model.n_q,
         "m_hat": model.m_hat,
@@ -235,13 +229,13 @@ def export_model(model: PHModel, outdir) -> pathlib.Path:
 
 def load_model(indir) -> PHModel:
     """Read a model written by `export_model` and re-validate it: the
-    matrix shapes must agree with the manifest dimensions, every stored
-    entry must be finite, every nonzero entry of J, B, C and D must couple
-    a p-type index with a q-type one (the block pattern `assemble_model`
-    produces, which pins the split into n_p, n_q and m_hat, m), Q must be
-    diagonal, the power balance must hold to SKEW_TOL and the diagonal of
-    Q must be positive.  A loaded model therefore passes
-    `PHModel.node_blocks`."""
+    manifest format must be phfem-model/v1, the matrix shapes must agree
+    with the manifest dimensions, every stored entry must be finite, every
+    nonzero entry of J, B, C and D must couple a p-type index with a q-type
+    one (the block pattern `assemble_model` produces, which pins the split
+    into n_p, n_q and m_hat, m), Q must be diagonal, the power balance must
+    hold to SKEW_TOL and the diagonal of Q must be positive.  A loaded model
+    therefore passes `PHModel.node_blocks`."""
     indir = pathlib.Path(indir)
     mf = indir / "manifest.json"
     if not mf.is_file():
@@ -256,6 +250,10 @@ def load_model(indir) -> PHModel:
     if not isinstance(manifest, dict):
         raise InvalidArgumentError(
             f"{mf} must hold a JSON object, not a {type(manifest).__name__}"
+        )
+    if manifest.get("format") != _FORMAT:
+        raise InvalidArgumentError(
+            f"{mf}: format must be {_FORMAT!r}, got {manifest.get('format')!r}"
         )
     meta = manifest.get("meta", {})
     if not isinstance(meta, dict):

@@ -291,14 +291,15 @@ class TestStructureBattery:
                             if got != want
                         ]
                     maps = pm.build_2d_maps(mesh, part, w, inc)
-                    fold(tag, {"power_preservation": pm.power_residual(maps, inc)})
+                    stacks = pm.effort_stacks(maps, inc)
+                    fold(tag, {"power_preservation": pm.power_residual(stacks)})
                     E, F = image_rep(maps, inc)
                     fold(tag, {"image_rep": dirac_residual(E, F)})
                     F = F.toarray()
                     if np.linalg.matrix_rank(F) != F.shape[0]:
                         f_rank_deficit.append(tag)
                     hodge = hg.hodge_2d(mesh, maps)
-                    model = statespace.assemble_model(maps, inc, hodge)
+                    model = statespace.assemble_model(stacks, hodge)
                     fold(tag, cls._model_residuals(model))
 
         for N in cls.NS_1D:
@@ -311,14 +312,15 @@ class TestStructureBattery:
                 cases += 1
                 tag = f"1d N={N} alpha={alpha}"
                 maps = pm.build_1d_maps(N, alpha)
-                fold(tag, {"power_preservation": pm.power_residual(maps, inc)})
+                stacks = pm.effort_stacks(maps, inc)
+                fold(tag, {"power_preservation": pm.power_residual(stacks)})
                 E, F = image_rep(maps, inc)
                 fold(tag, {"image_rep": dirac_residual(E, F)})
                 F = F.toarray()
                 if np.linalg.matrix_rank(F) != F.shape[0]:
                     f_rank_deficit.append(tag)
                 model = statespace.assemble_model(
-                    maps, inc, hg.hodge_1d(N, alpha, 1.0 / N)
+                    stacks, hg.hodge_1d(N, alpha, 1.0 / N)
                 )
                 fold(tag, cls._model_residuals(model))
 
@@ -428,7 +430,7 @@ class TestPowerBalanceProperty:
         return [
             ("mixed 1d", analysis.build_1d_model(20, 1 / 6)),
             ("golo 1d", analysis.build_golo_1d_model(12, 1 / 12)),
-            ("mixed 2d", statespace.assemble_model(maps, inc, hodge)),
+            ("mixed 2d", statespace.assemble_model(pm.effort_stacks(maps, inc), hodge)),
         ]
 
     def test_random_vectors(self):

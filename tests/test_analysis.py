@@ -322,7 +322,7 @@ class TestComparisonScheme:
     def test_power_preservation(self, a):
         maps = pm.build_golo_1d_maps(12, a)
         inc = incidence(build_interval_mesh(12, 1.0))
-        assert pm.power_residual(maps, inc) <= 1e-12
+        assert pm.power_residual(pm.effort_stacks(maps, inc)) <= 1e-12
 
     def test_zero_weight_coincides_with_flow_map_model(self):
         ours = an.build_1d_model(20, 0.0)

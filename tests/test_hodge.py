@@ -38,17 +38,17 @@ class TestFrozenValues2D:
 
         # interior node: balance weight 2 -> 1/h^2
         interior_node = 5  # (1, 1)
-        row = list(maps.p_efforts).index(interior_node)
+        row = list(maps.P_ep.indices).index(interior_node)
         assert np.isclose(pair.Q_p.diagonal()[row], 1 / h**2)
 
         qd = pair.Q_q.diagonal()
-        kinds = {e: m.edge_class[int(e)] for e in maps.q_efforts}
+        kinds = {e: m.edge_class[int(e)] for e in maps.P_eq.indices}
         # interior horizontal edge 4 = hor(1,1), interior vertical,
         # any diagonal: frozen equal-weight values 3/2, 3/2, 3
         interior_hor = 4
         interior_ver = m.grid_shape[0] * (m.grid_shape[1] + 1) + 5  # ver(1,1)
         some_dia = [e for e, k in kinds.items() if k == "d"][0]
-        idx = {int(e): i for i, e in enumerate(maps.q_efforts)}
+        idx = {int(e): i for i, e in enumerate(maps.P_eq.indices)}
         assert np.isclose(qd[idx[interior_hor]], 1.5)
         assert np.isclose(qd[idx[interior_ver]], 1.5)
         assert np.isclose(qd[idx[int(some_dia)]], 3.0)
@@ -58,7 +58,7 @@ class TestFrozenValues2D:
         m, maps = build(2, 2, 1.0, w)
         pair = hg.hodge_2d(m, maps)
         # a corner node of the grid carries less balance area than 2
-        corner_row = list(maps.p_efforts).index(0)
+        corner_row = list(maps.P_ep.indices).index(0)
         assert pair.Q_p.diagonal()[corner_row] > 1.0
 
 
@@ -81,7 +81,7 @@ class TestConsistency:
         v = np.array([0.8, -1.3])
         q = constant_field_dofs(m, v)
         got = pair.Q_q @ (maps.perp @ q)
-        expected = rotated_field_dofs(m, v)[maps.q_efforts]
+        expected = rotated_field_dofs(m, v)[maps.P_eq.indices]
         np.testing.assert_allclose(got, expected, atol=1e-13)
 
     def test_volume_part_reproduces_constant_density(self):

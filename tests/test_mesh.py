@@ -107,39 +107,54 @@ class TestPartition2D:
 
     def test_all_q(self):
         part = msh.partition_boundary(self.m, {"q_edges": "all"})
-        assert len(part.q_segments) == 1
-        assert len(part.p_segments) == 0
-        assert len(part.q_segments[0]) == 6
+        assert part.q_inputs.tolist() == msh.boundary_edges(self.m).tolist()
+        assert len(part.p_inputs) == 0
+        assert len(part.q_inputs) == 6
 
     def test_default_is_all_q(self):
         part = msh.partition_boundary(self.m, None)
-        assert msh.q_input_edges(part).tolist() == msh.boundary_edges(self.m).tolist()
+        assert part.q_inputs.tolist() == msh.boundary_edges(self.m).tolist()
 
     def test_mixed_two_nodes_drops_their_edge(self):
         # nodes 0,1 cover horizontal edge 0; it leaves the q side
         part = msh.partition_boundary(self.m, {"p_nodes": [0, 1]})
-        assert msh.p_input_nodes(part).tolist() == [0, 1]
-        q = msh.q_input_edges(part).tolist()
+        assert part.p_inputs.tolist() == [0, 1]
+        q = part.q_inputs.tolist()
         assert 0 not in q and len(q) == 5
 
     def test_single_corner_node_keeps_all_edges(self):
         part = msh.partition_boundary(self.m, {"p_nodes": [0]})
-        assert len(msh.q_input_edges(part)) == 6
+        assert len(part.q_inputs) == 6
 
     def test_sides_sugar(self):
         part = msh.partition_boundary(self.m, {"p_sides": ["left"]})
-        assert msh.p_input_nodes(part).tolist() == [0, 3]
-        assert 4 not in msh.q_input_edges(part).tolist()  # left vertical edge
+        assert part.p_inputs.tolist() == [0, 3]
+        assert 4 not in part.q_inputs.tolist()  # left vertical edge
 
     def test_consistent_q_sides_keep_the_partition(self):
+        def same(a, b):
+            return all(np.array_equal(x, y) for x, y in zip(a, b, strict=True))
+
         m = msh.build_rect_mesh(2, 2, 1.0)
-        assert msh.partition_boundary(m, {"q_sides": ["left"]}) == (
-            msh.partition_boundary(m, None)
+        assert same(
+            msh.partition_boundary(m, {"q_sides": ["left"]}),
+            msh.partition_boundary(m, None),
         )
         causality = {"p_sides": ["bottom"], "q_edges": "rest"}
+        assert same(
+            msh.partition_boundary(m, {**causality, "q_sides": ["left", "top", "right"]}),
+            msh.partition_boundary(m, causality),
+        )
+
+    def test_segments_keep_their_order(self):
+        # each segment sorted, the segments in the order given
+        causality = {"q_segments": [[6, 3, 2], [4, 1, 0]]}
+        part = msh.partition_boundary(self.m, causality)
+        assert part.q_inputs.tolist() == [2, 3, 6, 0, 1, 4]
+        assert part.q_inputs.dtype == part.p_inputs.dtype == np.int64
         assert msh.partition_boundary(
-            m, {**causality, "q_sides": ["left", "top", "right"]}
-        ) == msh.partition_boundary(m, causality)
+            self.m, {"q_segments": [[], [1, 0]], "p_nodes": [5, 3]}
+        ).p_inputs.tolist() == [3, 5]
 
     @pytest.mark.parametrize("q_sides", ["anything", ["left", 3], None])
     def test_q_sides_must_be_side_names(self, q_sides):
@@ -181,8 +196,8 @@ class TestPartition2D:
 def test_partition_1d():
     m = msh.build_interval_mesh(8, 1.0)
     part = msh.partition_boundary(m, None)
-    assert part.q_segments == ((0,),)
-    assert part.p_segments == ((8,),)
+    assert part.q_inputs.tolist() == [0]
+    assert part.p_inputs.tolist() == [8]
     with pytest.raises(InvalidArgumentError):
         msh.partition_boundary(m, {"q_nodes": [8], "p_nodes": [0]})
 

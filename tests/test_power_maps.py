@@ -11,6 +11,7 @@ import scipy.sparse as sp
 import oracles
 from phfem import mesh as msh
 from phfem import power_maps as pm
+from phfem import sim
 from phfem.errors import InvalidArgumentError
 
 
@@ -123,16 +124,14 @@ def flow_map_defect(m, w, inc, maps):
 
 
 def assert_entity_lists_match(maps):
-    """Each entity list names, row by row, the one column its selector
-    picks."""
-    for names, sel in (
-        (maps.q_inputs, maps.T_q),
-        (maps.p_inputs, maps.T_p_hat),
-        (maps.q_efforts, maps.P_eq),
-        (maps.p_efforts, maps.P_ep),
-    ):
-        assert np.all(np.diff(sel.indptr) == 1)
-        np.testing.assert_array_equal(names, sel.indices)
+    """Each selector holds exactly one entry per row, so its `.indices`
+    names, row by row, the one column it picks; the effort and input lists
+    of each law together name every column once."""
+    for effort, trace in ((maps.P_eq, maps.T_q), (maps.P_ep, maps.T_p_hat)):
+        for sel in (effort, trace):
+            np.testing.assert_array_equal(sel.indptr, np.arange(sel.shape[0] + 1))
+        names = np.concatenate([effort.indices, trace.indices])
+        np.testing.assert_array_equal(np.sort(names), np.arange(effort.shape[1]))
 
 
 def build_case(N, M, causality, w):
@@ -208,7 +207,7 @@ class TestReferenceMatrices2x1:
         )
         perp, par, rot = ref_Pfq_rows_2x1(w)
         rows = [5, 7, 8]
-        assert list(maps.q_efforts) == rows
+        assert list(maps.P_eq.indices) == rows
         check_Pfq(maps, perp, par, rot, rows)
 
     @pytest.mark.parametrize("w", WEIGHT_CASES)
@@ -216,10 +215,10 @@ class TestReferenceMatrices2x1:
         m, part, inc, maps = build_case(
             2, 1, {"p_nodes": [0, 1], "q_edges": "rest"}, w
         )
-        assert list(maps.p_inputs) == [0, 1]
-        assert list(maps.q_inputs) == [1, 2, 3, 4, 6]
-        assert list(maps.q_efforts) == [0, 5, 7, 8]
-        assert list(maps.p_efforts) == [2, 3, 4, 5]
+        assert list(maps.T_p_hat.indices) == [0, 1]
+        assert list(maps.T_q.indices) == [1, 2, 3, 4, 6]
+        assert list(maps.P_eq.indices) == [0, 5, 7, 8]
+        assert list(maps.P_ep.indices) == [2, 3, 4, 5]
 
         np.testing.assert_allclose(
             maps.P_fp.toarray(), ref_Pfp_full_2x1(w)[2:], atol=1e-13
@@ -235,6 +234,17 @@ class TestReferenceMatrices2x1:
         np.testing.assert_allclose(
             maps.S_q_hat.toarray(), ref_Sq_hat_mixed_2x1(w), atol=1e-13
         )
+
+    def test_input_order_of_multi_segment_causality(self):
+        # the q trace selector's rows follow the partition's input order:
+        # each segment sorted, the segments in the order given
+        built = sim.build_model({
+            "mesh": {"kind": "rect", "N": 2, "M": 1},
+            "causality": {"q_segments": [[6, 3, 2], [4, 1, 0]]},
+            "weights": "set1",
+        })
+        assert built.maps.T_q.indices.tolist() == [2, 3, 6, 0, 1, 4]
+        assert_entity_lists_match(built.maps)
 
 
 class TestReferenceMatrices1x1:
@@ -252,7 +262,8 @@ class TestReferenceMatrices1x1:
         Pfp = maps.P_fp.toarray()      # 4 nodes x 2 faces
         Sp = maps.S_p.toarray()        # 4 boundary edges x 4 nodes
         Pfq = maps.P_fq.toarray()      # 1 x 5 (diagonal edge row)
-        assert list(maps.q_inputs) == [0, 1, 2, 3] and list(maps.q_efforts) == [4]
+        assert list(maps.T_q.indices) == [0, 1, 2, 3]
+        assert list(maps.P_eq.indices) == [4]
 
         ref_Pfp = np.array(
             [
@@ -310,12 +321,12 @@ class TestInvariants:
         rng = np.random.default_rng(100 * dims[0] + 10 * dims[1] + ci)
         for w in (pm.triangle_weights(*pm.PRESETS["set2"]), rand_weights(rng)):
             m, part, inc, maps = build_case(*dims, CAUSALITIES[ci], w)
-            assert pm.power_residual(maps, inc) <= 1e-12
+            assert pm.power_residual(pm.effort_stacks(maps, inc)) <= 1e-12
             assert_entity_lists_match(maps)
             # the flow-map defect is confined to p-input columns and never
             # reaches the power identity
             defect = flow_map_defect(m, w, inc, maps)
-            assert np.abs(defect[:, maps.p_efforts]).max() <= 1e-12
+            assert np.abs(defect[:, maps.P_ep.indices]).max() <= 1e-12
             if not CAUSALITIES[ci].get("p_nodes") and not CAUSALITIES[ci].get(
                 "p_sides"
             ):
@@ -378,7 +389,7 @@ class TestOneDimensional:
     def test_structure(self, N, alpha):
         maps = pm.build_1d_maps(N, alpha)
         inc = msh.incidence(msh.build_interval_mesh(N, 1.0))
-        assert pm.power_residual(maps, inc) <= 1e-12
+        assert pm.power_residual(pm.effort_stacks(maps, inc)) <= 1e-12
         assert_entity_lists_match(maps)
 
         Pfq = maps.P_fq.toarray()

@@ -27,7 +27,7 @@ def model_1d(N, alpha, L=1.0):
     inc = msh.incidence(m)
     maps = pm.build_1d_maps(N, alpha)
     pair = hg.hodge_1d(N, alpha, L / N)
-    return ss.assemble_model(maps, inc, pair)
+    return ss.assemble_model(pm.effort_stacks(maps, inc), pair)
 
 
 def gentle_pulse(t):
@@ -689,8 +689,8 @@ class TestWaveExperiment:
     @pytest.mark.parametrize(
         "times, entry",
         [(5.0, "5.0"), (("x",), "'x'"), ((True,), "True"),
-         ((float("nan"),), "nan"), (None, "None")],
-        ids=["number", "string", "bool", "nan", "none"],
+         ((float("nan"),), "nan"), (None, "None"), (np.array(5.0), r"array\(5\.")],
+        ids=["number", "string", "bool", "nan", "none", "0-d-array"],
     )
     def test_bad_snapshot_times_rejected(self, times, entry):
         with pytest.raises(InvalidArgumentError, match=entry):

@@ -35,13 +35,14 @@ def model_1d(N, alpha, L=1.0):
     inc = msh.incidence(m)
     maps = pm.build_1d_maps(N, alpha)
     pair = hg.hodge_1d(N, alpha, L / N)
-    return ss.assemble_model(maps, inc, pair, meta={"alpha": alpha, "N": N})
+    stacks = pm.effort_stacks(maps, inc)
+    return ss.assemble_model(stacks, pair, meta={"alpha": alpha, "N": N})
 
 
 def model_2d(N, M, causality, w=None, h=1.0):
     m, inc, maps = maps_2d(N, M, causality, w, h)
     pair = hg.hodge_2d(m, maps)
-    return ss.assemble_model(maps, inc, pair)
+    return ss.assemble_model(pm.effort_stacks(maps, inc), pair)
 
 
 CAUSALITIES = [
@@ -132,7 +133,7 @@ class TestDenseReference:
         config = GOLDEN_CONFIGS[name]
         built = sim.build_model(config)
         pair = golden_hodge(config, built)
-        model = ss.assemble_model(built.maps, built.inc, pair)
+        model = ss.assemble_model(pm.effort_stacks(built.maps, built.inc), pair)
         ref = oracles.dense_model(built.maps, built.inc, pair)
         for key, want in ref.items():
             got = getattr(model, key).toarray()
@@ -220,7 +221,7 @@ class TestModelAssembly:
         inc = msh.incidence(m)
         maps = pm.build_1d_maps(6, 0.0)
         with pytest.raises(InvalidArgumentError):
-            ss.assemble_model(maps, inc, hg.hodge_1d(5, 0.0, 0.2))
+            ss.assemble_model(pm.effort_stacks(maps, inc), hg.hodge_1d(5, 0.0, 0.2))
 
 
 class TestStaggeredVolumeCoincidence:
@@ -277,6 +278,19 @@ class TestSerialization:
         out = ss.export_model(model_1d(4, 0.0), tmp_path / "m")
         (out / "manifest.json").write_text('{"n_p": 4,\n "n_q": }')
         match = r"manifest\.json at line 2, column"
+        with pytest.raises(InvalidArgumentError, match=match):
+            ss.load_model(out)
+
+    @pytest.mark.parametrize("fmt", ["phfem-model/v2", None])
+    def test_manifest_format_required(self, tmp_path, fmt):
+        out = ss.export_model(model_1d(4, 0.0), tmp_path / "m")
+        manifest = json.loads((out / "manifest.json").read_text())
+        if fmt is None:
+            del manifest["format"]
+        else:
+            manifest["format"] = fmt
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        match = rf"manifest\.json: format must be 'phfem-model/v1', got {fmt!r}"
         with pytest.raises(InvalidArgumentError, match=match):
             ss.load_model(out)
 
