@@ -11,7 +11,6 @@ Each stage lives in its own module; `cli` exposes the command-line front end.
 """
 
 from .errors import (
-    InternalConsistencyError,
     InvalidArgumentError,
     MissingArtifactError,
     NumericalFailureError,
@@ -23,7 +22,6 @@ from .errors import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "InternalConsistencyError",
     "InvalidArgumentError",
     "MissingArtifactError",
     "NumericalFailureError",

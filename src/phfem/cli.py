@@ -224,12 +224,14 @@ def cmd_eigs(args) -> int:
     elif args.n is None:
         raise InvalidArgumentError("eigs needs either a model directory or --n")
     elif args.method == "golo":
-        a = args.alpha_prime if args.alpha_prime is not None else args.alpha
-        if a is None:
-            raise InvalidArgumentError("--method golo needs --alpha-prime")
+        a = args.alpha_prime
+        if a is None or args.alpha is not None:
+            raise InvalidArgumentError("--method golo needs --alpha-prime, not --alpha")
         model = analysis.build_golo_1d_model(args.n, a)
         config = {"method": "golo", "alpha_prime": a, "n": args.n}
     else:
+        if args.alpha_prime is not None:
+            raise InvalidArgumentError(f"--method {args.method} reads no --alpha-prime")
         alpha = args.alpha if args.alpha is not None else 0.0
         model = analysis.build_1d_model(args.n, alpha)
         config = {"method": "mixed", "alpha": alpha, "n": args.n}

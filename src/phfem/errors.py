@@ -36,12 +36,6 @@ class StructureViolationError(PhfemError):
     exit_code = 1
 
 
-class InternalConsistencyError(PhfemError):
-    """A construction step failed its own defining equation."""
-
-    exit_code = 1
-
-
 class MissingArtifactError(PhfemError):
     """A model directory or matrix file does not exist."""
 

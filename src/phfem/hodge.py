@@ -99,9 +99,6 @@ def hodge_1d(N: int, alpha: float, h: float) -> HodgePair:
 
 
 def hodge_golo_1d(N: int, h: float) -> HodgePair:
-    """Identity-per-length Hodge pair used with effort-averaged 1D models."""
-    if N < 1:
-        raise InvalidArgumentError(f"need N >= 1, got {N}")
-    if not (np.isfinite(h) and h > 0):
-        raise InvalidArgumentError(f"mesh size h must be positive and finite, got {h}")
-    return HodgePair(_diagonal(np.full(N, 1.0 / h)), _diagonal(np.full(N, 1.0 / h)))
+    """Identity-per-length Hodge pair used with effort-averaged 1D models:
+    the upwinded pair at alpha = 0, where the boundary entries are 1/h too."""
+    return hodge_1d(N, 0.0, h)

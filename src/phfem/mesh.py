@@ -247,6 +247,12 @@ def partition_boundary(mesh: SimplexMesh, causality: dict | None) -> BoundaryPar
     p-causal; only edges with BOTH endpoints p-causal drop out of the q-side
     (requesting such an edge explicitly is an overlap error).
 
+    Every boundary edge needs a port: it is a q-type input, or both its
+    endpoints are p-causal (otherwise the 2D flow-map equation has no
+    solution).  So the q-type inputs are always the boundary edges that the
+    p-causal nodes do not cover: "q_edges" and "q_sides" only assert that
+    set, and "q_segments" orders it.
+
     1D accepts only the two-ended assignment {left node: q, right node: p},
     which is also the default for causality=None.
     """
@@ -322,6 +328,13 @@ def partition_boundary(mesh: SimplexMesh, causality: dict | None) -> BoundaryPar
                 raise InvalidArgumentError(
                     f"q side {side!r}: edge {e} is not a q-type input ({why})"
                 )
+    for e in sorted(bedges - seen):
+        if not covered(e):
+            raise InvalidArgumentError(
+                f"boundary edge {e} (nodes {mesh.edges[e, 0]}, {mesh.edges[e, 1]}) "
+                "has no port: it is not a q-type input and its endpoints are not "
+                "both p-causal"
+            )
 
     return BoundaryPartition(
         np.array(q_inputs, dtype=np.int64), np.array(sorted(p_nodes), dtype=np.int64)

@@ -33,8 +33,8 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import InternalConsistencyError, InvalidArgumentError
-from .mesh import BoundaryPartition, IncidencePair, SimplexMesh, boundary_edges
+from .errors import InvalidArgumentError
+from .mesh import BoundaryPartition, IncidencePair, SimplexMesh
 
 RESIDUAL_TOL = 1e-12
 
@@ -239,11 +239,10 @@ def build_2d_maps(
     keeps the effort-node rows of the weighted vertex map.  P_fq solves the
     flow-map equation P_fq d_q = P_eq G (G = d_p^T applied to the all-node
     weighted vertex map) on all effort-node columns; the freedom in the row
-    space of d_p is fixed by the canonical perp/parallel/rot stencils.
-
-    Every boundary edge needs a port: it is a q-type input, or both its
-    endpoints are p-causal.  Otherwise the flow-map equation has no
-    solution and the edge is reported as an invalid argument.
+    space of d_p is fixed by the canonical perp/parallel/rot stencils.  The
+    equation is solvable because `mesh.partition_boundary` gives every
+    boundary edge a port, and `sim.build_model` checks it as part of the
+    power-preservation condition.
     """
     if mesh.dim != 2:
         raise InvalidArgumentError("build_2d_maps requires a 2D mesh")
@@ -251,17 +250,6 @@ def build_2d_maps(
     n_edges = mesh.edges.shape[0]
     n_nodes = mesh.node_coords.shape[0]
     q_in, p_in = partition
-    bedges = boundary_edges(mesh)
-    portless = bedges[
-        ~np.isin(bedges, q_in) & ~np.isin(mesh.edges[bedges], p_in).all(axis=1)
-    ]
-    if portless.size:
-        e = int(portless[0])
-        raise InvalidArgumentError(
-            f"boundary edge {e} (nodes {mesh.edges[e, 0]}, {mesh.edges[e, 1]}) "
-            "has no port: it is not a q-type input and its endpoints are not "
-            "both p-causal"
-        )
     q_eff = np.setdiff1d(np.arange(n_edges), q_in)
     p_eff = np.setdiff1d(np.arange(n_nodes), p_in)
     T_q = _selector(q_in, n_edges)
@@ -329,13 +317,6 @@ def build_2d_maps(
         for col, s in cycle
     ])
     P_fq = (perp + par + rot).tocsr()
-
-    masked = (P_fq @ d_q - P_eq @ G) @ P_ep.T
-    residual_map = float(np.abs(masked.data).max()) if masked.nnz else 0.0
-    if residual_map > RESIDUAL_TOL:
-        raise InternalConsistencyError(
-            f"flow-map equation violated on effort columns: {residual_map:.3e}"
-        )
 
     S_q_hat = (-T_p_hat @ (d_q.T @ P_fq.T @ P_eq + S_p.T @ T_q)).tocsr()
     return MapSet(

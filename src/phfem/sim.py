@@ -125,6 +125,14 @@ class BuiltModel(NamedTuple):
     residuals: dict
 
 
+#: the config keys `build_model` knows, at top level and under "mesh"; a
+#: known key that the mesh kind or method does not read is accepted
+CONFIG_KEYS = {
+    "top-level": ("mesh", "causality", "weights", "method", "alpha", "alpha_prime"),
+    "mesh": ("kind", "N", "M", "h", "L"),
+}
+
+
 def _require(cfg: dict, key: str, context: str):
     if not isinstance(cfg, dict):
         raise InvalidArgumentError(f"{context} config must be an object, got {cfg!r}")
@@ -153,10 +161,14 @@ def build_model(config: dict) -> BuiltModel:
     "interval", "N", "L" (default 1)}; "causality" is passed to
     `mesh.partition_boundary`.  Rectangles need "weights"; intervals take
     "method" ("mixed", default, alias "ours"; or "golo") with "alpha" or
-    "alpha_prime" respectively.
+    "alpha_prime" respectively.  A key outside CONFIG_KEYS is rejected.
     """
     mesh_cfg = _require(config, "mesh", "top-level")
     kind = _require(mesh_cfg, "kind", "mesh")
+    for context, cfg in (("top-level", config), ("mesh", mesh_cfg)):
+        unknown = [k for k in cfg if k not in CONFIG_KEYS[context]]
+        if unknown:
+            raise InvalidArgumentError(f"unknown {context} config key {unknown[0]!r}")
     if kind == "rect":
         N = _number(mesh_cfg, "N", "mesh", integer=True)
         M = _number(mesh_cfg, "M", "mesh", integer=True)

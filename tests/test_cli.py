@@ -155,6 +155,8 @@ class TestBuild:
             (INTERVAL, ("mesh", "L"), 1e400, "L=inf"),
             (MIXED_2X1, ("causality", "q_sides"), "anything", "'q_sides'"),
             (MIXED_2X1, ("causality", "q_sides"), ["bottom"], "q side 'bottom': edge 0"),
+            (MIXED_2X1, ("causalty",), {"p_nodes": [0]}, "top-level config key 'causalty'"),
+            (MIXED_2X1, ("mesh", "n"), 4, "unknown mesh config key 'n'"),
         ],
     )
     def test_wrong_config_type_exits_2(self, tmp_path, capsys, base, path, value, named):
@@ -168,6 +170,16 @@ class TestBuild:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert named in err
+
+    def test_known_keys_that_do_not_apply_are_accepted(self, tmp_path):
+        # a mixed interval config switched to golo keeps its unread "alpha"
+        # (and an interval mesh its unread "M")
+        mesh = {"kind": "interval", "N": 12, "M": 3}
+        cfg = write_cfg(tmp_path, {**INTERVAL, "mesh": mesh})
+        assert cli.main(
+            ["build", "--config", str(cfg), "--method", "golo", "--alpha-prime", "0.0833",
+             "--out", str(tmp_path / "m")]
+        ) == 0
 
     @pytest.mark.parametrize(
         "mesh, override", [("rect", ["--n", "4"]), (["rect", 4], ["--m", "3"])]
@@ -481,6 +493,22 @@ class TestEigs:
 
     def test_needs_model_or_n(self, tmp_path):
         assert cli.main(["eigs", "--out", str(tmp_path / "e")]) == 2
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["--alpha-prime", "0.2"], "--alpha-prime"),
+            (["--method", "ours", "--alpha-prime", "0.2"], "--alpha-prime"),
+            (["--method", "golo", "--alpha", "0.2"], "--alpha"),
+            (["--method", "golo", "--alpha-prime", "0.2", "--alpha", "0.2"], "--alpha"),
+        ],
+    )
+    def test_flag_the_method_does_not_read_exits_2(self, tmp_path, capsys, argv, flag):
+        out = tmp_path / "e"
+        assert cli.main(["eigs", "--n", "10", *argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.rstrip().endswith(flag) and "Traceback" not in err
+        assert not out.exists()
 
     def test_golo_needs_weight(self, tmp_path):
         assert cli.main(

@@ -156,6 +156,16 @@ class TestOneDimensional:
         assert np.allclose(pair.Q_p.diagonal(), 4.0)
         assert np.allclose(pair.Q_q.diagonal(), 4.0)
 
+    @pytest.mark.parametrize("L", [1.0, 0.3, 7.0, 1 / 3])
+    @pytest.mark.parametrize("N", [2, 3, 10, 40, 80, 641])
+    def test_effort_averaged_is_upwinded_at_alpha_zero(self, N, L):
+        # bitwise 1/h on both diagonals, as the upwinded pair gives at alpha = 0
+        h = L / N
+        golo, mixed = hg.hodge_golo_1d(N, h), hg.hodge_1d(N, 0.0, h)
+        for a, b in ((golo.Q_p, mixed.Q_p), (golo.Q_q, mixed.Q_q)):
+            assert np.array_equal(a.diagonal(), np.full(N, 1.0 / h))
+            assert a.nnz == N and (a != b).nnz == 0
+
     def test_invalid(self):
         with pytest.raises(InvalidArgumentError):
             hg.hodge_1d(0, 0.0, 0.1)

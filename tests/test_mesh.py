@@ -153,8 +153,38 @@ class TestPartition2D:
         assert part.q_inputs.tolist() == [2, 3, 6, 0, 1, 4]
         assert part.q_inputs.dtype == part.p_inputs.dtype == np.int64
         assert msh.partition_boundary(
-            self.m, {"q_segments": [[], [1, 0]], "p_nodes": [5, 3]}
+            self.m, {"q_segments": [[], [1, 0], [6, 4, 3, 2]], "p_nodes": [5, 3]}
         ).p_inputs.tolist() == [3, 5]
+
+    @pytest.mark.parametrize(
+        "causality", [{"q_edges": [0, 1]}, {"q_segments": [[1], [], [0]]}]
+    )
+    def test_portless_causality_rejected(self, causality):
+        m = msh.build_rect_mesh(4, 3, 1.0)
+        with pytest.raises(
+            InvalidArgumentError, match=r"^boundary edge 2 \(nodes 3, 2\) has no port"
+        ):
+            msh.partition_boundary(m, causality)
+
+    @pytest.mark.parametrize(
+        "causality",
+        [
+            None,
+            {"p_nodes": [0]},
+            {"p_sides": ["bottom"], "q_edges": "rest"},
+            {"p_sides": ["left", "top"], "p_nodes": [4]},
+        ],
+    )
+    def test_q_inputs_are_the_uncovered_boundary_edges(self, causality):
+        # with a port on every boundary edge, the p-causal nodes fix the q set
+        m = msh.build_rect_mesh(5, 4, 1.0)
+        part = msh.partition_boundary(m, causality)
+        p = set(part.p_inputs.tolist())
+        uncovered = [
+            e for e in msh.boundary_edges(m).tolist()
+            if not set(m.edges[e].tolist()) <= p
+        ]
+        assert sorted(part.q_inputs.tolist()) == uncovered
 
     @pytest.mark.parametrize("q_sides", ["anything", ["left", 3], None])
     def test_q_sides_must_be_side_names(self, q_sides):

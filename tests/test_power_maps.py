@@ -12,7 +12,7 @@ import oracles
 from phfem import mesh as msh
 from phfem import power_maps as pm
 from phfem import sim
-from phfem.errors import InvalidArgumentError
+from phfem.errors import InvalidArgumentError, StructureViolationError
 
 
 def rand_weights(rng):
@@ -381,6 +381,44 @@ class TestInvariants:
         np.testing.assert_allclose(
             maps.P_fq.toarray() @ Pi, X_mn @ Pi, atol=1e-10
         )
+
+
+class TestOnePowerCheck:
+    """`build_2d_maps` does not check its flow-map equation itself: any
+    violation shows in the power-preservation residual `sim.build_model`
+    checks."""
+
+    CONFIG = {
+        "mesh": {"kind": "rect", "N": 3, "M": 3, "h": 1.0},
+        "causality": {"p_nodes": [0], "q_edges": "rest"},
+        "weights": "set2",
+    }
+
+    def test_flow_map_defect_on_an_effort_column_fails_the_build(self, monkeypatch):
+        build = sim.build_2d_maps
+
+        def perturbed(mesh, partition, w, inc):
+            maps = build(mesh, partition, w, inc)
+            # row of interior edge 13, whose endpoints are both effort nodes
+            row = int(np.flatnonzero(maps.P_eq.indices == 13)[0])
+            bump = sp.csr_matrix(([1e-9], ([row], [13])), shape=maps.P_fq.shape)
+            return maps._replace(P_fq=(maps.P_fq + bump).tocsr())
+
+        assert sim.build_model(self.CONFIG).residuals["power_preservation"] <= 1e-12
+        monkeypatch.setattr(sim, "build_2d_maps", perturbed)
+        with pytest.raises(StructureViolationError, match="power-preservation residual"):
+            sim.build_model(self.CONFIG)
+
+    def test_portless_partition_fails_the_build(self, monkeypatch):
+        # the configured partition less q input 0: boundary edge 0 (nodes 1,
+        # 0) then has no port, which `partition_boundary` would reject
+        m = msh.build_rect_mesh(3, 3, 1.0)
+        q, p = msh.partition_boundary(m, self.CONFIG["causality"])
+        assert 0 in q and p.tolist() == [0]
+        part = msh.BoundaryPartition(q[q != 0], p)
+        monkeypatch.setattr(sim, "partition_boundary", lambda mesh, causality: part)
+        with pytest.raises(StructureViolationError, match="power-preservation residual"):
+            sim.build_model(self.CONFIG)
 
 
 class TestOneDimensional:
