@@ -219,6 +219,10 @@ def cmd_eigs(args) -> int:
     from .statespace import load_model
 
     if args.model_dir is not None:
+        for flag, value in (("--n", args.n), ("--alpha", args.alpha),
+                            ("--alpha-prime", args.alpha_prime), ("--method", args.method)):
+            if value is not None:
+                raise InvalidArgumentError(f"eigs with a model directory reads no {flag}")
         model = load_model(args.model_dir)
         config = {"model_dir": str(args.model_dir)}
     elif args.n is None:
@@ -231,7 +235,8 @@ def cmd_eigs(args) -> int:
         config = {"method": "golo", "alpha_prime": a, "n": args.n}
     else:
         if args.alpha_prime is not None:
-            raise InvalidArgumentError(f"--method {args.method} reads no --alpha-prime")
+            method = args.method or "mixed"
+            raise InvalidArgumentError(f"--method {method} reads no --alpha-prime")
         alpha = args.alpha if args.alpha is not None else 0.0
         model = analysis.build_1d_model(args.n, alpha)
         config = {"method": "mixed", "alpha": alpha, "n": args.n}
@@ -319,8 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eigs.add_argument(
         "--method",
         choices=METHODS_1D,
-        default="mixed",
-        help="1D model family ('ours' = 'mixed')",
+        help="1D model family ('ours' = 'mixed', the default)",
     )
     p_eigs.add_argument(
         "--k", type=int, help="write only the lowest K frequencies (sparse route)"

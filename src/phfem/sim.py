@@ -316,10 +316,6 @@ class Trajectory(NamedTuple):
     supplied: np.ndarray
     node_solve: dict
 
-    def energy_defect(self) -> np.ndarray:
-        """|H_d(t) - H_d(0) - W(t)|: O(dt^2) per unit time."""
-        return np.abs(self.energy - self.energy[0] - self.supplied)
-
 
 #: largest certified iteration count for which the node solve can be a
 #: Chebyshev iteration.  On 2-D node systems from N = 64 up the envelope

@@ -32,12 +32,13 @@ hold exactly, as does the summation-by-parts identity
 
 Every entry is a small integer over a fixed denominator (thirds, 24ths,
 halves, sixths), whatever h and the weights.  `verify_structure` uses this
-for its rank table: each matrix is scaled to integers and its rank is
-certified exactly modulo the prime 2^31 - 1 by sparse elimination in
-rounds of independent pivots (`rank_mod_p`: about ten exact Schur updates
-per matrix), with no array denser than a fixed multiple of the remaining
-nonzeros and no singular-value threshold.  The incidences d_p and d_q are
-graphs, ranked exactly by their components (`incidence_rank`).
+for its rank table on every 2D grid with min(N, M) > 2: each matrix is
+scaled to integers and its rank is certified exactly modulo the prime
+2^31 - 1 by sparse elimination in rounds of independent pivots
+(`rank_mod_p`: about ten exact Schur updates per matrix), with no array
+denser than a fixed multiple of the remaining nonzeros and no
+singular-value threshold.  The incidences d_p and d_q are graphs, ranked
+exactly by their components (`incidence_rank`).
 """
 
 from __future__ import annotations
@@ -214,16 +215,18 @@ class StructureReport(NamedTuple):
 
 
 def _inverse_mod_p(d: np.ndarray) -> np.ndarray:
-    """Elementwise inverse of nonzero residues, d^(p-2) mod p (Fermat)."""
+    """Elementwise inverse of nonzero residues (Montgomery's trick): one
+    inverse of their product, times the product of all the others, from
+    prefix and suffix products formed in log2(d.size) doubling steps."""
     p = RANK_PRIME
-    out = np.ones_like(d)
-    e = p - 2
-    while e:
-        if e & 1:
-            out = out * d % p
-        d = d * d % p
-        e >>= 1
-    return out
+    pre, suf = d.copy(), d.copy()
+    s = 1
+    while s < d.size:
+        pre[s:] = pre[s:] * pre[:-s] % p
+        suf[:-s] = suf[:-s] * suf[s:] % p
+        s *= 2
+    others = np.concatenate([[1], pre[:-1]]) * np.concatenate([suf[1:], [1]]) % p
+    return others * pow(int(pre[-1]), -1, p) % p
 
 
 def _dense_rank_mod_p(a: np.ndarray) -> int:
@@ -243,21 +246,20 @@ def _dense_rank_mod_p(a: np.ndarray) -> int:
         piv = a[k, c:]
         sub = a[others, c:]
         a[others, c:] = (sub * piv[0] - np.outer(sub[:, 0], piv)) % p
-        a = np.delete(a, k, axis=0)
+        a[k, c:] = 0  # row k is used up
         rank += 1
-        if not a.shape[0]:
-            break
     return rank
 
 
-def _drop_empty(a: sp.csr_matrix) -> sp.csr_matrix:
-    """The matrix without its empty rows and columns."""
+def _compact(a: sp.csr_matrix) -> sp.csr_matrix:
+    """The matrix without its zero entries and its empty rows and columns."""
+    a.eliminate_zeros()
     live = np.diff(a.indptr) > 0
     used = np.bincount(a.indices, minlength=a.shape[1]) > 0
-    col = np.cumsum(used) - 1
-    indptr = np.concatenate([[0], a.indptr[1:][live]])
+    col = np.cumsum(used, dtype=a.indices.dtype) - 1
     return sp.csr_matrix(
-        (a.data, col[a.indices], indptr), shape=(int(live.sum()), int(used.sum()))
+        (a.data, col[a.indices], np.concatenate([[0], a.indptr[1:][live]])),
+        shape=(int(live.sum()), int(used.sum())),
     )
 
 
@@ -277,10 +279,8 @@ def _independent_pivots(a, row, rng) -> np.ndarray:
     r_deg = np.diff(a.indptr)
     cost = (r_deg - 1)[row] * (np.bincount(a.indices, minlength=n) - 1)[a.indices]
     least = np.minimum.reduceat(cost, a.indptr[:-1])
-    hit = np.flatnonzero(cost == least[row])
-    first = np.ones(hit.size, dtype=bool)
-    first[1:] = row[hit[1:]] != row[hit[:-1]]
-    cand = hit[first]  # one per row
+    hit = np.where(cost == least[row], np.arange(row.size), row.size)
+    cand = np.minimum.reduceat(hit, a.indptr[:-1])  # one per row
     key = least * m + rng.permutation(m)
     col = a.indices[cand]
     best = np.full(n, np.iinfo(np.int64).max)
@@ -295,8 +295,6 @@ def _independent_pivots(a, row, rng) -> np.ndarray:
     u, v = u[edge], v[edge]
     won = np.zeros(m, dtype=bool)
     for _ in range(_LUBY_PASSES):
-        live = alive[u] & alive[v]
-        u, v = u[live], v[live]
         low = np.full(m, np.iinfo(np.int64).max)
         np.minimum.at(low, u, key[v])
         np.minimum.at(low, v, key[u])
@@ -305,6 +303,10 @@ def _independent_pivots(a, row, rng) -> np.ndarray:
         alive &= ~win
         alive[v[win[u]]] = False
         alive[u[win[v]]] = False
+        if not alive.any():
+            break
+        live = alive[u] & alive[v]
+        u, v = u[live], v[live]
     rows = np.flatnonzero(won)
     if rows.size > _ROUND_PIVOTS:
         rows = np.sort(rows[np.argsort(key[rows])[:_ROUND_PIVOTS]])
@@ -312,12 +314,12 @@ def _independent_pivots(a, row, rng) -> np.ndarray:
 
 
 def _schur_complement(a, row, piv) -> sp.csr_matrix:
-    """A22 - A21 D^-1 A12 mod p for the diagonal pivot block D at piv, as
-    one sparse product of integer matrices.
+    """A22 - A21 D^-1 A12 mod p for the diagonal pivot block D at piv, one
+    sparse product of integer matrices, without zeros or empty rows/columns.
 
     With X = -D^-1 A12 mod p split into 16-bit limbs X_lo + 2^16 X_hi,
 
-        A22 - A21 D^-1 A12 = [A21, 2^16 A21, I] [X_lo; X_hi; A22]   (mod p).
+        A22 - A21 D^-1 A12 = [A21, 2^16 A21, A22] [X_lo; X_hi; I]   (mod p).
 
     An entry of that product sums two terms per pivot, each a residue
     times a limb, at most (2^31 - 2)(2^16 - 1) < 2^47 - 2^31, and one
@@ -327,45 +329,44 @@ def _schur_complement(a, row, piv) -> sp.csr_matrix:
     p = RANK_PRIME
     m, n = a.shape
     k = piv.size
-    in_piv_row = np.full(m, -1)
+    idx = a.indices.dtype  # scipy keeps index arrays of a's type uncopied
+    in_piv_row = np.full(m, -1, dtype=idx)
     in_piv_row[row[piv]] = np.arange(k)  # increasing: pivots are in row order
-    in_piv_col = np.full(n, -1)
+    in_piv_col = np.full(n, -1, dtype=idx)
     in_piv_col[a.indices[piv]] = np.arange(k)
     pr, pc = in_piv_row[row], in_piv_col[a.indices]
-    a12 = (pr >= 0) & (pc < 0)
-    a21 = (pr < 0) & (pc >= 0)
-    a22 = (pr < 0) & (pc < 0)
 
-    # right factor: A12 and A22 keep their row-major entry order
+    # right factor: X's rows in A12's order once per limb, I, an empty row
+    a12 = (pr >= 0) & (pc < 0)
     x = a.data[a12] * (p - _inverse_mod_p(a.data[piv]))[pr[a12]] % p
+    x_col = a.indices[a12]
     x_count = np.bincount(pr[a12], minlength=k)
     right = sp.csr_matrix(
         (
-            np.concatenate([x & (2**_LIMB_BITS - 1), x >> _LIMB_BITS, a.data[a22]]),
-            np.concatenate([a.indices[a12], a.indices[a12], a.indices[a22]]),
-            np.cumsum(
-                np.concatenate([[0], x_count, x_count, np.bincount(row[a22], minlength=m)])
-            ),
+            np.concatenate([x & (2**_LIMB_BITS - 1), x >> _LIMB_BITS, np.ones(n, dtype=np.int64)]),
+            np.concatenate([x_col, x_col, np.arange(n, dtype=idx)]),
+            np.cumsum(np.concatenate([[0], x_count, x_count, np.ones(n, dtype=np.int64), [0]])),
         ),
-        shape=(2 * k + m, n),
+        shape=(2 * k + n + 1, n),
     )
-    # left factor: row i holds its A21 entries, then them times 2^16, then
-    # the 1 that selects row i of A22
-    y, y_row, y_col = a.data[a21], row[a21], pc[a21]
+    # left factor in A's layout, two entries per nonzero A_ij: in A21, A_ij
+    # and 2^16 A_ij at the limb columns c, k + c of its pivot c; in A22, A_ij
+    # at column 2k + j; every other entry at the empty row 2k + n of right
+    a21 = (pr < 0) & (pc >= 0)
+    lo = np.where(pr >= 0, 2 * k + n, np.where(a21, pc, 2 * k + a.indices))
+    hi = np.where(a21, pc + k, 2 * k + n)
     left = sp.csr_matrix(
         (
-            np.concatenate([y, y * 2**_LIMB_BITS % p, np.ones(m, dtype=np.int64)]),
-            (
-                np.concatenate([y_row, y_row, np.arange(m)]),
-                np.concatenate([y_col, k + y_col, 2 * k + np.arange(m)]),
-            ),
+            np.column_stack([a.data, a.data * 2**_LIMB_BITS % p]).ravel(),
+            np.column_stack([lo, hi]).ravel(),
+            2 * a.indptr.astype(np.int64),
         ),
-        shape=(m, 2 * k + m),
+        shape=(m, 2 * k + n + 1),
     )
+    del pr, pc, lo, hi, a12, a21, x, x_col  # before the product's peak
     out = left @ right
     out.data %= p
-    out.eliminate_zeros()
-    return out
+    return _compact(out)
 
 
 def rank_mod_p(mat, scale: int) -> int:
@@ -373,12 +374,12 @@ def rank_mod_p(mat, scale: int) -> int:
     entry is not an integer.
 
     Elimination runs in rounds of independent pivots (Saad's ILUM, SIAM
-    J. Sci. Comput. 1996).  Each round drops the empty rows and columns,
-    picks a set of nonzeros whose block is diagonal (`_independent_pivots`:
-    least Markowitz cost per row and per column, then a fixed-seed
-    priority contest), adds its size to the rank and replaces the matrix by
-    the Schur complement A22 - A21 D^-1 A12 mod p, formed as one sparse
-    product (`_schur_complement`).  The rounds stop once the nonzeros fill
+    J. Sci. Comput. 1996).  Each round picks a set of nonzeros whose block
+    is diagonal (`_independent_pivots`: least Markowitz cost per row and
+    per column, then a fixed-seed priority contest), adds its size to the
+    rank and replaces the matrix by the Schur complement A22 - A21 D^-1 A12
+    mod p, one sparse product kept without zero entries or empty rows and
+    columns (`_schur_complement`).  The rounds stop once the nonzeros fill
     at least 1/5 of the remaining rows x columns; a dense elimination mod p
     finishes that remainder.  So no array is denser than five times the
     remaining nonzeros, and the Whitney matrices take about ten rounds.
@@ -400,14 +401,11 @@ def rank_mod_p(mat, scale: int) -> int:
     ints = np.rint(scaled)
     if not np.all(np.abs(scaled - ints) <= INTEGRAL_TOL):
         return -1
-    a = sp.csr_matrix(
-        (ints.astype(np.int64) % RANK_PRIME, a.indices, a.indptr), shape=a.shape
-    )
-    a.eliminate_zeros()
+    a.data = ints.astype(np.int64) % RANK_PRIME
+    a = _compact(a)
     rng = np.random.default_rng(0)
     rank = 0
     while a.nnz:
-        a = _drop_empty(a)
         if _DENSE_SHARE * a.nnz >= a.shape[0] * a.shape[1]:
             return rank + _dense_rank_mod_p(a.toarray())
         row = np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
@@ -455,8 +453,8 @@ def verify_structure(
 ) -> StructureReport:
     """Check the factorization identities and the rank table.
 
-    The rank table runs on 2D grids with at most 3000 nodes and
-    min(N, M) > 2 (N, M read from mesh.grid_shape).  The incidences are
+    The rank table runs on every 2D grid with min(N, M) > 2 (N, M read
+    from mesh.grid_shape), whatever its size.  The incidences are
     ranked by `incidence_rank`, exact for a grounded graph incidence and
     -1 for any other matrix.  Every other rank is an exact certificate
     (`rank_mod_p`): the matrix is scaled by its known denominator, must
@@ -492,7 +490,7 @@ def verify_structure(
 
     n_nodes = g.M_p.shape[0]
     N, M = mesh.grid_shape
-    if n_nodes > 3000 or min(N, M) <= 2:
+    if min(N, M) <= 2:
         return StructureReport(residuals, None)
 
     # name: (matrix, scale, expected rank).  The entries do not depend on

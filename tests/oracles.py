@@ -9,6 +9,8 @@ the Dirac structure instead of its resolved input-output form, dense
 inverses and hand-placed blocks instead of the sparse state-space split,
 the textbook energy and output formulas instead of the recorded series,
 and dense row reduction mod p instead of rounds of sparse Schur updates.
+`energy_defect` is the one helper that reads a trajectory's recorded
+series: the power-balance defect the time-integration tests bound.
 """
 
 from __future__ import annotations
@@ -415,6 +417,12 @@ def hamiltonian(model, x) -> float:
 def output(model, x, u) -> np.ndarray:
     """y = C Q x + D u."""
     return model.C @ (model.Q @ x) + model.D @ u
+
+
+def energy_defect(traj) -> np.ndarray:
+    """|H_d(t) - H_d(0) - W(t)| of a `sim.Trajectory`, from its energy and
+    supplied-energy series: O(dt^2) per unit time."""
+    return np.abs(traj.energy - traj.energy[0] - traj.supplied)
 
 
 # ---------------------------------------------------------------------------

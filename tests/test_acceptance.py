@@ -29,7 +29,7 @@ import pytest
 import scipy.sparse as sp
 
 import test_power_maps as printed
-from oracles import dirac_residual, expm_trajectory, image_rep
+from oracles import dirac_residual, energy_defect, expm_trajectory, image_rep
 from phfem import analysis, cli, sim, statespace, whitney
 from phfem import hodge as hg
 from phfem import mesh as msh
@@ -491,7 +491,7 @@ class TestTimeIntegration:
                 model, sim.SimConfig(dt=dt, T=1.0, input=self.pulse,
                                      x0=np.zeros(model.n))
             )
-            return traj.energy_defect()[-1]
+            return energy_defect(traj)[-1]
 
         ratio = defect(2e-3) / defect(1e-3)
         assert 3.5 <= ratio <= 4.5

@@ -510,6 +510,26 @@ class TestEigs:
         assert err.rstrip().endswith(flag) and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["--n", "99"], "--n"),
+            (["--alpha", "0.5"], "--alpha"),
+            (["--alpha-prime", "0.2"], "--alpha-prime"),
+            (["--method", "golo"], "--method"),
+            (["--method", "mixed"], "--method"),
+        ],
+    )
+    def test_model_flag_with_model_dir_exits_2(self, tmp_path, capsys, argv, flag):
+        model_dir = tmp_path / "model"
+        cfg = write_cfg(tmp_path, INTERVAL)
+        assert cli.main(["build", "--config", str(cfg), "--out", str(model_dir)]) == 0
+        out = tmp_path / "e"
+        assert cli.main(["eigs", str(model_dir), *argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.rstrip().endswith(flag) and "Traceback" not in err
+        assert not out.exists()
+
     def test_golo_needs_weight(self, tmp_path):
         assert cli.main(
             ["eigs", "--method", "golo", "--n", "10", "--out", str(tmp_path / "e")]

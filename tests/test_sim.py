@@ -430,7 +430,7 @@ class TestSimulate:
 
         def defect(dt):
             traj = sim.simulate(model, sim.SimConfig(dt=dt, T=1.0, input=gentle_pulse))
-            return traj.energy_defect()[-1]
+            return oracles.energy_defect(traj)[-1]
 
         ratio = defect(2e-3) / defect(1e-3)
         assert 3.5 <= ratio <= 4.5
@@ -441,7 +441,7 @@ class TestSimulate:
             model, sim.SimConfig(dt=1e-3, T=2.0, input=gentle_pulse)
         )
         scale = max(traj.energy.max(), 1e-30)
-        assert traj.energy_defect().max() <= 1e-4 * scale + 1e-12
+        assert oracles.energy_defect(traj).max() <= 1e-4 * scale + 1e-12
 
     def test_sampled_input_equivalent_to_closed_form(self):
         model = model_1d(8, 0.0)

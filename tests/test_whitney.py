@@ -393,13 +393,12 @@ def test_rank_table_24x24_bottom_side():
     }
 
 
-@pytest.mark.parametrize("N,M", [(54, 53), (80, 30)])
-def test_rank_table_at_the_cutoff(N, M):
-    # 54 x 53 has 2 970 nodes, the largest square-ish grid under the
-    # 3000-node cutoff; 80 x 30 (2 511 nodes) is far from square
+@pytest.mark.parametrize("N,M", [(54, 53), (80, 30), (60, 60)])
+def test_rank_table_on_large_grids(N, M):
+    # square-ish 54 x 53 (2 970 nodes), far-from-square 80 x 30 and 60 x 60
+    # (3 721 nodes): the table has no size limit
     m, g, inc = built(N, M)
     n = m.node_coords.shape[0]
-    assert n <= 3000
     ranks = wh.verify_structure(m, g, inc).ranks
     assert ranks == {
         "M_p": (n - 2, n - 2),
@@ -410,6 +409,15 @@ def test_rank_table_at_the_cutoff(N, M):
         "d_p": (2 * N * M, 2 * N * M),
         "d_q": (n - 1, n - 1),
     }
+
+
+@pytest.mark.parametrize(
+    "m",
+    [msh.build_interval_mesh(40, 1.0), msh.build_rect_mesh(40, 2, 1.0)],
+    ids=["1d", "40x2"],
+)
+def test_rank_table_skips_1d_and_thin_grids(m):
+    assert wh.verify_structure(m, wh.assemble(m), msh.incidence(m)).ranks is None
 
 
 def test_rank_certificate_sees_mutations():
