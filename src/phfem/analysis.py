@@ -174,6 +174,12 @@ def _singular_values(S) -> np.ndarray:
         sigma = np.linalg.svd(S.toarray(), compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(f"singular value computation failed: {exc}") from exc
+    except MemoryError as exc:
+        raise NumericalFailureError(
+            f"every frequency needs S ({S.shape[0]} x {S.shape[1]}) dense, "
+            f"{S.shape[0] * S.shape[1] * 8 / 2**30:.1f} GiB; ask for the lowest k "
+            "(`phfem eigs --k`), which stays sparse"
+        ) from exc
     return np.sort(sigma)
 
 

@@ -175,6 +175,23 @@ class TestCertifiedSpectrum:
         an.spectrum(model)
         assert calls == ([(model.n_p, model.n_q)] if dense else [])
 
+    def test_dense_route_out_of_memory(self, monkeypatch):
+        """A dense S that cannot be allocated is a NumericalFailureError
+        naming its shape and the sparse lowest-k route, not a bare
+        MemoryError."""
+        model = model_2d_bottom_inputs(6)
+
+        def out_of_memory(a, *args, **kwargs):
+            raise MemoryError("Unable to allocate")
+
+        monkeypatch.setattr(np.linalg, "svd", out_of_memory)
+        with pytest.raises(NumericalFailureError) as info:
+            an.spectrum(model)
+        message = str(info.value)
+        assert f"({model.n_p} x {model.n_q})" in message and "GiB" in message
+        assert "--k" in message
+        assert isinstance(info.value.__cause__, MemoryError)
+
     def test_banded_route_memory(self):
         """N = 1280 stays far below the 12.5 MB of the dense node coupling."""
         model = an.build_1d_model(1280, 0.5)

@@ -462,6 +462,30 @@ class TestEigs:
         omega = np.array([float(r[1]) for r in rows[1:]])
         np.testing.assert_allclose(omega, ref, rtol=1e-9, atol=0)
 
+    def test_full_spectrum_out_of_memory_exits_4(self, tmp_path, capsys, monkeypatch):
+        """A 2-D model too large for the dense S of the full spectrum exits
+        4 and points at --k; the allocation failure is injected."""
+        cfg = write_cfg(tmp_path, {
+            "mesh": {"kind": "rect", "N": 5, "M": 4, "h": 1.0},
+            "causality": {"p_sides": ["bottom"], "q_edges": "rest"},
+            "weights": "set4",
+        })
+        model_dir = tmp_path / "model"
+        assert cli.main(["build", "--config", str(cfg), "--out", str(model_dir)]) == 0
+        model = load_model(model_dir)
+        capsys.readouterr()
+
+        def out_of_memory(a, *args, **kwargs):
+            raise MemoryError("Unable to allocate")
+
+        monkeypatch.setattr(np.linalg, "svd", out_of_memory)
+        out = tmp_path / "e"
+        assert cli.main(["eigs", str(model_dir), "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert f"({model.n_p} x {model.n_q})" in err and "--k" in err
+        assert "Traceback" not in err
+        assert not (out / "eigs.csv").exists()
+
     def test_lowest_k_of_model_dir(self, tmp_path):
         cfg = write_cfg(tmp_path, {
             "mesh": {"kind": "rect", "N": 6, "M": 5, "h": 1.0},

@@ -226,6 +226,20 @@ class TestStepperRoutes:
             assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
     @pytest.mark.parametrize(
+        "N, dt, route, iterations",
+        [(160, 0.1, "chebyshev", 24), (64, 0.2, "superlu", 20)],
+        ids=["160-chebyshev", "64-superlu"],
+    )
+    def test_one_route_rule_at_every_size(self, N, dt, route, iterations):
+        """One cost rule picks the route at every size: the 160 x 160 wave
+        grid keeps Chebyshev at 24 iterations, while N = 64 takes SuperLU
+        at 20.  Only the route is checked; a full LU of the 160 x 160
+        stepping matrix is too heavy here."""
+        stepper = sim.MidpointStepper(sim.build_model(wave_config(N)).model, dt)
+        assert stepper.node_solve["route"] == route
+        assert stepper.node_solve["iterations"] == iterations
+
+    @pytest.mark.parametrize(
         "config",
         [
             wave_config(6, {"p_sides": ["bottom"], "q_edges": "rest"}, "set2"),
