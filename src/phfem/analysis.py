@@ -38,7 +38,7 @@ from scipy.linalg import eigvals_banded
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, splu
 
-from .errors import InvalidArgumentError, NumericalFailureError
+from .errors import InvalidArgumentError, NumericalFailureError, scalar
 from .sim import build_model
 from .statespace import PHModel
 
@@ -59,18 +59,18 @@ TABLE4_ALPHA_PRIMES = (("1/12", 1.0 / 12.0), ("0", 0.0), ("-1/6", -1.0 / 6.0))
 def exact_frequencies(ks, L: float = 1.0) -> np.ndarray:
     """Closed-form angular frequencies (2k - 1) * pi / (2L) of the interval
     of length L with effort clamped at one end per field."""
+    if scalar(L, "length L") <= 0:
+        raise InvalidArgumentError(f"length L must be a positive finite number, got {L}")
     ks = np.asarray(ks, dtype=float)
     return (2.0 * ks - 1.0) * np.pi / (2.0 * L)
 
 
 def _positive_ints(values, what: str) -> tuple:
-    """values as a tuple of ints, each an integer >= 1 (a bool or a float,
-    even an integral one, is rejected rather than truncated)."""
-    values = tuple(values)
-    for v in values:
-        if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 1:
-            raise InvalidArgumentError(f"{what} must be an integer >= 1, got {v!r}")
-    return tuple(int(v) for v in values)
+    """values as a tuple of `errors.scalar` integers, each >= 1."""
+    values = tuple(scalar(v, what, integer=True) for v in values)
+    if min(values, default=1) < 1:
+        raise InvalidArgumentError(f"{what} must be an integer >= 1, got {min(values)}")
+    return values
 
 
 def spectrum(model: PHModel, k: int | None = None) -> np.ndarray:
@@ -246,7 +246,7 @@ def eig_table(method: str, parameters, Ns, ks=TABLE_KS) -> EigTable:
     columns = {}
     for label, value in parameters:
         for N in Ns:
-            freqs = spectrum(builders[method](N, float(value)))
+            freqs = spectrum(builders[method](N, value))
             columns[(method, label, N)] = np.array(
                 [freqs[k - 1] if k <= freqs.size else np.nan for k in ks]
             )

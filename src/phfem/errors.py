@@ -7,9 +7,17 @@ failures onto its documented process exit codes:
     2 -- bad configuration or parameters (including malformed JSON)
     3 -- a referenced artifact (model directory, matrix file) is missing
     4 -- numerical failure (solver breakdown, NaN/Inf during time stepping)
+
+Every public entry point passes each scalar argument through `scalar` and
+then applies only its own range rule.  Only the standard library is
+imported here, so the command-line front end can load this before numpy.
 """
 
 from __future__ import annotations
+
+import contextlib
+import math
+import numbers
 
 
 class PhfemError(Exception):
@@ -22,6 +30,22 @@ class InvalidArgumentError(PhfemError):
     """An argument is outside the supported range or malformed."""
 
     exit_code = 2
+
+
+def scalar(value, name: str, integer: bool = False):
+    """`value` as an int when `integer`, else as a finite float; a bool, a
+    non-number, a non-integer where an integer is meant (4.0 included) or a
+    number that is not a finite float raises InvalidArgumentError naming
+    the parameter `name` and the value."""
+    kind = numbers.Integral if integer else numbers.Real
+    if isinstance(value, kind) and not isinstance(value, bool):
+        if integer:
+            return int(value)
+        with contextlib.suppress(OverflowError):  # an int beyond the floats
+            if math.isfinite(value := float(value)):
+                return value
+    what = "an integer" if integer else "a finite number"
+    raise InvalidArgumentError(f"{name} must be {what}, got {value!r}")
 
 
 class SingularHodgeError(PhfemError):

@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import InvalidArgumentError, SingularHodgeError
+from .errors import InvalidArgumentError, SingularHodgeError, scalar
 from .mesh import SimplexMesh
 from .power_maps import MapSet
 
@@ -39,6 +39,18 @@ class HodgePair(NamedTuple):
 
     def as_block(self) -> sp.csr_matrix:
         return _diagonal(np.concatenate([self.Q_p.diagonal(), self.Q_q.diagonal()]))
+
+
+def _pair(q_p: np.ndarray, q_q: np.ndarray) -> HodgePair:
+    """The pair with diagonals q_p and q_q, each entry finite and positive:
+    SingularHodgeError names an entry that a mesh size over- or underflows."""
+    for name, q in (("Q_p", q_p), ("Q_q", q_q)):
+        bad = np.flatnonzero(~(np.isfinite(q) & (q > 0)))
+        if bad.size:
+            raise SingularHodgeError(
+                f"Hodge entry {name}[{bad[0]}] = {q[bad[0]]:.6g} is not finite and positive"
+            )
+    return HodgePair(_diagonal(q_p), _diagonal(q_q))
 
 
 def _diagonal(values: np.ndarray) -> sp.csr_matrix:
@@ -63,7 +75,6 @@ def hodge_2d(mesh: SimplexMesh, maps: MapSet) -> HodgePair:
             f"P_fp row {bad} has nonpositive weight sum {p_weights[bad]:.3e}; "
             "the triangle weights leave this node without balance area"
         )
-    Q_p = _diagonal(2.0 / (h * h * p_weights))
 
     abs_sums = np.asarray(abs(maps.perp).sum(axis=1)).ravel()
     if np.any(abs_sums <= WEIGHT_FLOOR):
@@ -74,19 +85,16 @@ def hodge_2d(mesh: SimplexMesh, maps: MapSet) -> HodgePair:
             "this effort edge"
         )
     factor = np.where(mesh.edge_class[maps.P_eq.indices] == "d", 2.0, 1.0)
-    Q_q = _diagonal(factor / abs_sums)
-    return HodgePair(Q_p, Q_q)
+    with np.errstate(divide="ignore", over="ignore"):
+        return _pair(2.0 / (h * h * p_weights), factor / abs_sums)
 
 
 def hodge_1d(N: int, alpha: float, h: float) -> HodgePair:
     """Upwinded 1D Hodge pair: 1/(1-alpha) at the q-inflow end of Q_p and
     the p-inflow end of Q_q, 1 elsewhere, all scaled by 1/h."""
-    if N < 1:
-        raise InvalidArgumentError(f"need N >= 1, got {N}")
-    if not (np.isfinite(h) and h > 0):
-        raise InvalidArgumentError(f"mesh size h must be positive and finite, got {h}")
-    if not np.isfinite(alpha):
-        raise InvalidArgumentError(f"alpha must be finite, got {alpha}")
+    N, alpha, h = scalar(N, "N", integer=True), scalar(alpha, "alpha"), scalar(h, "h")
+    if N < 1 or h <= 0:
+        raise InvalidArgumentError(f"need N >= 1 and a mesh size h > 0, got N={N}, h={h}")
     if alpha >= 1:
         raise SingularHodgeError(
             f"alpha = {alpha}: the boundary Hodge entry 1/(1-alpha) degenerates"
@@ -95,7 +103,8 @@ def hodge_1d(N: int, alpha: float, h: float) -> HodgePair:
     dp[0] = 1.0 / (1.0 - alpha)
     dq = np.ones(N)
     dq[-1] = 1.0 / (1.0 - alpha)
-    return HodgePair(_diagonal(dp / h), _diagonal(dq / h))
+    with np.errstate(over="ignore"):
+        return _pair(dp / h, dq / h)
 
 
 def hodge_golo_1d(N: int, h: float) -> HodgePair:

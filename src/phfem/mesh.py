@@ -29,13 +29,12 @@ with the edge orientation).  They satisfy d_p @ d_q == 0 exactly.
 
 from __future__ import annotations
 
-import numbers
 from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, scalar
 
 #: each rectangle side as a cut of a [j, i] id grid of `_id_grids`
 _SIDES = {"bottom": np.s_[0], "right": np.s_[:, -1], "top": np.s_[-1], "left": np.s_[:, 0]}
@@ -100,29 +99,29 @@ class BoundaryPartition(NamedTuple):
 
 def build_interval_mesh(N: int, L: float) -> SimplexMesh:
     """Uniform 1D mesh of (0, L) with N edges and N+1 nodes."""
-    if N < 1:
-        raise InvalidArgumentError(f"need at least one edge, got N={N}")
-    if not (np.isfinite(L) and L > 0):
-        raise InvalidArgumentError(
-            f"domain length must be positive and finite, got L={L}"
-        )
-    h = L / N
-    coords = np.linspace(0.0, L, N + 1).reshape(-1, 1)
-    edges = np.column_stack([np.arange(N), np.arange(1, N + 1)])
-    return SimplexMesh(1, coords, edges.astype(np.int64), None, None, h, (N,))
+    N, L = scalar(N, "N", integer=True), scalar(L, "L")
+    if N < 1 or L <= 0:
+        raise InvalidArgumentError(f"need N >= 1 edges of a length L > 0, got N={N}, L={L}")
+    try:
+        coords = np.linspace(0.0, L, N + 1).reshape(-1, 1)
+        edges = np.column_stack([np.arange(N), np.arange(1, N + 1)])
+    except (ValueError, MemoryError) as e:
+        raise InvalidArgumentError(f"N={N} edges cannot be allocated: {e}") from e
+    return SimplexMesh(1, coords, edges.astype(np.int64), None, None, L / N, (N,))
 
 
 def build_rect_mesh(N: int, M: int, h: float) -> SimplexMesh:
     """Uniform N x M grid of square cells of side h, each split into two
     triangles by the cell diagonal (top-right to bottom-left)."""
-    if N < 1 or M < 1:
-        raise InvalidArgumentError(f"grid must have at least one cell, got {N}x{M}")
-    if not (np.isfinite(h) and h > 0):
-        raise InvalidArgumentError(f"cell size must be positive and finite, got h={h}")
-
-    ii, jj = np.meshgrid(np.arange(N + 1), np.arange(M + 1), indexing="xy")
+    N, M, h = scalar(N, "N", integer=True), scalar(M, "M", integer=True), scalar(h, "h")
+    if min(N, M) < 1 or h <= 0:
+        raise InvalidArgumentError(f"need N, M >= 1 cells of side h > 0, got {N}x{M}, h={h}")
+    try:
+        ii, jj = np.meshgrid(np.arange(N + 1), np.arange(M + 1), indexing="xy")
+        node, hor, ver, dia = _id_grids(N, M)
+    except (ValueError, MemoryError) as e:
+        raise InvalidArgumentError(f"an N={N} x M={M} grid cannot be allocated: {e}") from e
     coords = np.column_stack([ii.ravel() * h, jj.ravel() * h]).astype(float)
-    node, hor, ver, dia = _id_grids(N, M)
 
     def rows(*grids):
         return np.column_stack([g.ravel() for g in grids])
@@ -143,7 +142,7 @@ def build_rect_mesh(N: int, M: int, h: float) -> SimplexMesh:
     face_nodes = np.concatenate([rows(sw, se, ne), rows(sw, ne, nw)])
 
     return SimplexMesh(
-        2, coords, edges, faces, signs, float(h), (N, M), face_nodes, edge_class
+        2, coords, edges, faces, signs, h, (N, M), face_nodes, edge_class
     )
 
 
@@ -351,12 +350,10 @@ def _side_names(value, key: str) -> list:
 
 
 def _indices(value, key: str) -> list:
-    """Entity indices given as a list of integers (bools excluded)."""
-    if not isinstance(value, (list, tuple, np.ndarray)) or not all(
-        isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in value
-    ):
+    """Entity indices given as a list of integers."""
+    if not isinstance(value, (list, tuple, np.ndarray)):
         raise InvalidArgumentError(
             f"causality key {key!r} must be a list of integers, got {value!r}"
         )
-    return [int(v) for v in value]
+    return [scalar(v, f"an entry of causality key {key!r}", integer=True) for v in value]
 

@@ -27,13 +27,12 @@ vertex gets gamma.
 
 from __future__ import annotations
 
-import numbers
 from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, scalar
 from .mesh import BoundaryPartition, IncidencePair, SimplexMesh
 
 RESIDUAL_TOL = 1e-12
@@ -70,6 +69,8 @@ def triangle_weights(
     alpha_I: float, beta_I: float, alpha_II: float, beta_II: float
 ) -> TriangleWeights:
     """Build weights with the gamma components derived from convexity."""
+    alpha_I, beta_I = scalar(alpha_I, "alpha_I"), scalar(beta_I, "beta_I")
+    alpha_II, beta_II = scalar(alpha_II, "alpha_II"), scalar(beta_II, "beta_II")
     gamma_I = 1.0 - alpha_I - beta_I
     gamma_II = 1.0 - alpha_II - beta_II
     for name, v in (
@@ -108,14 +109,11 @@ def weights_from_config(obj) -> TriangleWeights:
                 f"unknown weight preset {name!r}; have {sorted(PRESETS)}"
             )
         return triangle_weights(*PRESETS[name])
-    values = []
-    for key in ("alpha_I", "beta_I", "alpha_II", "beta_II"):
-        if key not in obj:
-            raise InvalidArgumentError(f"weight config missing key {key!r}")
-        v = obj[key]
-        if isinstance(v, bool) or not isinstance(v, numbers.Real):
-            raise InvalidArgumentError(f"weight {key} must be a number, got {v!r}")
-        values.append(v)
+    keys = ("alpha_I", "beta_I", "alpha_II", "beta_II")
+    try:
+        values = [obj[k] for k in keys]
+    except KeyError as e:
+        raise InvalidArgumentError(f"weight config missing key {e.args[0]!r}") from None
     return triangle_weights(*values)
 
 
@@ -345,10 +343,9 @@ def build_1d_maps(N: int, alpha: float) -> MapSet:
     centered symmetric choice.  alpha >= 1 is rejected: the associated
     Hodge weight 1/(1-alpha) degenerates.
     """
+    N, alpha = scalar(N, "N", integer=True), scalar(alpha, "alpha")
     if N < 2:
         raise InvalidArgumentError(f"need N >= 2 edges, got {N}")
-    if not np.isfinite(alpha):
-        raise InvalidArgumentError(f"alpha must be finite, got {alpha}")
     if alpha >= 1:
         raise InvalidArgumentError(
             f"alpha must be < 1 (Hodge weight 1/(1-alpha) singular), got {alpha}"
@@ -401,6 +398,7 @@ def build_golo_1d_maps(N: int, alpha_prime: float) -> MapSet:
     cancel pairwise and the two boundary leftovers -e_0 and +e_N are
     absorbed by S_p = e_0^T and S_q_hat = e_N^T through the trace terms.
     """
+    N, alpha_prime = scalar(N, "N", integer=True), scalar(alpha_prime, "alpha_prime")
     if N < 2:
         raise InvalidArgumentError(f"need N >= 2 edges, got {N}")
     if not (-1.0 < alpha_prime < 1.0):

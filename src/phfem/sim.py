@@ -78,7 +78,6 @@ from __future__ import annotations
 
 import csv
 import math
-import numbers
 import pathlib
 from collections.abc import Callable, Sequence
 from typing import NamedTuple
@@ -92,6 +91,7 @@ from .errors import (
     InvalidArgumentError,
     NumericalFailureError,
     StructureViolationError,
+    scalar,
 )
 from .hodge import hodge_1d, hodge_2d, hodge_golo_1d
 from .mesh import (
@@ -144,16 +144,9 @@ def _require(cfg: dict, key: str, context: str):
 
 
 def _number(cfg: dict, key: str, context: str, default=None, integer=False):
-    """A JSON number (an integer if `integer`; never a bool) under `key`;
-    required unless a default is given."""
+    """The `errors.scalar` under `key`; required unless a default is given."""
     v = _require(cfg, key, context) if default is None else cfg.get(key, default)
-    kind = numbers.Integral if integer else numbers.Real
-    if isinstance(v, bool) or not isinstance(v, kind):
-        raise InvalidArgumentError(
-            f"{context} key {key!r} must be {'an integer' if integer else 'a number'}"
-            f", got {v!r}"
-        )
-    return int(v) if integer else float(v)
+    return scalar(v, f"{context} key {key!r}", integer)
 
 
 def build_model(config: dict) -> BuiltModel:
@@ -227,14 +220,14 @@ def build_model(config: dict) -> BuiltModel:
             )
     stacks = effort_stacks(maps, inc)
     preservation = power_residual(stacks)
-    if preservation > RESIDUAL_TOL:
+    if not preservation <= RESIDUAL_TOL:  # NaN fails too
         raise StructureViolationError(
             f"power-preservation residual {preservation:.3e} exceeds {RESIDUAL_TOL}"
         )
     model = assemble_model(stacks, pair, meta=meta)
     del stacks  # resolved into the model; free before the balance check
     balance = power_balance_residual(model)
-    if balance > SKEW_TOL:
+    if not balance <= SKEW_TOL:
         raise StructureViolationError(
             f"state-space model violates power balance: residual {balance:.3e}"
         )
@@ -259,16 +252,9 @@ class SimConfig(NamedTuple):
     snapshot_times: Sequence[float] | None = None
 
     def validate(self) -> None:
-        if not (math.isfinite(self.dt) and self.dt > 0):
-            raise InvalidArgumentError(
-                f"dt must be positive and finite, got {self.dt}"
-            )
-        if not math.isfinite(self.T):
-            raise InvalidArgumentError(f"horizon T must be finite, got {self.T}")
-        if not self.T >= self.dt:
-            raise InvalidArgumentError(
-                f"horizon T = {self.T} must cover at least one step dt = {self.dt}"
-            )
+        dt, T = scalar(self.dt, "dt"), scalar(self.T, "horizon T")
+        if not 0 < dt <= T:
+            raise InvalidArgumentError(f"need 0 < dt <= horizon T, got dt = {dt}, T = {T}")
         times = self.snapshot_times
         if times is None:
             return
@@ -280,15 +266,8 @@ class SimConfig(NamedTuple):
                 f"snapshot_times must be None or a sequence of times, got {times!r}"
             )
         for t in times:
-            if (isinstance(t, bool) or not isinstance(t, numbers.Real)
-                    or not math.isfinite(t)):
-                raise InvalidArgumentError(
-                    f"snapshot time {t!r} is not a finite number"
-                )
-            if not 0 <= t <= self.T + 1e-12:
-                raise InvalidArgumentError(
-                    f"snapshot time {t} outside [0, {self.T}]"
-                )
+            if not 0 <= scalar(t, "snapshot time") <= T + 1e-12:
+                raise InvalidArgumentError(f"snapshot time {t} outside [0, {T}]")
 
 
 def _grid_steps(times: Sequence[float], dt: float, n_steps: int) -> np.ndarray:
@@ -398,8 +377,8 @@ class MidpointStepper:
     """
 
     def __init__(self, model: PHModel, dt: float):
-        if not (math.isfinite(dt) and dt > 0):
-            raise InvalidArgumentError(f"dt must be positive and finite, got {dt}")
+        if scalar(dt, "dt") <= 0:
+            raise InvalidArgumentError(f"dt must be positive, got {dt}")
         J_p, q_p, q_q = model.node_blocks()
         h = dt / 2.0
         n_p, n_q, n = model.n_p, model.n_q, model.n
@@ -634,10 +613,8 @@ def wave2d_experiment(
     input node lists are kept through the run.  On the 20 x 20 domain the
     reference front is a circle with radius 14 at t = 18.
     """
-    if isinstance(N, bool) or not isinstance(N, numbers.Integral) or N < 1:
-        raise InvalidArgumentError(
-            f"grid size N must be a positive integer, got {N!r}"
-        )
+    if scalar(N, "grid size N", integer=True) < 1:
+        raise InvalidArgumentError(f"grid size N must be a positive integer, got {N}")
     if snapshot_times is None:
         raise InvalidArgumentError("snapshot_times must be a sequence of times, got None")
     SimConfig(dt=dt, T=T, snapshot_times=snapshot_times).validate()

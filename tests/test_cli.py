@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from phfem import cli, power_maps, sim, statespace
+from phfem import cli, power_maps, sim, statespace, whitney
 from phfem.errors import StructureViolationError
 from phfem.statespace import load_model
 
@@ -143,7 +143,7 @@ class TestBuild:
             (MIXED_2X1, ("mesh", "N"), 3.7, "'N'"),
             (MIXED_2X1, ("mesh", "N"), True, "'N'"),
             (MIXED_2X1, ("mesh", "h"), "x", "'h'"),
-            (MIXED_2X1, ("mesh", "h"), 1e400, "h=inf"),
+            (MIXED_2X1, ("mesh", "h"), 1e400, "'h' must be a finite number, got inf"),
             (MIXED_2X1, ("weights",), 5, "weights"),
             (MIXED_2X1, ("weights",), {"alpha_I": "x", "beta_I": 0.25,
                                        "alpha_II": 0.25, "beta_II": 0.5}, "alpha_I"),
@@ -152,7 +152,7 @@ class TestBuild:
             (MIXED_2X1, ("causality", "p_sides"), "bottom", "'p_sides'"),
             (MIXED_2X1, ("causality", "q_edges"), 5, "'q_edges'"),
             (INTERVAL, ("alpha",), "x", "'alpha'"),
-            (INTERVAL, ("mesh", "L"), 1e400, "L=inf"),
+            (INTERVAL, ("mesh", "L"), 1e400, "'L' must be a finite number, got inf"),
             (MIXED_2X1, ("causality", "q_sides"), "anything", "'q_sides'"),
             (MIXED_2X1, ("causality", "q_sides"), ["bottom"], "q side 'bottom': edge 0"),
             (MIXED_2X1, ("causalty",), {"p_nodes": [0]}, "top-level config key 'causalty'"),
@@ -256,6 +256,65 @@ class TestBuild:
         cfg = write_cfg(tmp_path, INTERVAL)
         assert cli.main(["build", "--config", str(cfg), "--out", str(tmp_path / "m")]) == 1
         assert "structural checks failed" in capsys.readouterr().err
+
+    def test_nan_residual_exits_1_without_a_model(self, tmp_path, capsys):
+        # alpha = -1e308 overflows the maps: the power-preservation residual
+        # is NaN, which the gate must not let through
+        cfg = write_cfg(tmp_path, {**INTERVAL, "alpha": -1e308})
+        out = tmp_path / "m"
+        assert cli.main(["build", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "residual" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_nan_structure_residual_fails_the_gate(self, tmp_path, monkeypatch, capsys):
+        verify = whitney.verify_structure
+
+        def nan_report(*args):
+            report = verify(*args)
+            return report._replace(residuals={**report.residuals, "demo": float("nan")})
+
+        monkeypatch.setattr(whitney, "verify_structure", nan_report)
+        cfg = write_cfg(tmp_path, MIXED_2X1)
+        out = tmp_path / "m"
+        assert cli.main(["build", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "demo = nan" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "config, entry",
+        [
+            ({**MIXED_2X1, "mesh": {"kind": "rect", "N": 2, "M": 1, "h": 1e300}},
+             "Q_p[0] = 0 "),
+            ({**MIXED_2X1, "mesh": {"kind": "rect", "N": 2, "M": 1, "h": 1e-320}},
+             "Q_p[0] = inf"),
+            ({**INTERVAL, "mesh": {"kind": "interval", "N": 12, "L": 1e-320}},
+             "Q_p[0] = inf"),
+            ({"mesh": {"kind": "interval", "N": 12, "L": 1e-320}, "method": "golo",
+              "alpha_prime": 0.0}, "Q_p[0] = inf"),
+        ],
+        ids=["h-overflow", "h-underflow", "L-underflow", "golo-L-underflow"],
+    )
+    def test_hodge_out_of_range_exits_2_without_a_model(
+        self, tmp_path, capsys, config, entry
+    ):
+        """Every model `build` writes is one `load_model` accepts."""
+        cfg = write_cfg(tmp_path, config)
+        out = tmp_path / "m"
+        assert cli.main(["build", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"Hodge entry {entry}" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [["--n", str(10**20)], ["--m", str(10**20)]])
+    def test_oversized_grid_exits_2(self, tmp_path, capsys, flags):
+        # numpy refuses this size before allocating anything
+        cfg = write_cfg(tmp_path, MIXED_2X1)
+        out = tmp_path / "m"
+        assert cli.main(["build", "--config", str(cfg), "--out", str(out)] + flags) == 2
+        err = capsys.readouterr().err
+        assert "cannot be allocated" in err and "Traceback" not in err
+        assert f"={10**20}" in err and not out.exists()
 
 
 class TestSimulate:
@@ -426,10 +485,11 @@ class TestEigs:
         [
             (lambda mf: [], "must hold a JSON object"),
             (lambda mf: {**mf, "meta": []}, "meta must be an object"),
-            (lambda mf: {**mf, "meta": {**mf["meta"], "L": "2"}}, "positive finite"),
+            (lambda mf: {**mf, "meta": {**mf["meta"], "L": "2"}},
+             "length L must be a finite number"),
             (lambda mf: {**mf, "meta": {**mf["meta"], "L": 0}}, "positive finite"),
             (lambda mf: {**mf, "meta": {**mf["meta"], "L": float("nan")}},
-             "positive finite"),
+             "length L must be a finite number"),
         ],
         ids=["manifest-array", "meta-array", "L-string", "L-zero", "L-nan"],
     )

@@ -120,6 +120,13 @@ class TestDegenerate:
         with pytest.raises(SingularHodgeError):
             hg.hodge_2d(m, maps)
 
+    @pytest.mark.parametrize("h, value", [(1e300, "0"), (1e-320, "inf")])
+    def test_entry_out_of_float_range(self, h, value):
+        w = pm.triangle_weights(*pm.PRESETS["set1"])
+        m, maps = build(2, 2, h, w)
+        with pytest.raises(SingularHodgeError, match=rf"Q_p\[0\] = {value} "):
+            hg.hodge_2d(m, maps)
+
     def test_invalid_arguments(self):
         w = pm.triangle_weights(*pm.PRESETS["set1"])
         m, maps = build(2, 2, 1.0, w)
@@ -145,6 +152,10 @@ class TestOneDimensional:
             hg.hodge_1d(5, 1.0, 0.2)
         with pytest.raises(SingularHodgeError):
             hg.hodge_1d(5, 1.2, 0.2)
+
+    def test_entry_overflow_singular(self):
+        with pytest.raises(SingularHodgeError, match=r"Q_p\[0\] = inf "):
+            hg.hodge_1d(4, 0.0, 1e-320)
 
     @pytest.mark.parametrize("alpha", [np.nan, -np.inf])
     def test_nonfinite_alpha_rejected(self, alpha):

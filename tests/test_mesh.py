@@ -101,6 +101,21 @@ def test_interval_mesh_rejects_nonfinite_length(L):
         msh.build_interval_mesh(4, L)
 
 
+@pytest.mark.parametrize(
+    "build, named",
+    [
+        (lambda n: msh.build_rect_mesh(n, 3, 1.0), f"N={10**20} x M=3"),
+        (lambda n: msh.build_rect_mesh(3, n, 1.0), f"N=3 x M={10**20}"),
+        (lambda n: msh.build_interval_mesh(n, 1.0), f"N={10**20}"),
+    ],
+    ids=["rect-N", "rect-M", "interval"],
+)
+def test_oversized_mesh_is_an_argument_error(build, named):
+    # numpy refuses this size before allocating anything
+    with pytest.raises(InvalidArgumentError, match=f"{named} .*cannot be allocated"):
+        build(10**20)
+
+
 class TestPartition2D:
     def setup_method(self):
         self.m = msh.build_rect_mesh(2, 1, 1.0)

@@ -409,6 +409,12 @@ class TestOnePowerCheck:
         with pytest.raises(StructureViolationError, match="power-preservation residual"):
             sim.build_model(self.CONFIG)
 
+    @pytest.mark.parametrize("check", ["power_residual", "power_balance_residual"])
+    def test_nan_residual_fails_the_build(self, monkeypatch, check):
+        monkeypatch.setattr(sim, check, lambda *args: float("nan"))
+        with pytest.raises(StructureViolationError, match="residual nan"):
+            sim.build_model(self.CONFIG)
+
     def test_portless_partition_fails_the_build(self, monkeypatch):
         # the configured partition less q input 0: boundary edge 0 (nodes 1,
         # 0) then has no port, which `partition_boundary` would reject

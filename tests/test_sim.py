@@ -697,7 +697,9 @@ class TestWaveExperiment:
 
     @pytest.mark.parametrize("N", [0, -4, True])
     def test_grid_size_not_positive_integer_rejected(self, N):
-        with pytest.raises(InvalidArgumentError, match="positive integer"):
+        with pytest.raises(
+            InvalidArgumentError, match="grid size N must be (a positive|an) integer"
+        ):
             sim.wave2d_experiment(N)
 
     @pytest.mark.parametrize(
