@@ -1,10 +1,11 @@
-"""Spectral analysis of the 1D two-conservation-law family.
+"""Spectral analysis of conservative models, and the 1D reference tables.
 
-Provides the frequencies of a conservative model (`spectrum`: singular
-values of the node coupling S certified by `PHModel.node_blocks()`),
-frequency tables over the flow-map parameter alpha and over the effort-map
-parameter alpha' of a comparison scheme, and log-log convergence-order
-estimation against the closed-form frequencies (2k - 1) * pi / (2L).
+Provides the frequencies of any conservative model, 1-D or 2-D, that
+passes `PHModel.node_blocks()` (`spectrum`: singular values of the node
+coupling S that method certifies), frequency tables of the 1D family
+over the flow-map parameter alpha and over the effort-map parameter
+alpha' of a comparison scheme, and log-log convergence-order estimation
+against the closed-form frequencies (2k - 1) * pi / (2L).
 
 The singular values of S are the positive eigenvalues of the symmetric
 matrix [[0, S], [S^T, 0]].  When reverse Cuthill-McKee orders that matrix
@@ -38,7 +39,7 @@ from scipy.linalg import eigvals_banded
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, splu
 
-from .errors import InvalidArgumentError, NumericalFailureError, scalar
+from .errors import InvalidArgumentError, NumericalFailureError, scalar, scalars
 from .sim import build_model
 from .statespace import PHModel
 
@@ -58,16 +59,17 @@ TABLE4_ALPHA_PRIMES = (("1/12", 1.0 / 12.0), ("0", 0.0), ("-1/6", -1.0 / 6.0))
 
 def exact_frequencies(ks, L: float = 1.0) -> np.ndarray:
     """Closed-form angular frequencies (2k - 1) * pi / (2L) of the interval
-    of length L with effort clamped at one end per field."""
+    of length L with effort clamped at one end per field, for a list of
+    mode indices k >= 1."""
     if scalar(L, "length L") <= 0:
         raise InvalidArgumentError(f"length L must be a positive finite number, got {L}")
-    ks = np.asarray(ks, dtype=float)
+    ks = np.asarray(_positive_ints(ks, "mode index"), dtype=float)
     return (2.0 * ks - 1.0) * np.pi / (2.0 * L)
 
 
 def _positive_ints(values, what: str) -> tuple:
-    """values as a tuple of `errors.scalar` integers, each >= 1."""
-    values = tuple(scalar(v, what, integer=True) for v in values)
+    """values as a tuple of `errors.scalars` integers, each >= 1."""
+    values = scalars(values, what, integer=True)
     if min(values, default=1) < 1:
         raise InvalidArgumentError(f"{what} must be an integer >= 1, got {min(values)}")
     return values
@@ -244,7 +246,12 @@ def eig_table(method: str, parameters, Ns, ks=TABLE_KS) -> EigTable:
         raise InvalidArgumentError(f"unknown method {method!r}")
     Ns, ks = _positive_ints(Ns, "grid size N"), _positive_ints(ks, "mode index")
     columns = {}
-    for label, value in parameters:
+    for entry in parameters:
+        try:
+            label, value = entry
+        except (TypeError, ValueError):
+            msg = f"parameters entry {entry!r} is not a (label, value) pair"
+            raise InvalidArgumentError(msg) from None
         for N in Ns:
             freqs = spectrum(builders[method](N, value))
             columns[(method, label, N)] = np.array(
@@ -311,7 +318,7 @@ def convergence_study(alphas, Ns, ks) -> ConvergenceStudy:
 
     Each model is asked for its lowest max(ks) frequencies only (the
     Lanczos route of `spectrum`)."""
-    alphas = tuple(alphas)
+    alphas = scalars(alphas, "alphas")
     Ns, ks = _positive_ints(Ns, "grid size N"), _positive_ints(ks, "mode index")
     if not alphas or not ks:
         raise InvalidArgumentError("alphas and ks must be nonempty")

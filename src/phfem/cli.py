@@ -61,20 +61,17 @@ def _apply_thread_cap() -> None:
         os.environ.setdefault(var, str(n))
 
 
-def load_config(path) -> dict:
+def load_config(path):
     path = pathlib.Path(path)
     if not path.is_file():
         raise MissingArtifactError(f"config file not found: {path}")
     try:
-        obj = json.loads(path.read_text())
+        return json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise InvalidArgumentError(
             f"config parse error in {path} at line {exc.lineno}, "
             f"column {exc.colno}: {exc.msg}"
         ) from None
-    if not isinstance(obj, dict):
-        raise InvalidArgumentError("config must be a JSON object")
-    return obj
 
 
 def _build_from_config(cfg: dict):
@@ -140,18 +137,15 @@ def _write_manifest(outdir: pathlib.Path, run: dict) -> None:
 
 def cmd_build(args) -> int:
     cfg = load_config(args.config)
-    # a non-object "mesh" is left for build_model to reject
-    for key, value in (("N", args.n), ("M", args.m)):
-        if value is not None and isinstance(cfg.setdefault("mesh", {}), dict):
-            cfg["mesh"][key] = value
-    if args.preset is not None:
-        cfg["weights"] = args.preset
-    if args.alpha is not None:
-        cfg["alpha"] = args.alpha
-    if args.alpha_prime is not None:
-        cfg["alpha_prime"] = args.alpha_prime
-    if args.method is not None:
-        cfg["method"] = args.method
+    # a non-object config or "mesh" is left for build_model to reject
+    if isinstance(cfg, dict):
+        for key, value in (("N", args.n), ("M", args.m)):
+            if value is not None and isinstance(cfg.setdefault("mesh", {}), dict):
+                cfg["mesh"][key] = value
+        for key, value in (("weights", args.preset), ("alpha", args.alpha),
+                           ("alpha_prime", args.alpha_prime), ("method", args.method)):
+            if value is not None:
+                cfg[key] = value
 
     from .statespace import export_model
 

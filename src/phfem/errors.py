@@ -8,9 +8,11 @@ failures onto its documented process exit codes:
     3 -- a referenced artifact (model directory, matrix file) is missing
     4 -- numerical failure (solver breakdown, NaN/Inf during time stepping)
 
-Every public entry point passes each scalar argument through `scalar` and
-then applies only its own range rule.  Only the standard library is
-imported here, so the command-line front end can load this before numpy.
+Every public entry point passes each scalar argument through `scalar`,
+each list of numbers through `scalars` and each config object through
+`fields`, and then applies only its own range rule.  Only the standard
+library is imported here, so the command-line front end can load this
+before numpy.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import contextlib
 import math
 import numbers
+from collections.abc import Sequence
 
 
 class PhfemError(Exception):
@@ -46,6 +49,30 @@ def scalar(value, name: str, integer: bool = False):
                 return value
     what = "an integer" if integer else "a finite number"
     raise InvalidArgumentError(f"{name} must be {what}, got {value!r}")
+
+
+def scalars(values, name: str, integer: bool = False) -> tuple:
+    """`values` as a tuple of `scalar`s named `name`: a sequence other than
+    a string, or a 1-d array (told by `ndim`, without numpy).  Anything
+    else, such as a set (it has no order), dict, generator, None, number or
+    array of another dimension, raises InvalidArgumentError."""
+    if isinstance(values, (str, bytes)) or not (
+        isinstance(values, Sequence) or getattr(values, "ndim", None) == 1
+    ):
+        what = "integers" if integer else "numbers"
+        raise InvalidArgumentError(f"{name} must be a list of {what}, got {values!r}")
+    return tuple(scalar(v, name, integer) for v in values)
+
+
+def fields(obj, name: str, known) -> dict:
+    """`obj` when it is an object (a dict) whose keys all lie in `known`;
+    otherwise InvalidArgumentError naming `name` and the first unknown key."""
+    if not isinstance(obj, dict):
+        raise InvalidArgumentError(f"{name} must be an object, got {obj!r}")
+    for key in obj:
+        if key not in known:
+            raise InvalidArgumentError(f"unknown {name} key {key!r}")
+    return obj
 
 
 class SingularHodgeError(PhfemError):

@@ -34,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import InvalidArgumentError, scalar
+from .errors import InvalidArgumentError, fields, scalar, scalars
 
 #: each rectangle side as a cut of a [j, i] id grid of `_id_grids`
 _SIDES = {"bottom": np.s_[0], "right": np.s_[:, -1], "top": np.s_[-1], "left": np.s_[:, 0]}
@@ -232,7 +232,7 @@ def partition_boundary(mesh: SimplexMesh, causality: dict | None) -> BoundaryPar
     """Split the boundary into q-type segments (edge efforts imposed) and
     p-type segments (node efforts imposed).
 
-    2D keys (all optional):
+    2D keys (all optional; any other key is rejected):
       "p_nodes"    -- list of boundary node indices
       "p_sides"    -- list of side names; their nodes become p-causal
       "q_edges"    -- "all" (default "rest"), or an explicit list of
@@ -255,38 +255,34 @@ def partition_boundary(mesh: SimplexMesh, causality: dict | None) -> BoundaryPar
     1D accepts only the two-ended assignment {left node: q, right node: p},
     which is also the default for causality=None.
     """
-    if causality is not None and not isinstance(causality, dict):
-        raise InvalidArgumentError(f"causality must be an object, got {causality!r}")
-    causality = dict(causality or {})
-
+    causality = {} if causality is None else causality
     if mesh.dim == 1:
         N = mesh.grid_shape[0]
-        q_nodes = _indices(causality.pop("q_nodes", [0]), "q_nodes")
-        p_nodes = _indices(causality.pop("p_nodes", [N]), "p_nodes")
-        if causality:
-            raise InvalidArgumentError(f"unknown 1D causality keys {sorted(causality)}")
-        if q_nodes != [0] or p_nodes != [N]:
+        causality = fields(causality, "1D causality", ("q_nodes", "p_nodes"))
+        q_nodes = scalars(causality.get("q_nodes", [0]), "causality key 'q_nodes'", True)
+        p_nodes = scalars(causality.get("p_nodes", [N]), "causality key 'p_nodes'", True)
+        if q_nodes != (0,) or p_nodes != (N,):
             raise InvalidArgumentError(
                 "1D supports exactly the two-ended causality: q at node 0, "
                 f"p at node {N}"
             )
         return BoundaryPartition(*np.array([[0], [N]], dtype=np.int64))
 
+    known = ("p_nodes", "p_sides", "q_edges", "q_segments", "q_sides")
+    causality = fields(causality, "causality", known)
     bnodes = set(boundary_nodes(mesh).tolist())
     bedges = set(boundary_edges(mesh).tolist())
 
-    p_nodes = set(_indices(causality.pop("p_nodes", []), "p_nodes"))
-    for side in _side_names(causality.pop("p_sides", []), "p_sides"):
+    p_nodes = set(scalars(causality.get("p_nodes", []), "causality key 'p_nodes'", True))
+    for side in _side_names(causality.get("p_sides", []), "p_sides"):
         p_nodes.update(boundary_side_nodes(mesh, side).tolist())
     bad = p_nodes - bnodes
     if bad:
         raise InvalidArgumentError(f"p-causal nodes not on the boundary: {sorted(bad)}")
 
-    q_segments_spec = causality.pop("q_segments", None)
-    q_edges_spec = causality.pop("q_edges", "rest")
-    q_sides = _side_names(causality.pop("q_sides", []), "q_sides")
-    if causality:
-        raise InvalidArgumentError(f"unknown causality keys {sorted(causality)}")
+    q_segments_spec = causality.get("q_segments")
+    q_edges_spec = causality.get("q_edges", "rest")
+    q_sides = _side_names(causality.get("q_sides", []), "q_sides")
 
     def covered(e: int) -> bool:
         t, hd = mesh.edges[e]
@@ -299,14 +295,15 @@ def partition_boundary(mesh: SimplexMesh, causality: dict | None) -> BoundaryPar
                 f"got {q_segments_spec!r}"
             )
         q_inputs = [
-            e for seg in q_segments_spec for e in sorted(_indices(seg, "q_segments"))
+            e for seg in q_segments_spec
+            for e in sorted(scalars(seg, "causality key 'q_segments'", True))
         ]
     elif q_edges_spec == "rest":
         q_inputs = sorted(e for e in bedges if not covered(e))
     elif q_edges_spec == "all":
         q_inputs = sorted(bedges)
     else:
-        q_inputs = sorted(_indices(q_edges_spec, "q_edges"))
+        q_inputs = sorted(scalars(q_edges_spec, "causality key 'q_edges'", True))
 
     seen: set[int] = set()
     for e in q_inputs:
@@ -347,13 +344,3 @@ def _side_names(value, key: str) -> list:
             f"causality key {key!r} must be a list of side names, got {value!r}"
         )
     return list(value)
-
-
-def _indices(value, key: str) -> list:
-    """Entity indices given as a list of integers."""
-    if not isinstance(value, (list, tuple, np.ndarray)):
-        raise InvalidArgumentError(
-            f"causality key {key!r} must be a list of integers, got {value!r}"
-        )
-    return [scalar(v, f"an entry of causality key {key!r}", integer=True) for v in value]
-

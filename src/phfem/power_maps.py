@@ -32,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import InvalidArgumentError, scalar
+from .errors import InvalidArgumentError, fields, scalar
 from .mesh import BoundaryPartition, IncidencePair, SimplexMesh
 
 RESIDUAL_TOL = 1e-12
@@ -95,13 +95,16 @@ PRESETS = {
 
 def weights_from_config(obj) -> TriangleWeights:
     """Accept {"preset": "set3"}, a preset name, or explicit
-    {alpha_I, beta_I, alpha_II, beta_II} (gamma components derived)."""
+    {alpha_I, beta_I, alpha_II, beta_II} (gamma components derived); a
+    preset mixed with explicit weights, or any other key, is rejected."""
     if isinstance(obj, str):
         obj = {"preset": obj}
     if not isinstance(obj, dict):
         raise InvalidArgumentError(
             f"weights must be a preset name or an object, got {obj!r}"
         )
+    keys = ("preset",) if "preset" in obj else ("alpha_I", "beta_I", "alpha_II", "beta_II")
+    obj = fields(obj, "weight config", keys)
     if "preset" in obj:
         name = obj["preset"]
         if not isinstance(name, str) or name not in PRESETS:
@@ -109,12 +112,10 @@ def weights_from_config(obj) -> TriangleWeights:
                 f"unknown weight preset {name!r}; have {sorted(PRESETS)}"
             )
         return triangle_weights(*PRESETS[name])
-    keys = ("alpha_I", "beta_I", "alpha_II", "beta_II")
-    try:
-        values = [obj[k] for k in keys]
-    except KeyError as e:
-        raise InvalidArgumentError(f"weight config missing key {e.args[0]!r}") from None
-    return triangle_weights(*values)
+    missing = [k for k in keys if k not in obj]
+    if missing:
+        raise InvalidArgumentError(f"weight config missing key {missing[0]!r}")
+    return triangle_weights(*(obj[k] for k in keys))
 
 
 class MapSet(NamedTuple):

@@ -75,6 +75,25 @@ class TestBuild:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["n_p"] == 8
 
+    @pytest.mark.parametrize(
+        "base, flags, edited",
+        [(MIXED_2X1, ["--preset", "set3"], {"weights": "set3"}),
+         (INTERVAL, ["--alpha", "0.25"], {"alpha": 0.25})],
+        ids=["preset", "alpha"],
+    )
+    def test_override_builds_the_edited_config(self, tmp_path, base, flags, edited):
+        """`--preset` and `--alpha` build what the config with that value builds."""
+        base_cfg = write_cfg(tmp_path, base, "base.json")
+        edited_cfg = write_cfg(tmp_path, {**base, **edited}, "edited.json")
+        a, b = tmp_path / "a", tmp_path / "b"
+        argv = ["build", "--config", str(base_cfg), "--out", str(a)] + flags
+        assert cli.main(argv) == 0
+        assert cli.main(["build", "--config", str(edited_cfg), "--out", str(b)]) == 0
+        for name in ("J", "Q", "B", "C", "D"):
+            assert (a / f"{name}.mtx").read_bytes() == (b / f"{name}.mtx").read_bytes()
+        run = json.loads((a / "manifest.json").read_text())["run"]
+        assert run["config"] == {**base, **edited}
+
     def test_golo_method(self, tmp_path):
         cfg = write_cfg(
             tmp_path,
@@ -157,6 +176,12 @@ class TestBuild:
             (MIXED_2X1, ("causality", "q_sides"), ["bottom"], "q side 'bottom': edge 0"),
             (MIXED_2X1, ("causalty",), {"p_nodes": [0]}, "top-level config key 'causalty'"),
             (MIXED_2X1, ("mesh", "n"), 4, "unknown mesh config key 'n'"),
+            (MIXED_2X1, ("causality", "q_edge"), "all", "unknown causality key 'q_edge'"),
+            (INTERVAL, ("causality",), {"p_sides": ["left"]},
+             "unknown 1D causality key 'p_sides'"),
+            (MIXED_2X1, ("causality", "q_segments"), 5,
+             "'q_segments' must be a list of edge lists, got 5"),
+            (INTERVAL, ("method",), "spectral", "or 'golo', got 'spectral'"),
         ],
     )
     def test_wrong_config_type_exits_2(self, tmp_path, capsys, base, path, value, named):
@@ -355,6 +380,21 @@ class TestSimulate:
         ) == 0
         run = json.loads((out / "manifest.json").read_text())["run"]
         assert set(run["node_solve"]) == {"route", "iterations", "interval"}
+
+    def test_zero_initial_state(self, tmp_path):
+        """`--x0 zero` with the zero input stays at H_d = 0 for the whole run."""
+        cfg = write_cfg(tmp_path, INTERVAL)
+        model_dir = tmp_path / "model"
+        assert cli.main(["build", "--config", str(cfg), "--out", str(model_dir)]) == 0
+        out = tmp_path / "run"
+        assert cli.main(
+            ["simulate", str(model_dir), "--dt", "0.1", "--t-end", "1", "--x0", "zero",
+             "--out", str(out)]
+        ) == 0
+        rows = list(csv.reader((out / "energy.csv").open()))[1:]
+        assert len(rows) == 11 and all(float(r[1]) == 0.0 for r in rows)
+        run = json.loads((out / "manifest.json").read_text())["run"]
+        assert run["config"]["x0"] == "zero" and run["relative_energy_drift"] == 0.0
 
     def test_negative_seed_exits_2(self, tmp_path, capsys):
         model_dir = tmp_path / "model"
@@ -656,6 +696,17 @@ class TestProcess:
     def test_thread_cap_invalid(self, tmp_path, monkeypatch):
         monkeypatch.setenv("PHFEM_THREADS", "zero")
         assert cli.main(["eigs", "--n", "4", "--out", str(tmp_path / "e")]) == 2
+
+    def test_import_loads_no_numpy(self):
+        """PHFEM_THREADS must apply before numpy loads, so importing the
+        front end (and `errors`, which it imports) must not load numpy."""
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, phfem.cli; sys.exit('numpy' in sys.modules)"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
 
     def test_console_entry(self, tmp_path):
         proc = subprocess.run(

@@ -6,6 +6,7 @@ import pytest
 from phfem import hodge as hg
 from phfem import mesh as msh
 from phfem import power_maps as pm
+from phfem import sim
 from phfem.errors import InvalidArgumentError, SingularHodgeError
 
 
@@ -119,6 +120,19 @@ class TestDegenerate:
         m, maps = build(2, 2, 1.0, w)
         with pytest.raises(SingularHodgeError):
             hg.hodge_2d(m, maps)
+
+    def test_build_with_edge_without_transverse_flux(self):
+        """beta_I = 0 with p-ports along the bottom leaves bottom edge 0 with
+        no transverse coupling; the build stops at the Hodge (exit 2)."""
+        config = {
+            "mesh": {"kind": "rect", "N": 3, "M": 3},
+            "causality": {"p_sides": ["bottom"]},
+            "weights": {"alpha_I": 0.5, "beta_I": 0, "alpha_II": 0.25, "beta_II": 0.5},
+        }
+        message = r"P_fq row 0 \(edge 0\) has absolute sum 0"
+        with pytest.raises(SingularHodgeError, match=message) as info:
+            sim.build_model(config)
+        assert info.value.exit_code == 2
 
     @pytest.mark.parametrize("h, value", [(1e300, "0"), (1e-320, "inf")])
     def test_entry_out_of_float_range(self, h, value):

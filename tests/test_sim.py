@@ -541,6 +541,31 @@ class TestSimulate:
         with pytest.raises(InvalidArgumentError, match=r"t = 0.35\).*-inf on port 1"):
             sim.simulate(model, sim.SimConfig(dt=0.1, T=1.0, input=spike))
 
+    def test_grid_ends_at_first_multiple_of_dt_past_T(self):
+        """A horizon T that dt does not divide runs on to the next grid time."""
+        traj = sim.simulate(model_1d(4, 0.0), sim.SimConfig(dt=0.3, T=1.0))
+        np.testing.assert_array_equal(traj.t, np.arange(5) * 0.3)
+        np.testing.assert_allclose(traj.t, [0.0, 0.3, 0.6, 0.9, 1.2], rtol=1e-15)
+
+
+class TestBuildModel:
+    @pytest.mark.parametrize(
+        "config, message",
+        [({}, "config is missing top-level key 'mesh'"),
+         ({"mesh": {"N": 4}}, "config is missing mesh key 'kind'"),
+         ({"mesh": {"kind": "rect", "M": 3}}, "config is missing mesh key 'N'"),
+         ({"mesh": {"kind": "rect", "N": 4, "M": 3}},
+          "config is missing top-level key 'weights'"),
+         ({"mesh": {"kind": "interval", "N": 4}},
+          "config is missing interval-mesh key 'alpha'"),
+         ({"mesh": {"kind": "interval", "N": 4}, "method": "golo"},
+          "config is missing interval-mesh key 'alpha_prime'")],
+        ids=["mesh", "kind", "N", "weights", "alpha", "alpha_prime"],
+    )
+    def test_missing_key_rejected(self, config, message):
+        with pytest.raises(InvalidArgumentError, match=f"^{message}$"):
+            sim.build_model(config)
+
 
 class TestRecordedOutputs:
     """Outputs and energies from the stacked output map, on models with a
