@@ -40,6 +40,7 @@ from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, splu
 
 from .errors import InvalidArgumentError, NumericalFailureError, scalar, scalars
+from .mesh import csr, transposed
 from .sim import build_model
 from .statespace import PHModel
 
@@ -161,11 +162,20 @@ def _singular_values(S) -> np.ndarray:
     """Every singular value of S from the banded or the dense route of
     `spectrum`, ascending; the banded route returns all eigenvalues of H,
     so its -sigma and zeros come too (the zero-mode filter drops them)."""
-    H = sp.bmat([[None, S], [S.T, None]], format="coo")
-    order = reverse_cuthill_mckee(H.tocsr(), symmetric_mode=True)
+    n_p, n_q = S.shape
+    data, indices, indptr = transposed(S)
+    H = csr(
+        np.concatenate([S.data, data]),
+        np.concatenate([S.indices + n_p, indices]),
+        np.concatenate([S.indptr, indptr[1:] + S.indptr[-1]]),
+        (n_p + n_q, n_p + n_q),
+    )
+    H.sum_duplicates()
+    order = reverse_cuthill_mckee(H, symmetric_mode=True)
     pos = np.empty_like(order)
     pos[order] = np.arange(order.size)
-    row, col = pos[H.row], pos[H.col]
+    row = pos[np.repeat(np.arange(order.size), np.diff(H.indptr))]
+    col = pos[H.indices]
     b = int(np.abs(row - col).max(initial=0))
     try:
         if b * b <= min(S.shape):
@@ -242,15 +252,16 @@ def eig_table(method: str, parameters, Ns, ks=TABLE_KS) -> EigTable:
         "mixed": build_1d_model,
         "golo": build_golo_1d_model,
     }
-    if method not in builders:
+    if not isinstance(method, str) or method not in builders:
         raise InvalidArgumentError(f"unknown method {method!r}")
     Ns, ks = _positive_ints(Ns, "grid size N"), _positive_ints(ks, "mode index")
     columns = {}
     for entry in parameters:
         try:
             label, value = entry
+            hash(label)  # a column key
         except (TypeError, ValueError):
-            msg = f"parameters entry {entry!r} is not a (label, value) pair"
+            msg = f"parameters entry {entry!r} is not a (label, value) pair with a hashable label"
             raise InvalidArgumentError(msg) from None
         for N in Ns:
             freqs = spectrum(builders[method](N, value))

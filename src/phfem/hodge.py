@@ -25,7 +25,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import InvalidArgumentError, SingularHodgeError, scalar
-from .mesh import SimplexMesh
+from .mesh import SimplexMesh, csr
 from .power_maps import MapSet
 
 WEIGHT_FLOOR = 1e-14
@@ -56,7 +56,7 @@ def _pair(q_p: np.ndarray, q_q: np.ndarray) -> HodgePair:
 def _diagonal(values: np.ndarray) -> sp.csr_matrix:
     """Diagonal CSR matrix with the given entries, built from index arrays."""
     n = len(values)
-    return sp.csr_matrix((values, np.arange(n), np.arange(n + 1)), shape=(n, n))
+    return csr(values, np.arange(n), np.arange(n + 1), (n, n))
 
 
 def hodge_2d(mesh: SimplexMesh, maps: MapSet) -> HodgePair:

@@ -25,6 +25,9 @@ The incidence matrices are integer valued: d_q maps node values to oriented
 edge differences (-1 at the tail, +1 at the head); d_p maps edge values to
 oriented face boundary sums (sign +1 where the CCW face traversal agrees
 with the edge orientation).  They satisfy d_p @ d_q == 0 exactly.
+
+Every stage builds its sparse matrices once, in final CSR form, from index
+arrays (`csr`), and reads a transpose off the arrays (`transposed`).
 """
 
 from __future__ import annotations
@@ -190,7 +193,7 @@ def boundary_side_edges(mesh: SimplexMesh, side: str) -> np.ndarray:
 def _side(grids: tuple, side: str, edges: bool) -> np.ndarray:
     """One side's cut of the `_id_grids` node grid, or of the horizontal
     (bottom, top) or vertical (left, right) edge grid."""
-    if side not in _SIDES:
+    if not isinstance(side, str) or side not in _SIDES:
         raise InvalidArgumentError(f"unknown side {side!r}")
     node, hor, ver, _ = grids
     grid = (hor if side in ("bottom", "top") else ver) if edges else node
@@ -202,26 +205,69 @@ def _side(grids: tuple, side: str, edges: bool) -> np.ndarray:
 
 
 def incidence(mesh: SimplexMesh) -> IncidencePair:
-    """Integer incidence matrices (exact; d_p @ d_q == 0)."""
-    n_edges = mesh.edges.shape[0]
+    """Integer incidence matrices (exact; d_p @ d_q == 0).  In 1D both
+    conservation laws differentiate node values along edges, so d_p is
+    d_q itself."""
     n_nodes = mesh.node_coords.shape[0]
-
-    rows = np.repeat(np.arange(n_edges), 2)
-    cols = mesh.edges.ravel()
-    vals = np.tile(np.array([-1, 1], dtype=np.int64), n_edges)
-    d_q = sp.csr_matrix((vals, (rows, cols)), shape=(n_edges, n_nodes))
-
+    d_q = _signed_rows(mesh.edges, np.array([-1, 1], dtype=np.int64), n_nodes)
     if mesh.dim == 1:
-        # both conservation laws differentiate node values along edges
-        d_p = d_q.copy()
-    else:
-        n_faces = mesh.faces.shape[0]
-        rows = np.repeat(np.arange(n_faces), 3)
-        cols = mesh.faces.ravel()
-        vals = mesh.face_signs.ravel().astype(np.int64)
-        d_p = sp.csr_matrix((vals, (rows, cols)), shape=(n_faces, n_edges))
+        return IncidencePair(d_q, d_q)
+    return IncidencePair(_signed_rows(mesh.faces, mesh.face_signs, mesh.edges.shape[0]), d_q)
 
-    return IncidencePair(d_p, d_q)
+
+def _signed_rows(cols: np.ndarray, signs: np.ndarray, n_cols: int) -> sp.csr_matrix:
+    """Canonical CSR matrix whose row i holds signs[i, k] in column
+    cols[i, k] (signs broadcast against cols): each row's entries sorted by
+    column."""
+    order = np.argsort(cols, axis=1)
+    n_rows, per_row = cols.shape
+    return csr(
+        np.take_along_axis(np.broadcast_to(signs, cols.shape), order, axis=1).ravel(),
+        np.take_along_axis(cols, order, axis=1).ravel(),
+        np.arange(0, n_rows * per_row + 1, per_row),
+        (n_rows, n_cols),
+    )
+
+
+# ---------------------------------------------------------------------------
+# CSR arrays, shared by every stage that builds a matrix
+
+
+def csr(data, indices, indptr, shape: tuple) -> sp.csr_matrix:
+    """The CSR matrix with these arrays, in one construction.  The index
+    arrays are passed as int32, the type scipy keeps below 2**31 rows,
+    columns and entries, so that scipy need not scan them to choose it."""
+    index = np.int32 if max(*shape, len(data)) < 2**31 else np.int64
+    return sp.csr_matrix(
+        (data, np.asarray(indices, dtype=index), np.asarray(indptr, dtype=index)), shape=shape
+    )
+
+
+def transposed(A: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The CSR arrays (data, indices, indptr) of A^T, with no construction:
+    A's entries grouped by column, each column's in storage order, as
+    scipy's `tocsc` stores them."""
+    order = np.argsort(A.indices, kind="stable")
+    rows = np.repeat(np.arange(A.shape[0], dtype=A.indices.dtype), np.diff(A.indptr))
+    counts = np.bincount(A.indices, minlength=A.shape[1])
+    return A.data[order], rows[order], np.concatenate([[0], np.cumsum(counts)])
+
+
+def max_abs_sum(A: sp.csr_matrix, B: sp.csr_matrix, sign: float = 1.0) -> float:
+    """Max-abs entry of A + sign B^T.  When B^T stores the same pattern as
+    A (a skew J, and C = B^T up to round-off), the stored values are added
+    in one array operation; otherwise a sparse sum is formed.  An overflow
+    gives inf or NaN, which the callers' `not residual <= tol` tests reject."""
+    data, indices, indptr = transposed(B)
+    if np.array_equal(A.indptr, indptr) and np.array_equal(A.indices, indices):
+        total = data
+        total *= sign
+        with np.errstate(over="ignore", invalid="ignore"):
+            total += A.data
+    else:
+        Bt = csr(data, indices, indptr, B.shape[::-1])
+        total = (A - Bt if sign < 0 else A + Bt).data
+    return float(np.abs(total, out=total).max(initial=0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import InvalidArgumentError, fields, scalar
-from .mesh import BoundaryPartition, IncidencePair, SimplexMesh
+from .mesh import BoundaryPartition, IncidencePair, SimplexMesh, csr, max_abs_sum, transposed
 
 RESIDUAL_TOL = 1e-12
 
@@ -152,20 +152,26 @@ class MapSet(NamedTuple):
 
 def _selector(rows: np.ndarray, n_cols: int, sign: float = 1.0) -> sp.csr_matrix:
     """One entry `sign` per row, row i's in column rows[i]."""
-    rows = np.array(rows, dtype=np.int64)
-    return sp.csr_matrix(
-        (np.full(len(rows), sign), rows, np.arange(len(rows) + 1)),
-        shape=(len(rows), n_cols),
-    )
+    n_rows = len(rows)
+    return csr(np.full(n_rows, sign), rows, np.arange(n_rows + 1), (n_rows, n_cols))
 
 
 def _two_per_row(cols, vals, n_cols: int) -> sp.csr_matrix:
     """Row i holds vals[2i] and vals[2i + 1] in columns cols[2i] and
     cols[2i + 1], stored as given (zeros included)."""
     n_rows = len(cols) // 2
-    return sp.csr_matrix(
-        (np.asarray(vals, dtype=float), np.asarray(cols), np.arange(0, len(cols) + 1, 2)),
-        shape=(n_rows, n_cols),
+    return csr(
+        np.asarray(vals, dtype=float), cols, np.arange(0, len(cols) + 1, 2), (n_rows, n_cols)
+    )
+
+
+def _stack(top: sp.csr_matrix, bottom: sp.csr_matrix) -> sp.csr_matrix:
+    """[top; bottom] from the two blocks' CSR arrays."""
+    return csr(
+        np.concatenate([top.data, bottom.data]),
+        np.concatenate([top.indices, bottom.indices]),
+        np.concatenate([top.indptr, bottom.indptr[1:] + top.indptr[-1]]),
+        (top.shape[0] + bottom.shape[0], top.shape[1]),
     )
 
 
@@ -205,14 +211,16 @@ class EffortStacks(NamedTuple):
 
 
 def effort_stacks(maps: MapSet, inc: IncidencePair) -> EffortStacks:
-    """The stacks `statespace.assemble_model` resolves (F Pi^{-1})."""
+    """The stacks `statespace.assemble_model` resolves (F Pi^{-1}).  A float
+    map times an integer incidence is exact, and the sign (-1)^r scales the
+    product's own values in place."""
+    PdP = maps.P_fp @ inc.d_p
+    PdP.data *= (-1.0) ** maps.r
     return EffortStacks(
-        sp.vstack(
-            [((-1.0) ** maps.r) * (maps.P_fp @ inc.d_p.astype(float)), maps.S_q_hat]
-        ).tocsr(),
-        sp.vstack([maps.P_eq, maps.T_q]).tocsr(),
-        sp.vstack([maps.P_fq @ inc.d_q.astype(float), maps.S_p]).tocsr(),
-        sp.vstack([maps.P_ep, maps.T_p_hat]).tocsr(),
+        _stack(PdP, maps.S_q_hat),
+        _stack(maps.P_eq, maps.T_q),
+        _stack(maps.P_fq @ inc.d_q, maps.S_p),
+        _stack(maps.P_ep, maps.T_p_hat),
         maps.P_fp.shape[0],
         maps.P_fq.shape[0],
     )
@@ -220,9 +228,13 @@ def effort_stacks(maps: MapSet, inc: IncidencePair) -> EffortStacks:
 
 def power_residual(stacks: EffortStacks) -> float:
     """Max-abs entry of the power-preservation matrix condition, which in
-    terms of the effort stacks reads Pi_q^T F_p + F_q^T Pi_p = 0."""
-    lhs = sp.csr_matrix(stacks.Pi_q.T @ stacks.F_p + stacks.F_q.T @ stacks.Pi_p)
-    return float(np.abs(lhs.data).max()) if lhs.nnz else 0.0
+    terms of the effort stacks reads Pi_q^T F_p + F_q^T Pi_p = 0: the
+    entries of Pi_q^T F_p plus those of the transpose of Pi_p^T F_q, each
+    product formed from the CSR arrays of a Pi^T."""
+    P = csr(*transposed(stacks.Pi_q), stacks.Pi_q.shape[::-1]) @ stacks.F_p
+    Rt = csr(*transposed(stacks.Pi_p), stacks.Pi_p.shape[::-1]) @ stacks.F_q
+    P.sort_indices()  # Rt^T comes out sorted
+    return max_abs_sum(P, Rt)
 
 
 def build_2d_maps(
@@ -257,24 +269,28 @@ def build_2d_maps(
     P_ep = _selector(p_eff, n_nodes)
 
     full_Pfp = _build_Pfp_full(mesh, w)
-    d_p = inc.d_p.astype(float)
-    d_q = inc.d_q.astype(float)
-    G = -((-1.0) ** r) * (d_p.T @ full_Pfp.T)  # edges x nodes
+    # a float map times an integer incidence is exact
+    G = -((-1.0) ** r) * (inc.d_p.T @ full_Pfp.T)  # edges x nodes
     S_p = (T_q @ G).tocsr()
 
-    row_of = np.full(n_edges, -1)
+    row_of = np.full(n_edges, -1, dtype=np.int32)
     row_of[q_eff] = np.arange(len(q_eff))
 
     def stencil(entries) -> sp.csr_matrix:
         """Sum the per-cell (row edge, column edge, value) entries over all
-        cells, keeping the rows of effort edges.  Every matrix entry gathers
-        at most two contributions, so the summation order cannot change it."""
-        rows = row_of[np.concatenate([r for r, _, _ in entries])]
-        cols = np.concatenate([c for _, c, _ in entries])
-        vals = np.concatenate([np.full(len(r), v) for r, _, v in entries])
-        keep = rows >= 0
+        cells, keeping the rows of effort edges (dropped before anything is
+        concatenated).  Every matrix entry gathers at most two
+        contributions, so the summation order cannot change it."""
+        rows, cols, vals = [], [], []
+        for row_edges, col_edges, value in entries:
+            row = row_of[row_edges]
+            keep = row >= 0
+            rows.append(row[keep])
+            cols.append(col_edges[keep])
+            vals.append(np.full(len(rows[-1]), value))
         mat = sp.csr_matrix(
-            (vals[keep], (rows[keep], cols[keep])), shape=(len(q_eff), n_edges)
+            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+            shape=(len(q_eff), n_edges),
         )
         mat.eliminate_zeros()
         return mat
@@ -282,8 +298,9 @@ def build_2d_maps(
     # per cell: the lower face's edges are (bot, right, diag), the upper
     # face's (diag, top, left)
     n_cells = mesh.faces.shape[0] // 2
-    bot, right, diag = mesh.faces[:n_cells].T
-    top, left = mesh.faces[n_cells:, 1], mesh.faces[n_cells:, 2]
+    faces = mesh.faces.astype(np.int32)
+    bot, right, diag = faces[:n_cells].T
+    top, left = faces[n_cells:, 1], faces[n_cells:, 2]
     # transverse couplings: lower triangle (class I), then upper (class II)
     perp = stencil([
         (bot, right, -w.beta_I),
@@ -317,7 +334,11 @@ def build_2d_maps(
     ])
     P_fq = (perp + par + rot).tocsr()
 
-    S_q_hat = (-T_p_hat @ (d_q.T @ P_fq.T @ P_eq + S_p.T @ T_q)).tocsr()
+    # S_q_hat = -T_p_hat (d_q^T P_fq^T P_eq + S_p^T T_q), formed on the
+    # p-input rows only: P_fq (d_q T_p_hat^T) sums each entry's terms in the
+    # order P_fq d_q does, and the selectors copy entries exactly
+    Y = P_fq @ (inc.d_q @ T_p_hat.T)
+    S_q_hat = (-(Y.T @ P_eq + (T_p_hat @ S_p.T) @ T_q)).tocsr()
     return MapSet(
         T_q=T_q,
         T_p_hat=T_p_hat,
@@ -359,17 +380,22 @@ def build_1d_maps(N: int, alpha: float) -> MapSet:
     P_ep = _selector(np.arange(N), n_nodes)
 
     # upper-bidiagonal q flow map, 1 - alpha on the diagonal and alpha
-    # above it (zero weights not stored); the p flow map is its transpose
-    P_fq = sp.csr_matrix(
-        (
-            np.tile([1.0 - alpha, alpha], N)[:-1],
-            np.repeat(np.arange(N), 2)[1:],
-            np.append(np.arange(0, 2 * N, 2), 2 * N - 1),
-        ),
-        shape=(N, N),
+    # above it; the p flow map is its transpose (zero weights not stored)
+    pairs = np.repeat(np.arange(N), 2)
+    P_fq = csr(
+        np.tile([1.0 - alpha, alpha], N)[:-1],
+        pairs[1:],
+        np.append(np.arange(0, 2 * N, 2), 2 * N - 1),
+        (N, N),
+    )
+    P_fp = csr(
+        np.tile([alpha, 1.0 - alpha], N)[1:],
+        pairs[:-1],
+        np.append(0, np.arange(1, 2 * N, 2)),
+        (N, N),
     )
     P_fq.eliminate_zeros()
-    P_fp = P_fq.T.tocsr()
+    P_fp.eliminate_zeros()
 
     S_p = _two_per_row([0, 1], [1.0 - alpha, alpha], n_nodes)
     S_q_hat = _two_per_row([N - 1, N], [alpha, 1.0 - alpha], n_nodes)

@@ -31,25 +31,28 @@ from .errors import (
     StructureViolationError,
 )
 from .hodge import HodgePair
+from .mesh import csr, max_abs_sum
 from .power_maps import EffortStacks
 
 SKEW_TOL = 1e-12
 
 
 def _resolve(stack: sp.csr_matrix, Pi: sp.csr_matrix) -> sp.csr_matrix:
-    """Right-multiply by Pi^{-1}.
+    """Right-multiply by Pi^{-1}, giving a canonical CSR matrix (sorted
+    indices, no duplicates, no stored zeros).
 
     A signed permutation Pi (one nonzero per row, +1 or -1, in a column no
     other row uses; the selectors of every mixed model) has Pi^{-1} = Pi^T,
-    so the product is an exact gather of signed columns, with zeros dropped
-    and indices sorted for a canonical entry order.  The gather reuses the
+    so the product is an exact gather of signed columns, read off Pi's CSR
+    arrays, with zeros dropped and indices sorted.  The gather reuses the
     stack's arrays, so the stack is consumed: its memory becomes the
     product's.  Any other Pi (the comparison scheme's effort maps, 1D and
     small) takes a dense LU solve.
     """
-    n, entries = Pi.shape[0], Pi.tocoo()
-    nonzero = entries.data != 0
-    rows, cols, signs = entries.row[nonzero], entries.col[nonzero], entries.data[nonzero]
+    n = Pi.shape[0]
+    nonzero = Pi.data != 0
+    rows = np.repeat(np.arange(n), np.diff(Pi.indptr))[nonzero]
+    cols, signs = Pi.indices[nonzero], Pi.data[nonzero]
     if rows.size == n and np.all(np.abs(signs) == 1) and all(
         np.all(np.bincount(index, minlength=n) == 1) for index in (rows, cols)
     ):
@@ -62,7 +65,7 @@ def _resolve(stack: sp.csr_matrix, Pi: sp.csr_matrix) -> sp.csr_matrix:
         X.eliminate_zeros()
         X.sum_duplicates()
         return X
-    lu = spla.splu(sp.csc_matrix(Pi.T))
+    lu = spla.splu(Pi.T)
     return sp.csr_matrix(lu.solve(stack.toarray().T).T)
 
 
@@ -101,10 +104,11 @@ class PHModel(NamedTuple):
         |J_q + J_p^T| <= SKEW_TOL, and Q is diagonal, finite and positive;
         else StructureViolationError naming the condition that failed."""
         n_p, J, q = self.n_p, self.J.tocsr(), self.Q.diagonal()
-        J_p, J_q = J[:n_p, n_p:].tocsr(), J[n_p:, :n_p].tocsr()
-        skew = _max_abs_sum(J_q, J_p)
+        rows = np.repeat(np.arange(J.shape[0]), np.diff(J.indptr))
+        # with zero diagonal blocks, J + J^T holds J_q + J_p^T and its transpose
+        skew = max_abs_sum(J, J)
         for failed, condition in (
-            (J.count_nonzero() != J_p.count_nonzero() + J_q.count_nonzero(),
+            (np.any(((rows < n_p) == (J.indices < n_p)) & (J.data != 0)),
              "J has a nonzero diagonal block"),
             (not skew <= SKEW_TOL, f"|J_q + J_p^T| = {skew:.3e} exceeds {SKEW_TOL}"),
             (self.Q.count_nonzero() != np.count_nonzero(q), "Q is not diagonal"),
@@ -115,21 +119,7 @@ class PHModel(NamedTuple):
                 raise StructureViolationError(
                     f"model outside the mixed structure: {condition}"
                 )
-        return J_p, q[:n_p], q[n_p:]
-
-
-def _max_abs_sum(A: sp.csr_matrix, B: sp.csr_matrix, sign: float = 1.0) -> float:
-    """Max-abs entry of A + sign B^T.  When B^T stores the same pattern as
-    A (a skew J, and C = B^T up to round-off), the stored values are added
-    in one array operation; otherwise a sparse sum is formed."""
-    Bt = B.T.tocsr(copy=True)
-    if np.array_equal(A.indptr, Bt.indptr) and np.array_equal(A.indices, Bt.indices):
-        total = Bt.data
-        total *= sign
-        total += A.data
-    else:
-        total = (A - Bt if sign < 0 else A + Bt).data
-    return np.abs(total, out=total).max(initial=0.0)
+        return J[:n_p, n_p:].tocsr(), q[:n_p], q[n_p:]
 
 
 def assemble_model(
@@ -140,9 +130,10 @@ def assemble_model(
 
     The flow and output rows of each law are right-multiplied by the
     inverse of its stacked effort map [P_e; T] (`_resolve`, which consumes
-    the stacks: their memory becomes the model's); one pass over the
-    entries of the two products routes each to J, B, C or D.  The power
-    balance of the result is checked by the callers that build
+    the stacks: their memory becomes the model's).  Both products are
+    canonical CSR, so each of J, B, C and D is written straight into its
+    index arrays, one law's rows after the other's, in one construction.
+    The power balance of the result is checked by the callers that build
     (`sim.build_model`) or load (`load_model`) a model, each once.
     """
     F_q, Pi_q, F_p, Pi_p, n_p, n_q = stacks
@@ -161,33 +152,39 @@ def assemble_model(
     X_p = _resolve(F_p, Pi_p)
     m_hat, m = X_p.shape[1] - n_p, X_q.shape[1] - n_q
     n, n_u = n_p + n_q, m_hat + m
-    # Two tests route each entry of X_q and X_p: a flow row goes to J or B
-    # (negated), an output row to C or D; an effort column to J or C, an
-    # input column to B or D.  row_at shifts flow and output rows, col_at
-    # effort and input columns, to their place in the target matrix.  The
-    # COO view keeps the CSR order, so the flow rows' entries come first.
-    laws = (
-        (X_q.tocoo(), X_q.indptr[n_p], n_q, (0, -n_p), (n_p, m_hat - n_q)),
-        (X_p.tocoo(), X_p.indptr[n_q], n_p, (n_p, m_hat - n_q), (0, -n_p)),
-    )
-    mats = []
-    for flow, effort, shape in (
-        (True, True, (n, n)), (True, False, (n, n_u)),
-        (False, True, (n_u, n)), (False, False, (n_u, n_u)),
+    # Each target takes the entries of one law's rows, then the other's: J
+    # and B the flow rows (negated), C and D the output rows; J and C the
+    # effort columns, B and D the input columns.  Both X are canonical, so
+    # the kept entries of a row stay sorted when their columns are shifted
+    # to the target's numbering, and the arrays are CSR as they stand.
+    pieces: dict = {}
+    for X, n_flows, n_efforts, col_at in (
+        (X_q, n_p, n_q, (n_p, m_hat - n_q)), (X_p, n_q, n_p, (0, -n_p))
     ):
-        pieces = []
-        for X, cut, n_efforts, row_at, col_at in laws:
-            part = slice(None, cut) if flow else slice(cut, None)
-            sel = (X.col[part] < n_efforts) == effort
-            data, row, col = X.data[part][sel], X.row[part][sel], X.col[part][sel]
-            if flow:
-                data *= -1.0
-            row += row_at[not flow]
-            col += col_at[not effort]
-            pieces.append((data, row, col))
-        data, row, col = (np.concatenate(arrays) for arrays in zip(*pieces))
-        del pieces
-        mats.append(sp.csr_matrix((data, (row, col)), shape=shape))
+        for effort in (True, False):
+            keep = (X.indices < n_efforts) == effort
+            # ends[i]: kept entries before row i
+            ends = np.concatenate([[0], np.cumsum(keep, dtype=X.indptr.dtype)])[X.indptr]
+            data, cols, cut = X.data[keep], X.indices[keep] + col_at[not effort], ends[n_flows]
+            data[:cut] *= -1.0
+            pieces.setdefault((True, effort), []).append(
+                (data[:cut], cols[:cut], ends[: n_flows + 1])
+            )
+            pieces.setdefault((False, effort), []).append(
+                (data[cut:], cols[cut:], ends[n_flows:] - cut)
+            )
+    mats = []
+    for key, shape in (
+        ((True, True), (n, n)), ((True, False), (n, n_u)),
+        ((False, True), (n_u, n)), ((False, False), (n_u, n_u)),
+    ):
+        (data, cols, ptr), (data2, cols2, ptr2) = pieces.pop(key)
+        mats.append(csr(
+            np.concatenate([data, data2]),
+            np.concatenate([cols, cols2]),
+            np.concatenate([ptr, ptr2[1:] + ptr[-1]]),
+            shape,
+        ))
     J, B, C, D = mats
     return PHModel(J, hodge.as_block(), B, C, D, n_p, n_q, m_hat, m, dict(meta or {}))
 
@@ -196,7 +193,7 @@ def power_balance_residual(model: PHModel) -> float:
     """Max-abs violation of skew-symmetry (J, D) and collocation (C = B^T):
     zero means dH_d/dt = y^T u holds exactly along trajectories."""
     J, B, C, D = (mat.tocsr() for mat in (model.J, model.B, model.C, model.D))
-    return float(max(_max_abs_sum(J, J), _max_abs_sum(D, D), _max_abs_sum(C, B, -1.0)))
+    return max(max_abs_sum(J, J), max_abs_sum(D, D), max_abs_sum(C, B, -1.0))
 
 
 # ---------------------------------------------------------------------------

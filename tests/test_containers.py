@@ -42,6 +42,11 @@ PROBES = [
     ("eig_table-Ns", lambda: an.eig_table("mixed", [("0", 0.0)], 20), "grid size N"),
     ("eig_table-parameters", lambda: an.eig_table("mixed", [0.0], (20,)),
      "parameters entry 0.0"),
+    ("eig_table-method-list", lambda: an.eig_table(["mixed"], [("a", 0.0)], (4,)),
+     "method ['mixed']"),
+    ("eig_table-label-list", lambda: an.eig_table("mixed", [(["a"], 0.0)], (4,)),
+     "parameters entry (['a'], 0.0)"),
+    ("side-list", lambda: msh.boundary_side_nodes(square(), ["bottom"]), "side ['bottom']"),
     ("exact_frequencies-string", lambda: an.exact_frequencies("ab"), "mode index"),
     ("exact_frequencies-none", lambda: an.exact_frequencies(None), "mode index"),
     ("exact_frequencies-nan", lambda: an.exact_frequencies([np.nan]), "mode index"),

@@ -198,6 +198,19 @@ class TestModelAssembly:
         assert (model.n_p, model.n_q, model.m_hat, model.m) == (12, 12, 1, 1)
         assert abs(model.D).max() == 0  # no feedthrough in the 1D family
 
+    @pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS))
+    def test_matrices_are_canonical_csr(self, name):
+        """Sorted indices, no duplicates and no stored zeros, read off the
+        arrays rather than scipy's cached flags."""
+        model = sim.build_model(GOLDEN_CONFIGS[name]).model
+        for key in "JQBCD":
+            mat = getattr(model, key)
+            assert mat.format == "csr", key
+            rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
+            same_row = np.diff(rows) == 0
+            assert np.all(np.diff(mat.indices)[same_row] > 0), key
+            assert np.all(mat.data != 0), key
+
     def test_reference_dimensions(self):
         model = model_1d(20, 0.0)
         assert model.n == 40 and model.n_u == 2
