@@ -26,8 +26,11 @@ edge differences (-1 at the tail, +1 at the head); d_p maps edge values to
 oriented face boundary sums (sign +1 where the CCW face traversal agrees
 with the edge orientation).  They satisfy d_p @ d_q == 0 exactly.
 
-Every stage builds its sparse matrices once, in final CSR form, from index
-arrays (`csr`), and reads a transpose off the arrays (`transposed`).
+Model construction (incidences, reduction maps, Hodge, `assemble_model`)
+builds each sparse matrix once, in final CSR form, from index arrays
+(`csr`), and reads a transpose off the arrays (`transposed`).  The midpoint
+stepper and the spectrum routines compose theirs with scipy's sparse
+operators.
 """
 
 from __future__ import annotations

@@ -32,13 +32,12 @@ hold exactly, as does the summation-by-parts identity
 
 Every entry is a small integer over a fixed denominator (thirds, 24ths,
 halves, sixths), whatever h and the weights.  `verify_structure` uses this
-for its rank table on every 2D grid with min(N, M) > 2: each matrix is
-scaled to integers and its rank is certified exactly modulo the prime
-2^31 - 1 by sparse elimination in rounds of independent pivots
-(`rank_mod_p`: about ten exact Schur updates per matrix), with no array
-denser than a fixed multiple of the remaining nonzeros and no
-singular-value threshold.  The incidences d_p and d_q are graphs, ranked
-exactly by their components (`incidence_rank`).
+for its rank table on every 2D grid: each matrix, the incidences d_p and
+d_q included, is scaled to integers and its rank is certified exactly
+modulo the prime 2^31 - 1 by sparse elimination in rounds of independent
+pivots (`rank_mod_p`: about ten exact Schur updates per matrix), with no
+array denser than a fixed multiple of the remaining nonzeros and no
+singular-value threshold.
 """
 
 from __future__ import annotations
@@ -47,7 +46,6 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
 from .mesh import IncidencePair, SimplexMesh, boundary_edges
 
@@ -205,7 +203,7 @@ class StructureReport(NamedTuple):
     """Numerical residuals and rank checks of the assembled matrices.
 
     residuals -- max-abs defects of the factorization identities
-    ranks     -- {name: (computed, expected)} or None when not applicable;
+    ranks     -- {name: (computed, expected)}, or None on a 1D mesh;
                  computed is -1 for a matrix that is not integral at its
                  known scale
     """
@@ -415,71 +413,33 @@ def rank_mod_p(mat, scale: int) -> int:
     return rank
 
 
-def incidence_rank(mat) -> int:
-    """Exact rank of a grounded graph incidence, or -1 for any other matrix.
-
-    A grounded incidence has entries +-1 and at most two per row, of
-    opposite sign when there are two: columns are vertices, a two-entry
-    row is an edge between its columns and a one-entry row ties its
-    column to ground.  Such a matrix is totally unimodular, and its rank
-    is #columns - #components (of the column graph) with no one-entry
-    row, found by `connected_components` in O(nnz).  d_q is one, and so
-    is d_p^T: an edge bounds at most two faces, with opposite signs.
-    """
-    a = sp.csr_matrix(mat, dtype=float, copy=True)
-    a.sum_duplicates()
-    a.eliminate_zeros()
-    per_row = np.diff(a.indptr)
-    first = a.indptr[:-1]
-    pairs = first[per_row == 2]
-    if (
-        np.any(np.abs(a.data) != 1)
-        or np.any(per_row > 2)
-        or np.any(a.data[pairs] != -a.data[pairs + 1])
-    ):
-        return -1
-    n = a.shape[1]
-    graph = sp.csr_matrix(
-        (np.ones(pairs.size), (a.indices[pairs], a.indices[pairs + 1])),
-        shape=(n, n),
-    )
-    n_components, label = connected_components(graph, directed=False)
-    grounded = np.unique(label[a.indices[first[per_row == 1]]]).size
-    return n - (n_components - grounded)
-
-
 def verify_structure(
     mesh: SimplexMesh, g: GalerkinMatrices, inc: IncidencePair
 ) -> StructureReport:
     """Check the factorization identities and the rank table.
 
-    The rank table runs on every 2D grid with min(N, M) > 2 (N, M read
-    from mesh.grid_shape), whatever its size.  The incidences are
-    ranked by `incidence_rank`, exact for a grounded graph incidence and
-    -1 for any other matrix.  Every other rank is an exact certificate
-    (`rank_mod_p`): the matrix is scaled by its known denominator, must
-    be integral there, and is reduced mod RANK_PRIME by sparse
-    elimination; only a remainder at least 1/5 full is made dense, and no
-    singular-value threshold is involved.  It is at least as strict as a
-    floating-point rank: a non-integral entry reports -1, and a rank mod
-    p can differ from the rank over the rationals only by being lower
-    (when p divides every maximal minor), which on a correct matrix is a
-    mismatch -- the gate fails closed.  Never raises on failure -- callers
-    compare the report against their own gate (the CLI turns failures into
-    exit code 1).
+    The rank table runs on every 2D grid, whatever its shape or size.  Each
+    rank is an exact certificate (`rank_mod_p`): the matrix is scaled by
+    its known denominator (1 for the incidences), must be integral there,
+    and is reduced mod RANK_PRIME by sparse elimination; only a remainder
+    at least 1/5 full is made dense, and no singular-value threshold is
+    involved.  It is at least as strict as a floating-point rank: a
+    non-integral entry reports -1, and a rank mod p can differ from the
+    rank over the rationals only by being lower (when p divides every
+    maximal minor), which on a correct matrix is a mismatch -- the gate
+    fails closed.  Never raises on failure -- callers compare the report
+    against their own gate (the CLI turns failures into exit code 1).
     """
 
     def maxabs(mat) -> float:
         mat = sp.csr_matrix(mat)
         return float(np.abs(mat.data).max()) if mat.nnz else 0.0
 
-    d_p = inc.d_p.astype(float)
-    d_q = inc.d_q.astype(float)
     sgn = 1 if mesh.dim == 2 else -1  # -(-1)^r
     kl_p, kl_q = g.K_p + g.L_p, g.K_q + g.L_q
     residuals = {
-        "kp_factorization": maxabs(kl_p - sgn * (g.M_p @ d_p)),
-        "kq_factorization": maxabs(kl_q + g.M_q @ d_q),
+        "kp_factorization": maxabs(kl_p - sgn * (g.M_p @ inc.d_p)),
+        "kq_factorization": maxabs(kl_q + g.M_q @ inc.d_q),
         "lp_lq_transpose": maxabs(g.L_p - g.L_q.T),
         "summation_by_parts": maxabs(kl_p + kl_q.T - g.L_p),
     }
@@ -490,23 +450,21 @@ def verify_structure(
 
     n_nodes = g.M_p.shape[0]
     N, M = mesh.grid_shape
-    if min(N, M) <= 2:
-        return StructureReport(residuals, None)
-
     # name: (matrix, scale, expected rank).  The entries do not depend on
-    # h or the weights: M_p holds thirds, M_q 24ths, L_p halves and K + L
-    # sixths.  The incidences are ranked as graphs (`incidence_rank`).
+    # h or the weights: M_p holds thirds, M_q 24ths, L_p halves, K + L
+    # sixths and the incidences +-1 (totally unimodular, so their rank
+    # mod p is their rank over the rationals).
     table = {
         "M_p": (g.M_p, 3, n_nodes - 2),
         "M_q": (g.M_q, 24, 2 * (n_nodes - 2)),
         "L_p": (g.L_p, 2, 2 * (N + M) - 1),
         "K_p+L_p": (kl_p, 6, n_nodes - 2),
         "K_q+L_q": (kl_q, 6, n_nodes - 1),
+        "d_p": (inc.d_p, 1, 2 * N * M),
+        "d_q": (inc.d_q, 1, n_nodes - 1),
     }
     ranks = {
         name: (rank_mod_p(mat, scale), want)
         for name, (mat, scale, want) in table.items()
     }
-    ranks["d_p"] = (incidence_rank(inc.d_p.T), g.M_p.shape[1])
-    ranks["d_q"] = (incidence_rank(inc.d_q), n_nodes - 1)
     return StructureReport(residuals, ranks)

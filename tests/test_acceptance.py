@@ -370,7 +370,8 @@ class TestStructureBattery:
         assert battery["dp_dq_nnz"] == 0
 
     def test_rank_table(self, battery):
-        assert battery["rank_cases"] >= 12  # three grids x four presets
+        # every 2-D case: four grids x four presets x three causalities
+        assert battery["rank_cases"] == 48
         assert not battery["rank_mismatches"], "\n".join(battery["rank_mismatches"])
 
     def test_image_rep_full_rank(self, battery):

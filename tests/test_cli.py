@@ -262,10 +262,10 @@ class TestBuild:
         "config, ranked",
         [
             ({**MIXED_2X1, "mesh": {"kind": "rect", "N": 4, "M": 4, "h": 1.0}}, True),
-            ({**MIXED_2X1, "mesh": {"kind": "rect", "N": 2, "M": 2, "h": 1.0}}, False),
+            ({**MIXED_2X1, "mesh": {"kind": "rect", "N": 2, "M": 2, "h": 1.0}}, True),
             (INTERVAL, False),
         ],
-        ids=["rect-4x4-ranked", "rect-2x2-unranked", "interval"],
+        ids=["rect-4x4-ranked", "rect-2x2-ranked", "interval"],
     )
     def test_checks_hold_only_json_types(self, config, ranked):
         # the manifest writes `checks` as they are, with no conversion

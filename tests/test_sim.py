@@ -406,6 +406,21 @@ class TestSimulate:
         h0 = traj.energy[0]
         assert np.abs(traj.energy - h0).max() <= 1e-12 * h0
 
+    @pytest.mark.parametrize(
+        "dt, route", [(0.01, "chebyshev"), (0.05, "superlu")], ids=["chebyshev", "superlu"]
+    )
+    def test_unforced_round_off_drift_2d(self, dt, route):
+        """2 000 unforced steps of the 24 x 24 model from a random state
+        keep H to a few ulps on either node-solve route.  The increment is
+        a skew product at the midpoint, so a node-solve residual moves H
+        only by about dt |A| times that residual."""
+        model = sim.build_model(BOTTOM_24X24).model
+        x0 = np.random.default_rng(0).standard_normal(model.n)
+        traj = sim.simulate(model, sim.SimConfig(dt=dt, T=2000 * dt, x0=x0))
+        assert traj.node_solve["route"] == route
+        h0 = traj.energy[0]
+        assert np.abs(traj.energy - h0).max() <= 1e-14 * h0
+
     def test_matches_matrix_exponential_oracle(self):
         model = model_1d(20, 0.0)
         dt, T = 1e-3, 0.5
