@@ -14,9 +14,12 @@ models), `spectrum` takes them from a banded eigensolver in O(n^2 b)
 work and O(n b) memory; wider bands (the comparison scheme at alpha' != 0,
 2-D meshes) keep a dense SVD of S.  A caller that reads only the lowest k
 frequencies (`spectrum(model, k)`, the convergence study, `phfem eigs
---k`) gets them by shift-invert Lanczos on the sparse Gram matrix of S,
-with no dense array.  The Bauer-Fike bound of the certificate's skew slack
-holds on every route (see `spectrum`).
+--k`) gets them by shift-invert Lanczos on the sparse Gram matrix
+S S^T = Q_p^(1/2) (J_p Q_q J_p^T) Q_p^(1/2), scaled from the node coupling
+that `statespace.node_coupling` builds for the midpoint stepper too, with
+their count certified by Sylvester's law of inertia and no dense array.
+The Bauer-Fike bound of the certificate's skew slack holds on every route
+(see `spectrum`).
 
 The comparison scheme (`build_golo_1d_model`) keeps both flow maps at the
 identity and instead forms the reduced efforts as convex combinations of the
@@ -42,11 +45,15 @@ from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, splu
 from .errors import InvalidArgumentError, NumericalFailureError, scalar, scalars
 from .mesh import csr, transposed
 from .sim import build_model
-from .statespace import PHModel
+from .statespace import PHModel, node_coupling
 
 #: singular values of the node coupling S at or below this fraction of the
 #: certified bound sqrt(||S||_1 ||S||_inf) on ||S||_2 count as zero modes
 ZERO_MODE_RTOL = 1e-5
+
+#: relative margin below the k-th eigenvalue the lowest-k route of
+#: `spectrum` keeps, at which it counts the eigenvalues of the Gram matrix
+INERTIA_RTOL = 1e-8
 
 #: mode indices printed in the reference frequency tables
 TABLE_KS = (1, 2, 3, 4, 5, 10, 20, 40, 80)
@@ -116,21 +123,31 @@ def spectrum(model: PHModel, k: int | None = None) -> np.ndarray:
     24 x 24) makes the band reduction slower than a dense SVD of S, which
     those models keep.
 
-    With an integer k < m - 1, the lowest k come from the sparse Gram
-    matrix G (S S^T or S^T S, whichever is m x m): sigma_k = sqrt(lambda_k)
-    for its lowest eigenvalues, found by shift-invert Lanczos (ARPACK;
-    Lehoucq, Sorensen & Yang, 1998) about -1 with a fixed start vector,
-    so that runs repeat exactly.  G + I is SPD, so its sparse LU (in a
-    symmetric minimum-degree order) never meets a zero pivot, whatever
-    the zero modes.  When zero modes take
-    some of the k, the route asks again for as many more.  Nothing on it
-    is dense.  Accuracy: forming G perturbs it by at most about
-    c eps beta^2 in 2-norm (c the largest row count of S; |S| |S|^T has
-    2-norm at most beta^2), and the eigensolver adds a backward error of
-    the same order, so lambda moves by O(eps beta^2) and sigma by a
-    relative O(eps beta^2 / sigma^2): ~1e-13 for the lowest 1-D mode at
-    N = 640.  A zero mode returns as about sqrt(eps) beta, far below the
-    zero-mode threshold.
+    With an integer k < n_p - 1 and n_p <= n_q (every model phfem builds
+    or loads; a hand-built n_p > n_q takes the full route), the lowest k
+    are sigma = sqrt(lambda) of the lowest eigenvalues of the sparse Gram
+    matrix G = S S^T, scaled in place from the node coupling J_p Q_q J_p^T
+    that `statespace.node_coupling` also builds for the midpoint stepper.
+    Shift-invert Lanczos (ARPACK; Lehoucq, Sorensen & Yang, 1998) about -1,
+    with a fixed start vector so that runs repeat exactly, finds them
+    through one sparse LU per call of the SPD G + I (symmetric
+    minimum-degree order; no zero pivot, whatever the zero modes).  An ask
+    that zero modes or missed values leave short asks again with that
+    factor.  Lanczos can miss a copy of a multiple eigenvalue (24 x 24 set1
+    with q-ports all round has a double frequency among its lowest 12), so
+    the eigenvalues of G below tau = (1 - INERTIA_RTOL) lambda_k are
+    counted by Sylvester's law of inertia (`_eigenvalues_below`, one more
+    sparse LU) and any missing ones asked for; a copy missed between tau
+    and lambda_k moves sigma_k by at most INERTIA_RTOL / 2.  An uncertified
+    count, or an ask that reaches n_p - 1, takes the full route.  Nothing
+    on the Gram route is dense.  Accuracy: forming G perturbs it by at
+    most about c eps beta^2 in 2-norm (c the largest row count of S;
+    |S| |S|^T has 2-norm at most beta^2), and the eigensolver adds a
+    backward error of the same order, so lambda moves by O(eps beta^2) and
+    sigma by a relative O(eps beta^2 / sigma^2): ~1e-13 for the lowest 1-D
+    mode at N = 640.  Above 1e-3 beta that stays below INERTIA_RTOL, so the
+    count does not take a returned value for a missed one.  A zero mode
+    returns as about sqrt(eps) beta, far below the zero-mode threshold.
 
     Any other model (a hand-built or permuted one) has no certified
     frequencies: the StructureViolationError of `node_blocks` propagates.
@@ -147,13 +164,10 @@ def spectrum(model: PHModel, k: int | None = None) -> np.ndarray:
     w = np.abs(S.data)
     beta = np.sqrt(np.bincount(row, w).max(initial=0) * np.bincount(col, w).max(initial=0))
     floor = ZERO_MODE_RTOL * beta
-    m, asked = min(S.shape), k
-    while asked is not None and asked < m - 1:
-        freqs = _lowest_singular_values(S, asked)
-        freqs = freqs[freqs > floor]
-        if freqs.size >= k:
-            return freqs[:k]
-        asked = k + (asked - freqs.size)
+    if k is not None and k < model.n_p - 1 and model.n_p <= model.n_q:
+        freqs = _lowest_singular_values(J_p, q_p, q_q, k, floor)
+        if freqs is not None:
+            return freqs
     freqs = _singular_values(S)
     return freqs[freqs > floor][:k]
 
@@ -195,27 +209,65 @@ def _singular_values(S) -> np.ndarray:
     return np.sort(sigma)
 
 
-def _lowest_singular_values(S, k: int) -> np.ndarray:
-    """The k lowest singular values of S, ascending, from the Gram route
-    of `spectrum` (k < min(S.shape) - 1)."""
-    G = (S @ S.T if S.shape[0] <= S.shape[1] else S.T @ S).tocsc()
+def _lowest_singular_values(J_p, q_p, q_q, k: int, floor: float):
+    """The k lowest singular values of S above floor, ascending, from the
+    Gram route of `spectrum` (k < n_p - 1, n_p <= n_q), or None when that
+    route runs out of room or cannot certify them."""
+    _, G = node_coupling(J_p, q_q)
     m = G.shape[0]
+    # G = Q_p^(1/2) (J_p Q_q J_p^T) Q_p^(1/2) = S S^T, scaled in place
+    s = np.sqrt(q_p)
+    G.data *= s[np.repeat(np.arange(m), np.diff(G.indptr))] * s[G.indices]
+    G_I = G.tocsc() + sp.identity(m, format="csc")
+    diagonal = G_I.indices == np.repeat(np.arange(m), np.diff(G_I.indptr))
     # G + I is SPD: a symmetric minimum-degree ordering with diagonal
     # pivots keeps its factor sparser than the default column ordering
-    shifted = splu(
-        G + sp.identity(m, format="csc"),
-        permc_spec="MMD_AT_PLUS_A",
-        options={"SymmetricMode": True},
-    )
+    shifted = splu(G_I, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
+    OPinv = LinearOperator(G.shape, matvec=shifted.solve)
     v0 = np.random.default_rng(0).standard_normal(m)  # fixed: runs repeat
+    asked = k
+    while asked < m - 1:
+        try:
+            lam = np.sort(eigsh(
+                G, k=asked, sigma=-1.0, v0=v0, return_eigenvectors=False, OPinv=OPinv
+            ))
+        except ArpackError as exc:
+            raise NumericalFailureError(f"Lanczos eigensolver failed: {exc}") from exc
+        freqs = np.sqrt(np.maximum(lam, 0.0))
+        kept = freqs > floor
+        if np.count_nonzero(kept) < k:  # zero modes took some: ask for as many more
+            asked = k + np.count_nonzero(~kept)
+            continue
+        tau = (1.0 - INERTIA_RTOL) * lam[kept][k - 1]
+        below = _eigenvalues_below(G_I, diagonal, tau)
+        returned = np.count_nonzero(lam < tau)
+        if below is None or below < returned:
+            return None
+        if below == returned:
+            return freqs[kept][:k]
+        asked += below - returned  # Lanczos missed copies of a multiple value
+    return None
+
+
+def _eigenvalues_below(G_I, diagonal, tau: float) -> int | None:
+    """The number of eigenvalues of G below tau, or None, from G_I = G + I
+    in CSC with its diagonal entries at `diagonal`.  With diagonal pivots
+    in a symmetric order, P (G - tau I) P^T = L D L^T, so the negative
+    pivots count them (Sylvester); a pivot off the diagonal or an exactly
+    singular G - tau I certifies nothing."""
+    data = G_I.data.copy()
+    data[diagonal] -= 1.0 + tau
     try:
-        lam = eigsh(
-            G, k=k, sigma=-1.0, v0=v0, return_eigenvectors=False,
-            OPinv=LinearOperator(G.shape, matvec=shifted.solve),
+        lu = splu(
+            sp.csc_matrix((data, G_I.indices, G_I.indptr), shape=G_I.shape),
+            permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True},
         )
-    except ArpackError as exc:
-        raise NumericalFailureError(f"Lanczos eigensolver failed: {exc}") from exc
-    return np.sqrt(np.maximum(np.sort(lam), 0.0))
+    except RuntimeError:
+        return None
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        return None
+    return int(np.count_nonzero(lu.U.diagonal() < 0))
 
 
 def build_1d_model(N: int, alpha: float, L: float = 1.0) -> PHModel:

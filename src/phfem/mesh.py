@@ -28,9 +28,10 @@ with the edge orientation).  They satisfy d_p @ d_q == 0 exactly.
 
 Model construction (incidences, reduction maps, Hodge, `assemble_model`)
 builds each sparse matrix once, in final CSR form, from index arrays
-(`csr`), and reads a transpose off the arrays (`transposed`).  The midpoint
-stepper and the spectrum routines compose theirs with scipy's sparse
-operators.
+(`csr`), and reads a transpose off the arrays (`transposed`).  The node
+coupling J_p Q_q J_p^T (`statespace.node_coupling`, one builder for the
+midpoint stepper and the lowest-k spectrum) and the stepper's maps are
+composed with scipy's sparse operators.
 """
 
 from __future__ import annotations

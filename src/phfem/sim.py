@@ -33,8 +33,9 @@ Substituting that x_mid, the increment is
     x_{k+1} - x_k = dt [J_p Q_q x_q + (B_p + h J_p Q_q B_q) u - h J_p Q_q J_p^T z;
                         B_q u + J_q z].
 
-`MidpointStepper` builds two sparse maps once per run.  They split the
-increment into its [x_k; u_mid] part s and its z part:
+`MidpointStepper` builds two sparse maps once per run, from J_p Q_q and
+the node coupling J_p Q_q J_p^T of `statespace.node_coupling`.  They split
+the increment into its [x_k; u_mid] part s and its z part:
 
     s = dt [J_p Q_q x_q + (B_p + h J_p Q_q B_q) u;  B_q u],
     x_{k+1} = x_k + s + dt [-h J_p Q_q J_p^T z;  J_q z].
@@ -114,7 +115,7 @@ from .power_maps import (
     power_residual,
     weights_from_config,
 )
-from .statespace import SKEW_TOL, PHModel, assemble_model, power_balance_residual
+from .statespace import SKEW_TOL, PHModel, assemble_model, node_coupling, power_balance_residual
 
 
 class BuiltModel(NamedTuple):
@@ -365,8 +366,7 @@ class MidpointStepper:
         J_p, q_p, q_q = model.node_blocks()
         h = dt / 2.0
         n_p, n_q, n = model.n_p, model.n_q, model.n
-        J_p_Q_q = (J_p @ sp.diags(q_q)).tocsr()
-        coupling = (J_p_Q_q @ J_p.T).tocsr()
+        J_p_Q_q, coupling = node_coupling(J_p, q_q)
         del J_p
         B = model.B.tocsr()
         B_mid = B[:n_p] + h * (J_p_Q_q @ B[n_p:])

@@ -96,6 +96,7 @@ class PHModel(NamedTuple):
         return self.m_hat + self.m
 
     def A(self) -> sp.csr_matrix:
+        """A = J Q, whose nnz `perfbench` reports."""
         return (self.J @ self.Q).tocsr()
 
     def node_blocks(self) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
@@ -120,6 +121,15 @@ class PHModel(NamedTuple):
                     f"model outside the mixed structure: {condition}"
                 )
         return J[:n_p, n_p:].tocsr(), q[:n_p], q[n_p:]
+
+
+def node_coupling(J_p: sp.csr_matrix, q_q: np.ndarray) -> tuple:
+    """(J_p Q_q, J_p Q_q J_p^T) from the blocks `PHModel.node_blocks`
+    certifies: the one construction of the node coupling, which both the
+    midpoint stepper's node matrix Q_p^-1 + h^2 J_p Q_q J_p^T and the
+    lowest-k spectrum's Gram matrix Q_p^(1/2) J_p Q_q J_p^T Q_p^(1/2) hold."""
+    J_p_Q_q = (J_p @ sp.diags(q_q)).tocsr()
+    return J_p_Q_q, (J_p_Q_q @ J_p.T).tocsr()
 
 
 def assemble_model(

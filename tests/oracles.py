@@ -405,7 +405,12 @@ def dirac_residual(E, F) -> float:
 
 
 # ---------------------------------------------------------------------------
-# energy and output of a PH model
+# state matrix, energy and output of a PH model
+
+
+def state_matrix(model) -> sp.csr_matrix:
+    """A = J Q of x' = A x + B u."""
+    return (model.J @ model.Q).tocsr()
 
 
 def hamiltonian(model, x) -> float:

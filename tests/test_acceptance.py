@@ -29,7 +29,7 @@ import pytest
 import scipy.sparse as sp
 
 import test_power_maps as printed
-from oracles import dirac_residual, energy_defect, expm_trajectory, image_rep
+from oracles import dirac_residual, energy_defect, expm_trajectory, image_rep, state_matrix
 from phfem import analysis, cli, sim, statespace, whitney
 from phfem import hodge as hg
 from phfem import mesh as msh
@@ -471,7 +471,7 @@ class TestTimeIntegration:
                                  x0=np.zeros(model.n))
         )
         ref = expm_trajectory(
-            model.A().toarray(), model.B.toarray(), self.pulse, dt, steps,
+            state_matrix(model).toarray(), model.B.toarray(), self.pulse, dt, steps,
             np.zeros(model.n)
         )
         assert np.abs(traj.x - ref).max() <= 1e-6

@@ -2,12 +2,15 @@
 
 import csv
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import ArpackNoConvergence
 
+import oracles
 from phfem import analysis as an
 from phfem import power_maps as pm
 from phfem import sim
@@ -80,7 +83,7 @@ class TestSpectrum:
 def dense_spectrum(model):
     """Reference: positive imaginary parts of the dense eig(A), with zero
     modes dropped relative to the largest frequency."""
-    lam = np.linalg.eigvals(model.A().toarray())
+    lam = np.linalg.eigvals(oracles.state_matrix(model).toarray())
     return np.sort(lam.imag[lam.imag > an.ZERO_MODE_RTOL * np.abs(lam).max()])
 
 
@@ -100,6 +103,22 @@ def model_2d_all_sides(N, weights):
          "causality": {"p_sides": ["bottom", "right", "top", "left"]},
          "weights": weights}
     ).model
+
+
+def swap_blocks(model):
+    """The model with its state permuted to [q; p]: J_p and J_q trade
+    places, so the node coupling S becomes -S^T."""
+    n_p, n = model.n_p, model.n
+    order = np.r_[n_p:n, 0:n_p]
+    P = sp.csr_matrix((np.ones(n), (np.arange(n), order)), shape=(n, n))
+    return model._replace(
+        J=(P @ model.J @ P.T).tocsr(),
+        Q=(P @ model.Q @ P.T).tocsr(),
+        B=(P @ model.B).tocsr(),
+        C=(model.C @ P.T).tocsr(),
+        n_p=model.n_q,
+        n_q=n_p,
+    )
 
 
 def node_coupling(model):
@@ -291,6 +310,107 @@ class TestLowestK:
         c = np.diff(S.indptr).max()
         bound = c * np.finfo(float).eps * beta**2 / full[:6]
         assert np.all(np.abs(low - full[:6]) <= bound)
+
+    @pytest.mark.parametrize("N", [20, 640])
+    def test_centred_weight_keeps_both_copies(self, N):
+        """At alpha = 1/2 the bipartite graph of J_p splits into two halves
+        of N vertices, so every frequency is double (the full route's pairs
+        agree to 5e-14).  The lowest k hold both copies of each, each
+        within the Gram route's round-off (~1e-13 at N = 640) of the full
+        route, as `test_convergence_models_agree_with_full_route` checks."""
+        model = an.build_1d_model(N, 0.5)
+        J_p = model.node_blocks()[0]
+        count, label = connected_components(sp.bmat([[None, J_p], [J_p.T, None]]))
+        assert count == 2 and np.all(np.bincount(label) == N)
+        low = an.spectrum(model, 6)
+        np.testing.assert_allclose(low[0::2], low[1::2], rtol=1e-12, atol=0)
+
+    def test_swapped_blocks_agree(self):
+        """Swapping the p and q states (n_p = 420 > n_q = 156) transposes
+        the node coupling, which keeps its singular values."""
+        model = model_2d_bottom_inputs(12, "set4")
+        swapped = swap_blocks(model)
+        assert (swapped.n_p, swapped.n_q) == (420, 156)
+        np.testing.assert_allclose(
+            an.spectrum(swapped, 6), an.spectrum(model, 6), rtol=1e-12, atol=0
+        )
+
+    def test_more_p_than_q_states_take_full_route(self, monkeypatch):
+        """The Gram matrix is built from the n_p x n_p node coupling, so a
+        model with n_p > n_q (only a hand-built one) takes the full route."""
+        swapped = swap_blocks(model_2d_bottom_inputs(12, "set4"))
+        full = an.spectrum(swapped)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("Lanczos route taken")
+
+        monkeypatch.setattr(an, "eigsh", refuse)
+        assert an.spectrum(swapped, 6).tobytes() == full[:6].tobytes()
+
+    def test_double_frequency_not_missed(self, monkeypatch):
+        """24 x 24 set1 with q-ports all round: three zero modes and a double
+        frequency at the 10th and 11th place.  Asked again for the zero
+        modes (k = 15), Lanczos returns one copy only; the inertia count
+        finds the missing one and asks for k = 16.  G + I is factored once
+        for the three asks."""
+        model = sim.build_model(
+            {"mesh": {"kind": "rect", "N": 24, "M": 24, "h": 1.0},
+             "causality": {"q_edges": "all"}, "weights": "set1"}
+        ).model
+        full = an.spectrum(model)
+        assert full[10] - full[9] <= 1e-12 * full[9]
+        asked, factored = [], []
+        eigsh, splu = an.eigsh, an.splu
+
+        def spy_eigsh(G, k, **kwargs):
+            asked.append(k)
+            return eigsh(G, k=k, **kwargs)
+
+        def spy_splu(A, **kwargs):
+            factored.append("inertia" if "diag_pivot_thresh" in kwargs else "G + I")
+            return splu(A, **kwargs)
+
+        monkeypatch.setattr(an, "eigsh", spy_eigsh)
+        monkeypatch.setattr(an, "splu", spy_splu)
+        low = an.spectrum(model, 12)
+        np.testing.assert_allclose(low, full[:12], rtol=1e-11, atol=0)
+        assert asked == [12, 15, 16]
+        assert factored == ["G + I", "inertia", "inertia"]
+
+    def test_certificate_asks_again_for_a_dropped_value(self, monkeypatch):
+        """An eigensolver that drops the second value on its first call is
+        caught by the inertia count, which asks again for one more."""
+        model = an.build_1d_model(40, 0.0)
+        full = an.spectrum(model)
+        asked = []
+        eigsh = an.eigsh
+
+        def drop_second(G, k, **kwargs):
+            asked.append(k)
+            if len(asked) > 1:
+                return eigsh(G, k=k, **kwargs)
+            return np.delete(np.sort(eigsh(G, k=k + 1, **kwargs)), 1)
+
+        monkeypatch.setattr(an, "eigsh", drop_second)
+        low = an.spectrum(model, 5)
+        assert asked == [5, 6]
+        np.testing.assert_allclose(low, full[:5], rtol=1e-12, atol=0)
+
+    def test_off_diagonal_pivots_take_full_route(self, monkeypatch):
+        """An inertia factor that leaves the diagonal certifies nothing: the
+        full route answers."""
+        model = an.build_1d_model(40, 0.0)
+        full = an.spectrum(model)
+        splu = an.splu
+
+        def pivoting(A, **kwargs):
+            lu = splu(A, **kwargs)
+            if "diag_pivot_thresh" not in kwargs:
+                return lu
+            return SimpleNamespace(U=lu.U, perm_c=lu.perm_c, perm_r=lu.perm_r[::-1])
+
+        monkeypatch.setattr(an, "splu", pivoting)
+        assert an.spectrum(model, 5).tobytes() == full[:5].tobytes()
 
     def test_repeats_bitwise(self):
         model = model_2d_all_sides(12, "set4")

@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+import oracles
 from phfem import cli, power_maps, sim, statespace, whitney
 from phfem.errors import StructureViolationError
 from phfem.statespace import load_model
@@ -556,7 +557,7 @@ class TestEigs:
         assert cli.main(["eigs", str(model_dir), "--out", str(out)]) == 0
         rows = list(csv.reader((out / "eigs.csv").open()))
         assert rows[0] == ["k", "omega"]
-        lam = np.linalg.eigvals(load_model(model_dir).A().toarray())
+        lam = np.linalg.eigvals(oracles.state_matrix(load_model(model_dir)).toarray())
         ref = np.sort(lam.imag[lam.imag > 1e-9])
         assert len(rows) - 1 == ref.size
         omega = np.array([float(r[1]) for r in rows[1:]])

@@ -56,7 +56,7 @@ BOTTOM_24X24 = bottom_config(24, 24, "set2")
 
 def reference_step(model, x, u_mid, dt):
     """One midpoint step by a plain LU of the full stepping matrix."""
-    A = model.A()
+    A = oracles.state_matrix(model)
     I = sp.identity(model.n, format="csr")
     rhs = (I + (dt / 2.0) * A) @ x + dt * (model.B @ u_mid)
     return spla.splu(sp.csc_matrix(I - (dt / 2.0) * A)).solve(rhs)
@@ -426,7 +426,7 @@ class TestSimulate:
         dt, T = 1e-3, 0.5
         traj = sim.simulate(model, sim.SimConfig(dt=dt, T=T, input=gentle_pulse))
         ref = oracles.expm_trajectory(
-            model.A().toarray(),
+            oracles.state_matrix(model).toarray(),
             model.B.toarray(),
             gentle_pulse,
             dt,
@@ -450,7 +450,7 @@ class TestSimulate:
             model, sim.SimConfig(dt=dt, T=dt * steps, input=pulse, x0=x0)
         )
         ref = oracles.expm_trajectory(
-            model.A().toarray(), model.B.toarray(), pulse, dt, steps, x0
+            oracles.state_matrix(model).toarray(), model.B.toarray(), pulse, dt, steps, x0
         )
         assert np.abs(traj.x - ref).max() <= 1e-6
 

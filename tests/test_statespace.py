@@ -188,7 +188,7 @@ class TestModelAssembly:
         model = model_2d(3, 2, {"p_sides": ["left"], "q_edges": "rest"}, w)
         assert ss.power_balance_residual(model) <= 1e-12
         assert model.n == model.n_p + model.n_q
-        A = model.A()
+        A = oracles.state_matrix(model)
         assert A.shape == (model.n, model.n)
 
     @pytest.mark.parametrize("alpha", [0.0, 0.5, -1 / 12, 1 / 6])
@@ -226,7 +226,7 @@ class TestModelAssembly:
         u = rng.standard_normal(model.n_u)
         y = oracles.output(model, x, u)
         # collocation: d/dt H = y^T u for the homogeneous-feedthrough part
-        xdot = model.A() @ x + model.B @ u
+        xdot = oracles.state_matrix(model) @ x + model.B @ u
         assert abs(x @ (model.Q @ xdot) - y @ u) <= 1e-12
 
     def test_hodge_dimension_mismatch(self):
@@ -242,7 +242,7 @@ class TestStaggeredVolumeCoincidence:
     def test_alpha_zero_matches_finite_volumes(self, N):
         model = model_1d(N, 0.0)
         A_fv, B_fv, C_fv, D_fv = oracles.staggered_fv_1d(N, 1.0)
-        np.testing.assert_allclose(model.A().toarray(), A_fv, atol=1e-12)
+        np.testing.assert_allclose(oracles.state_matrix(model).toarray(), A_fv, atol=1e-12)
         np.testing.assert_allclose(model.B.toarray(), B_fv, atol=1e-12)
         np.testing.assert_allclose(
             (model.C @ model.Q).toarray(), C_fv, atol=1e-12
