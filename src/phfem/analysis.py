@@ -14,7 +14,9 @@ models), `spectrum` takes them from a banded eigensolver in O(n^2 b)
 work and O(n b) memory; wider bands (the comparison scheme at alpha' != 0,
 2-D meshes) keep a dense SVD of S.  A caller that reads only the lowest k
 frequencies (`spectrum(model, k)`, the convergence study, `phfem eigs
---k`) gets them by shift-invert Lanczos on the sparse Gram matrix
+--k`) gets them by bisection on that band when it is narrow and
+k (n_p + n_q) <= BISECTION_MAX_KN (every call of the convergence study),
+and otherwise by shift-invert Lanczos on the sparse Gram matrix
 S S^T = Q_p^(1/2) (J_p Q_q J_p^T) Q_p^(1/2), scaled from the node coupling
 that `statespace.node_coupling` builds for the midpoint stepper too, with
 their count certified by Sylvester's law of inertia and no dense array.
@@ -50,6 +52,10 @@ from .statespace import PHModel, node_coupling
 #: singular values of the node coupling S at or below this fraction of the
 #: certified bound sqrt(||S||_1 ||S||_inf) on ||S||_2 count as zero modes
 ZERO_MODE_RTOL = 1e-5
+
+#: largest k (n_p + n_q) at which `spectrum(model, k)` takes the lowest k
+#: of a narrow-band model by bisection rather than by Lanczos
+BISECTION_MAX_KN = 1280
 
 #: relative margin below the k-th eigenvalue the lowest-k route of
 #: `spectrum` keeps, at which it counts the eigenvalues of the Gram matrix
@@ -110,9 +116,10 @@ def spectrum(model: PHModel, k: int | None = None) -> np.ndarray:
     drop them at the next; beta scales with the model.  The lowest 1-D
     frequency stays above 1e-3 beta up to N = 640.
 
-    Routes.  With k = None, or k >= m - 1 (m = min(n_p, n_q): the lowest
-    k are then nearly all of them, and ARPACK needs k < m), every
-    singular value is computed and the lowest k kept.  The symmetric Jordan-Wielandt matrix
+    Three routes: the full route, bisection and Lanczos.  The full route
+    takes k = None, or k >= m - 1 (m = min(n_p, n_q): the lowest k are then
+    nearly all of them, and ARPACK needs k < m): every singular value is
+    computed and the lowest k kept.  The symmetric Jordan-Wielandt matrix
     H = [[0, S], [S^T, 0]] has the eigenvalues +-sigma_k(S) plus
     |n_p - n_q| zeros (Golub & Kahan, 1965).  Reverse Cuthill-McKee on the
     bipartite graph of H gives a half-bandwidth b; when b^2 <= m (mixed
@@ -123,11 +130,28 @@ def spectrum(model: PHModel, k: int | None = None) -> np.ndarray:
     24 x 24) makes the band reduction slower than a dense SVD of S, which
     those models keep.
 
-    With an integer k < n_p - 1 and n_p <= n_q (every model phfem builds
-    or loads; a hand-built n_p > n_q takes the full route), the lowest k
-    are sigma = sqrt(lambda) of the lowest eigenvalues of the sparse Gram
-    matrix G = S S^T, scaled in place from the node coupling J_p Q_q J_p^T
-    that `statespace.node_coupling` also builds for the midpoint stepper.
+    With an integer k < m - 1, a narrow band (b^2 <= m) and
+    k (n_p + n_q) <= BISECTION_MAX_KN (checked first, so large calls never
+    pay for the ordering), the lowest k are the eigenvalues of H
+    with indices n - m to n - m + k - 1 (n = n_p + n_q), found by
+    bisection on the band (LAPACK sbevx; Sturm counts, Barth, Martin &
+    Wilkinson, 1967).  The counts are exact, so no copy of a multiple value
+    is missed and no certificate is needed; zero modes that take some of
+    the k are asked past.  This route also serves n_p > n_q.  Its error is
+    that of a backward-stable eigensolver of H, a relative
+    O(eps beta / sigma).  The bound sits where the two routes cross, in ms
+    a call (bisection / Lanczos on 1-D mixed models at alpha = 0 and 1/2,
+    2-core Xeon, one BLAS thread; README has the full table): N <= 80,
+    k <= 6: 0.24-0.88 / 1.09-1.45; N = 640, k = 1: 1.05 / 2.07 and
+    1.53 / 1.78; N = 1280, k = 1: 2.32 / 4.01 and 2.83 / 2.56; N = 5120,
+    k = 1: 6.90 / 8.31 and 10.81 / 7.83.
+
+    Otherwise, with an integer k < n_p - 1 and n_p <= n_q (an n_p > n_q
+    model, such as a thin grid with q-ports all round, takes the full
+    route), the lowest k are sigma = sqrt(lambda) of the lowest
+    eigenvalues of the sparse Gram matrix G = S S^T, scaled in place from
+    the node coupling J_p Q_q J_p^T that `statespace.node_coupling` also
+    builds for the midpoint stepper.
     Shift-invert Lanczos (ARPACK; Lehoucq, Sorensen & Yang, 1998) about -1,
     with a fixed start vector so that runs repeat exactly, finds them
     through one sparse LU per call of the SPD G + I (symmetric
@@ -164,18 +188,49 @@ def spectrum(model: PHModel, k: int | None = None) -> np.ndarray:
     w = np.abs(S.data)
     beta = np.sqrt(np.bincount(row, w).max(initial=0) * np.bincount(col, w).max(initial=0))
     floor = ZERO_MODE_RTOL * beta
-    if k is not None and k < model.n_p - 1 and model.n_p <= model.n_q:
+    n, m = sum(S.shape), min(S.shape)
+    lowest = k is not None and k < m - 1
+    bisect = lowest and _bisection_pays(k, n)
+    band = _narrow_band(S) if bisect else None
+    if bisect and band is not None:
+        return _lowest_from_band(band, n, m, k, floor)
+    if lowest and model.n_p <= model.n_q:
         freqs = _lowest_singular_values(J_p, q_p, q_q, k, floor)
         if freqs is not None:
             return freqs
-    freqs = _singular_values(S)
+    freqs = _singular_values(S, band if bisect else _narrow_band(S))
     return freqs[freqs > floor][:k]
 
 
-def _singular_values(S) -> np.ndarray:
-    """Every singular value of S from the banded or the dense route of
-    `spectrum`, ascending; the banded route returns all eigenvalues of H,
-    so its -sigma and zeros come too (the zero-mode filter drops them)."""
+def _bisection_pays(k: int, n: int) -> bool:
+    """Whether bisection for the lowest k of the n eigenvalue indices of H
+    costs less than the Lanczos route (the crossover table of `spectrum`)."""
+    return k * n <= BISECTION_MAX_KN
+
+
+def _lowest_from_band(band, n: int, r: int, k: int, floor: float) -> np.ndarray:
+    """The k lowest singular values of S above floor, ascending (fewer when
+    S has fewer), by bisection on the band of H (r = min(n_p, n_q)): the
+    eigenvalues of H from index n - r on are sigma_r(S) <= ... <= sigma_1(S).
+    Zero modes that take some of the k are asked past, as on the Gram route."""
+    asked = k
+    while True:
+        try:
+            lam = eigvals_banded(
+                band, lower=True, select="i", select_range=(n - r, n - r + asked - 1)
+            )
+        except np.linalg.LinAlgError as exc:
+            raise NumericalFailureError(f"banded bisection failed: {exc}") from exc
+        freqs = lam[lam > floor]
+        if freqs.size >= k or asked == r:
+            return freqs[:k]
+        asked = min(r, k + lam.size - freqs.size)
+
+
+def _narrow_band(S):
+    """The lower band of H = [[0, S], [S^T, 0]] in the reverse Cuthill-McKee
+    order, in LAPACK's lower storage, or None when its half-width b has
+    b^2 > min(n_p, n_q)."""
     n_p, n_q = S.shape
     data, indices, indptr = transposed(S)
     H = csr(
@@ -191,11 +246,21 @@ def _singular_values(S) -> np.ndarray:
     row = pos[np.repeat(np.arange(order.size), np.diff(H.indptr))]
     col = pos[H.indices]
     b = int(np.abs(row - col).max(initial=0))
+    if b * b > min(S.shape):
+        return None
+    lower = row > col
+    band = np.zeros((b + 1, order.size))
+    band[row[lower] - col[lower], col[lower]] = H.data[lower]
+    return band
+
+
+def _singular_values(S, band) -> np.ndarray:
+    """Every singular value of S, ascending, from the banded route of
+    `spectrum` when S has a narrow band, else from the dense one; the banded
+    route returns all eigenvalues of H, so its -sigma and zeros come too
+    (the zero-mode filter drops them)."""
     try:
-        if b * b <= min(S.shape):
-            lower = row > col
-            band = np.zeros((b + 1, order.size))
-            band[row[lower] - col[lower], col[lower]] = H.data[lower]
+        if band is not None:
             return eigvals_banded(band, lower=True, overwrite_a_band=True)
         sigma = np.linalg.svd(S.toarray(), compute_uv=False)
     except np.linalg.LinAlgError as exc:
@@ -380,7 +445,7 @@ def convergence_study(alphas, Ns, ks) -> ConvergenceStudy:
     """Sweep build_1d_model over alphas x Ns and fit convergence orders.
 
     Each model is asked for its lowest max(ks) frequencies only (the
-    Lanczos route of `spectrum`)."""
+    bisection or the Lanczos route of `spectrum`)."""
     alphas = scalars(alphas, "alphas")
     Ns, ks = _positive_ints(Ns, "grid size N"), _positive_ints(ks, "mode index")
     if not alphas or not ks:

@@ -314,7 +314,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="1D model family ('ours' = 'mixed', the default)",
     )
     p_eigs.add_argument(
-        "--k", type=int, help="write only the lowest K frequencies (sparse route)"
+        "--k",
+        type=int,
+        help="write only the lowest K frequencies (banded bisection or sparse Lanczos)",
     )
     p_eigs.add_argument("--out", required=True, help="output directory")
     p_eigs.set_defaults(func=cmd_eigs)

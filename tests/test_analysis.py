@@ -105,6 +105,14 @@ def model_2d_all_sides(N, weights):
     ).model
 
 
+def model_q_edges_all(N, M, weights):
+    """N x M rectangle with q-inputs on every boundary edge."""
+    return sim.build_model(
+        {"mesh": {"kind": "rect", "N": N, "M": M, "h": 1.0},
+         "causality": {"q_edges": "all"}, "weights": weights}
+    ).model
+
+
 def swap_blocks(model):
     """The model with its state permuted to [q; p]: J_p and J_q trade
     places, so the node coupling S becomes -S^T."""
@@ -267,16 +275,106 @@ class TestZeroModes:
 
 
 class TestLowestK:
-    """`spectrum(model, k)`: the lowest k frequencies by shift-invert
-    Lanczos on the Gram matrix of the node coupling."""
+    """`spectrum(model, k)`: the lowest k frequencies by bisection on the
+    band of H where the band is narrow and k (n_p + n_q) small, else by
+    shift-invert Lanczos on the Gram matrix of the node coupling."""
 
     @pytest.mark.parametrize("N", [20, 40, 80, 160, 320, 640])
     @pytest.mark.parametrize("alpha", [0.0, 0.5])
     def test_convergence_models_agree_with_full_route(self, alpha, N):
+        """k = 1 (bisection up to N = 640) and k = 6 (bisection up to
+        N = 80, Lanczos above)."""
         model = an.build_1d_model(N, alpha)
-        np.testing.assert_allclose(
-            an.spectrum(model, 6), an.spectrum(model)[:6], rtol=1e-12, atol=0
-        )
+        full = an.spectrum(model)
+        for k in (1, 6):
+            np.testing.assert_allclose(an.spectrum(model, k), full[:k], rtol=1e-12, atol=0)
+
+    def test_convergence_study_takes_bisection(self, monkeypatch):
+        """The spectra1d study asks each model for k = 1 (k (n_p + n_q) at
+        most 1 280 at N = 640): no Lanczos and no sparse LU."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("Lanczos route taken")
+
+        monkeypatch.setattr(an, "eigsh", refuse)
+        monkeypatch.setattr(an, "splu", refuse)
+        study = an.convergence_study((0.0, 0.5), (20, 40, 80, 160, 320, 640), (1,))
+        assert study.slopes[(0.0, 1)] == pytest.approx(-1.0, abs=0.1)
+        assert study.slopes[(0.5, 1)] == pytest.approx(-2.0, abs=0.1)
+
+    @pytest.mark.parametrize("k, route", [(1, "bisection"), (2, "lanczos")])
+    def test_cost_rule_picks_the_route(self, k, route, monkeypatch):
+        """N = 640 has n_p + n_q = 1 280: k = 1 sits on the rule's bound and
+        bisects, k = 2 is past it and takes Lanczos."""
+        model = an.build_1d_model(640, 0.0)
+        n = model.n_p + model.n_q
+        assert n <= an.BISECTION_MAX_KN < 2 * n
+        taken = []
+        eigsh, eigvals_banded = an.eigsh, an.eigvals_banded
+
+        def spy_eigsh(*args, **kwargs):
+            taken.append("lanczos")
+            return eigsh(*args, **kwargs)
+
+        def spy_banded(*args, **kwargs):
+            taken.append("bisection" if kwargs.get("select") == "i" else "full")
+            return eigvals_banded(*args, **kwargs)
+
+        monkeypatch.setattr(an, "eigsh", spy_eigsh)
+        monkeypatch.setattr(an, "eigvals_banded", spy_banded)
+        assert an.spectrum(model, k).size == k
+        assert taken == [route]
+
+    @pytest.mark.parametrize("k, asks", [(2, [2, 4, 5]), (4, [4, 7])])
+    def test_bisection_asks_past_zero_modes(self, k, asks, monkeypatch):
+        """The 60 x 2 set2 model with q-ports all round has a narrow band
+        (b = 10, m = 183) and three exact zero modes.  Each ask that zero
+        modes leave short asks again from the same band, so no ask may let
+        LAPACK overwrite it (only the full route passes overwrite_a_band,
+        on its one call).  k = 4 is past the cost rule (4 x 481 > 1 280),
+        so the bound is raised to reach the route."""
+        model = model_q_edges_all(60, 2, "set2")
+        n, r = model.n_p + model.n_q, min(model.n_p, model.n_q)
+        full = an.spectrum(model)
+        monkeypatch.setattr(an, "BISECTION_MAX_KN", k * n)
+        asked = []
+        eigvals_banded = an.eigvals_banded
+
+        def spy(band, **kwargs):
+            assert not kwargs.get("overwrite_a_band", False)
+            first, last = kwargs["select_range"]
+            assert first == n - r
+            asked.append(last - first + 1)
+            return eigvals_banded(band, **kwargs)
+
+        monkeypatch.setattr(an, "eigvals_banded", spy)
+        np.testing.assert_allclose(an.spectrum(model, k), full[:k], rtol=1e-12, atol=0)
+        assert asked == asks
+
+    def test_bisection_keeps_both_copies_with_more_p_states(self, monkeypatch):
+        """The 40 x 1 set1 model with q-ports all round has n_p = 82 > n_q =
+        79 and a double frequency 0.07848021 at the 2nd and 3rd place: the
+        Sturm counts return both copies, with no Lanczos call."""
+        model = model_q_edges_all(40, 1, "set1")
+        assert (model.n_p, model.n_q) == (82, 79)
+        full = an.spectrum(model)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("Lanczos route taken")
+
+        monkeypatch.setattr(an, "eigsh", refuse)
+        low = an.spectrum(model, 3)
+        np.testing.assert_allclose(low, full[:3], rtol=1e-12, atol=0)
+        np.testing.assert_allclose(low[1], 0.07848021, rtol=1e-7)
+        np.testing.assert_allclose(low[2], low[1], rtol=1e-12)
+
+    def test_bisection_failure_is_numerical_failure(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("no convergence")
+
+        monkeypatch.setattr(an, "eigvals_banded", fail)
+        with pytest.raises(NumericalFailureError) as exc:
+            an.spectrum(an.build_1d_model(40, 0.0), 2)
+        assert exc.value.exit_code == 4
 
     @pytest.mark.parametrize("weights", ["set1", "set2", "set3", "set4"])
     @pytest.mark.parametrize("N", [6, 12, 24])
@@ -380,7 +478,7 @@ class TestLowestK:
     def test_certificate_asks_again_for_a_dropped_value(self, monkeypatch):
         """An eigensolver that drops the second value on its first call is
         caught by the inertia count, which asks again for one more."""
-        model = an.build_1d_model(40, 0.0)
+        model = model_2d_all_sides(12, "set2")
         full = an.spectrum(model)
         asked = []
         eigsh = an.eigsh
@@ -399,7 +497,7 @@ class TestLowestK:
     def test_off_diagonal_pivots_take_full_route(self, monkeypatch):
         """An inertia factor that leaves the diagonal certifies nothing: the
         full route answers."""
-        model = an.build_1d_model(40, 0.0)
+        model = model_2d_all_sides(12, "set2")
         full = an.spectrum(model)
         splu = an.splu
 
@@ -425,7 +523,7 @@ class TestLowestK:
         monkeypatch.setattr(np.linalg, "svd", refuse)
         monkeypatch.setattr(an, "eigvals_banded", refuse)
         assert an.spectrum(model_2d_all_sides(12, "set2"), 4).size == 4
-        assert an.spectrum(an.build_1d_model(80, 0.0), 3).size == 3
+        assert an.spectrum(an.build_1d_model(640, 0.0), 3).size == 3
 
     @pytest.mark.parametrize("k", [19, 20, 25])
     def test_large_k_takes_full_route(self, k, monkeypatch):
@@ -445,7 +543,7 @@ class TestLowestK:
 
         monkeypatch.setattr(an, "eigsh", stall)
         with pytest.raises(NumericalFailureError) as exc:
-            an.spectrum(an.build_1d_model(40, 0.0), 2)
+            an.spectrum(model_2d_all_sides(12, "set2"), 2)
         assert exc.value.exit_code == 4
 
     @pytest.mark.parametrize("k", [True, 1.5, 2.0, 0, -3])
