@@ -139,12 +139,10 @@ def spectrum(model: PHModel, k: int | None = None) -> np.ndarray:
     is missed and no certificate is needed; zero modes that take some of
     the k are asked past.  This route also serves n_p > n_q.  Its error is
     that of a backward-stable eigensolver of H, a relative
-    O(eps beta / sigma).  The bound sits where the two routes cross, in ms
-    a call (bisection / Lanczos on 1-D mixed models at alpha = 0 and 1/2,
-    2-core Xeon, one BLAS thread; README has the full table): N <= 80,
-    k <= 6: 0.24-0.88 / 1.09-1.45; N = 640, k = 1: 1.05 / 2.07 and
-    1.53 / 1.78; N = 1280, k = 1: 2.32 / 4.01 and 2.83 / 2.56; N = 5120,
-    k = 1: 6.90 / 8.31 and 10.81 / 7.83.
+    O(eps beta / sigma).  The bound sits where the two routes cross in
+    time a call on the 1-D mixed models: bisection's cost grows with
+    k (n_p + n_q), Lanczos's much more slowly (the crossover table is in
+    README's lowest-k section).
 
     Otherwise, with an integer k < n_p - 1 and n_p <= n_q (an n_p > n_q
     model, such as a thin grid with q-ports all round, takes the full
@@ -189,23 +187,16 @@ def spectrum(model: PHModel, k: int | None = None) -> np.ndarray:
     beta = np.sqrt(np.bincount(row, w).max(initial=0) * np.bincount(col, w).max(initial=0))
     floor = ZERO_MODE_RTOL * beta
     n, m = sum(S.shape), min(S.shape)
-    lowest = k is not None and k < m - 1
-    bisect = lowest and _bisection_pays(k, n)
-    band = _narrow_band(S) if bisect else None
-    if bisect and band is not None:
-        return _lowest_from_band(band, n, m, k, floor)
-    if lowest and model.n_p <= model.n_q:
-        freqs = _lowest_singular_values(J_p, q_p, q_q, k, floor)
-        if freqs is not None:
-            return freqs
-    freqs = _singular_values(S, band if bisect else _narrow_band(S))
+    if k is not None and k < m - 1:
+        band = _narrow_band(S) if k * n <= BISECTION_MAX_KN else None
+        if band is not None:
+            return _lowest_from_band(band, n, m, k, floor)
+        if model.n_p <= model.n_q:
+            freqs = _lowest_singular_values(J_p, q_p, q_q, k, floor)
+            if freqs is not None:
+                return freqs
+    freqs = _singular_values(S, _narrow_band(S))
     return freqs[freqs > floor][:k]
-
-
-def _bisection_pays(k: int, n: int) -> bool:
-    """Whether bisection for the lowest k of the n eigenvalue indices of H
-    costs less than the Lanczos route (the crossover table of `spectrum`)."""
-    return k * n <= BISECTION_MAX_KN
 
 
 def _lowest_from_band(band, n: int, r: int, k: int, floor: float) -> np.ndarray:
@@ -261,7 +252,7 @@ def _singular_values(S, band) -> np.ndarray:
     (the zero-mode filter drops them)."""
     try:
         if band is not None:
-            return eigvals_banded(band, lower=True, overwrite_a_band=True)
+            return eigvals_banded(band, lower=True)
         sigma = np.linalg.svd(S.toarray(), compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(f"singular value computation failed: {exc}") from exc

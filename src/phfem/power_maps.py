@@ -388,14 +388,8 @@ def build_1d_maps(N: int, alpha: float) -> MapSet:
         np.append(np.arange(0, 2 * N, 2), 2 * N - 1),
         (N, N),
     )
-    P_fp = csr(
-        np.tile([alpha, 1.0 - alpha], N)[1:],
-        pairs[:-1],
-        np.append(0, np.arange(1, 2 * N, 2)),
-        (N, N),
-    )
     P_fq.eliminate_zeros()
-    P_fp.eliminate_zeros()
+    P_fp = csr(*transposed(P_fq), (N, N))
 
     S_p = _two_per_row([0, 1], [1.0 - alpha, alpha], n_nodes)
     S_q_hat = _two_per_row([N - 1, N], [alpha, 1.0 - alpha], n_nodes)

@@ -35,7 +35,8 @@ Substituting that x_mid, the increment is
 
 `MidpointStepper` builds two sparse maps once per run, from J_p Q_q and
 the node coupling J_p Q_q J_p^T of `statespace.node_coupling`.  They split
-the increment into its [x_k; u_mid] part s and its z part:
+the increment into its z part and a part s that maps [x_q; u_mid] (x_p
+does not enter it):
 
     s = dt [J_p Q_q x_q + (B_p + h J_p Q_q B_q) u;  B_q u],
     x_{k+1} = x_k + s + dt [-h J_p Q_q J_p^T z;  J_q z].
@@ -370,11 +371,11 @@ class MidpointStepper:
         del J_p
         B = model.B.tocsr()
         B_mid = B[:n_p] + h * (J_p_Q_q @ B[n_p:])
-        # s = dt [J_p Q_q x_q + B_mid u; B_q u] from [x; u]
+        # s = dt [J_p Q_q x_q + B_mid u; B_q u] from [x_q; u]
         self._from_xu = sp.vstack(
             [
-                sp.hstack([sp.csr_matrix((n_p, n_p)), J_p_Q_q, B_mid], format="csr"),
-                sp.hstack([sp.csr_matrix((n_q, n)), B[n_p:]], format="csr"),
+                sp.hstack([J_p_Q_q, B_mid], format="csr"),
+                sp.hstack([sp.csr_matrix((n_q, n_q)), B[n_p:]], format="csr"),
             ],
             format="csr",
         )
@@ -432,7 +433,7 @@ class MidpointStepper:
                 f"({self._n_u},), got {np.shape(x)} and {np.shape(u_mid)}"
             )
         n_p = self._n_p
-        s = self._from_xu @ np.concatenate([x, u_mid])
+        s = self._from_xu @ np.concatenate([x[n_p:], u_mid])
         r = 0.5 * s[:n_p]
         r += x[:n_p]
         r *= self._w

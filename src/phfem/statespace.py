@@ -3,15 +3,18 @@
 The reduced flow/effort relations of the power-preserving maps define the
 discrete Dirac structure.  Resolving the (signed) permutations between
 interior efforts and boundary inputs (`assemble_model`) turns it into an
-explicit input-output form
+explicit input-output form, one system matrix
 
-    d/dt [p~; q~] = J Q x + B u,      y = B^T Q x + D u,
+    [d/dt x]   [J  B] [Q x]
+    [  y   ] = [C  D] [ u ]
 
-with J skew-symmetric, Q the diagonal Hodge block, u = [e_b_hat; e_b]
-(p-type inputs first), y the conjugated boundary flows, and D skew (zero
-whenever the effort/input split is a plain permutation).  The discrete
-Hamiltonian H_d = (1/2) x^T Q x then satisfies dH_d/dt = y^T u exactly
-along trajectories.
+over the state x = [p~; q~] and the input u = [e_b_hat; e_b] (p-type
+inputs first), its rows and columns both ordered [p; q; p-type ports;
+q-type ports].  J is skew-symmetric, Q the diagonal Hodge block, y the
+conjugated boundary flows, C = B^T and D skew (zero whenever the
+effort/input split is a plain permutation).  The discrete Hamiltonian
+H_d = (1/2) x^T Q x then satisfies dH_d/dt = y^T u exactly along
+trajectories.
 """
 
 from __future__ import annotations
@@ -141,10 +144,12 @@ def assemble_model(
     The flow and output rows of each law are right-multiplied by the
     inverse of its stacked effort map [P_e; T] (`_resolve`, which consumes
     the stacks: their memory becomes the model's).  Both products are
-    canonical CSR, so each of J, B, C and D is written straight into its
-    index arrays, one law's rows after the other's, in one construction.
-    The power balance of the result is checked by the callers that build
-    (`sim.build_model`) or load (`load_model`) a model, each once.
+    canonical CSR.  Their rows, flows negated, are written once into the
+    system matrix [[J, B], [C, D]] (rows p flows, q flows, p-type outputs,
+    q-type outputs; columns x_p, x_q, u_p, u_q), and J, B, C and D are its
+    four blocks, sliced off it.  The power balance of the result is checked
+    by the callers that build (`sim.build_model`) or load (`load_model`) a
+    model, each once.
     """
     F_q, Pi_q, F_p, Pi_p, n_p, n_q = stacks
     if Pi_q.shape[0] != Pi_q.shape[1] or Pi_p.shape[0] != Pi_p.shape[1]:
@@ -156,46 +161,33 @@ def assemble_model(
             f"Hodge blocks ({hodge.Q_p.shape[0]}, {hodge.Q_q.shape[0]}) do not "
             f"match state dimensions ({n_p}, {n_q})"
         )
-    # rows of X_q: p flows, then p-type outputs; columns: q efforts, then
-    # q-type inputs.  X_p mirrors this with p and q swapped.
-    X_q = _resolve(F_q, Pi_q)
-    X_p = _resolve(F_p, Pi_p)
-    m_hat, m = X_p.shape[1] - n_p, X_q.shape[1] - n_q
+    m_hat, m = Pi_p.shape[0] - n_p, Pi_q.shape[0] - n_q
     n, n_u = n_p + n_q, m_hat + m
-    # Each target takes the entries of one law's rows, then the other's: J
-    # and B the flow rows (negated), C and D the output rows; J and C the
-    # effort columns, B and D the input columns.  Both X are canonical, so
-    # the kept entries of a row stay sorted when their columns are shifted
-    # to the target's numbering, and the arrays are CSR as they stand.
-    pieces: dict = {}
-    for X, n_flows, n_efforts, col_at in (
-        (X_q, n_p, n_q, (n_p, m_hat - n_q)), (X_p, n_q, n_p, (0, -n_p))
-    ):
-        for effort in (True, False):
-            keep = (X.indices < n_efforts) == effort
-            # ends[i]: kept entries before row i
-            ends = np.concatenate([[0], np.cumsum(keep, dtype=X.indptr.dtype)])[X.indptr]
-            data, cols, cut = X.data[keep], X.indices[keep] + col_at[not effort], ends[n_flows]
-            data[:cut] *= -1.0
-            pieces.setdefault((True, effort), []).append(
-                (data[:cut], cols[:cut], ends[: n_flows + 1])
-            )
-            pieces.setdefault((False, effort), []).append(
-                (data[cut:], cols[cut:], ends[n_flows:] - cut)
-            )
-    mats = []
-    for key, shape in (
-        ((True, True), (n, n)), ((True, False), (n, n_u)),
-        ((False, True), (n_u, n)), ((False, False), (n_u, n_u)),
-    ):
-        (data, cols, ptr), (data2, cols2, ptr2) = pieces.pop(key)
-        mats.append(csr(
-            np.concatenate([data, data2]),
-            np.concatenate([cols, cols2]),
-            np.concatenate([ptr, ptr2[1:] + ptr[-1]]),
-            shape,
-        ))
-    J, B, C, D = mats
+
+    def rows(F, Pi, n_flows, n_efforts, shift, input_shift):
+        """A law's resolved rows as (data, indices, row lengths): its flow
+        rows, negated, then its output rows.  The columns (its efforts, then
+        its inputs) move to their place in [x_p; x_q; u_p; u_q], in place in
+        the owned product; the map increases, so every row stays sorted."""
+        X = _resolve(F, Pi)
+        cut = X.indptr[n_flows]
+        X.data[:cut] *= -1.0
+        X.indices[X.indices >= n_efforts] += input_shift
+        X.indices += shift
+        lengths = np.diff(X.indptr)
+        return (
+            (X.data[:cut], X.indices[:cut], lengths[:n_flows]),
+            (X.data[cut:], X.indices[cut:], lengths[n_flows:]),
+        )
+
+    (flows_q, outputs_q), (flows_p, outputs_p) = (
+        rows(F_q, Pi_q, n_p, n_q, n_p, m_hat), rows(F_p, Pi_p, n_q, n_p, 0, n_q)
+    )
+    data, indices, lengths = (
+        np.concatenate(arrays) for arrays in zip(flows_q, flows_p, outputs_q, outputs_p)
+    )
+    system = csr(data, indices, np.concatenate([[0], np.cumsum(lengths)]), (n + n_u, n + n_u))
+    J, B, C, D = system[:n, :n], system[:n, n:], system[n:, :n], system[n:, n:]
     return PHModel(J, hodge.as_block(), B, C, D, n_p, n_q, m_hat, m, dict(meta or {}))
 
 

@@ -329,9 +329,9 @@ class TestLowestK:
         """The 60 x 2 set2 model with q-ports all round has a narrow band
         (b = 10, m = 183) and three exact zero modes.  Each ask that zero
         modes leave short asks again from the same band, so no ask may let
-        LAPACK overwrite it (only the full route passes overwrite_a_band,
-        on its one call).  k = 4 is past the cost rule (4 x 481 > 1 280),
-        so the bound is raised to reach the route."""
+        LAPACK overwrite it (no route passes overwrite_a_band).  k = 4 is
+        past the cost rule (4 x 481 > 1 280), so the bound is raised to
+        reach the route."""
         model = model_q_edges_all(60, 2, "set2")
         n, r = model.n_p + model.n_q, min(model.n_p, model.n_q)
         full = an.spectrum(model)

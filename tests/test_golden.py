@@ -47,6 +47,8 @@ CONFIGS = {
         "alpha_prime": 0.0,
     },
     "interval-negative-alpha": {"mesh": {"kind": "interval", "N": 40}, "alpha": -1 / 12},
+    "p-nodes-all": "3ff9741ef33d7bb4b7aaaa0f7b1abf3ca6aeb212796b6b20a267ab297409ba9c",
+    "p-sides-all": "fba908cef0ec1de54bec41b2a6e6683fb4d1934e96598b2966ea938737b78708",
     "p-sides-left-top": _rect(5, 4, 1.0, {"p_sides": ["left", "top"]}, "set2"),
     # top (reversed), left, bottom, right: segments keep their order
     "q-segments": _rect(
@@ -57,6 +59,10 @@ CONFIGS = {
         },
         "set3",
     ),
+    # every boundary node p-causal: no q-type inputs (m = 0)
+    "p-sides-all": _rect(3, 3, 1.0, {"p_sides": ["bottom", "right", "top", "left"]}, "set2"),
+    # the four nodes of one cell p-causal: no p states (n_p = 0)
+    "p-nodes-all": _rect(1, 1, 1.0, {"p_nodes": [0, 1, 2, 3]}, "set1"),
 }
 
 GOLDEN = {
@@ -67,6 +73,8 @@ GOLDEN = {
     "golo-zero": "b04f889d6701144866125a1243f1e403857dd44b0639c7bc4d78966a90ca7ba4",
     "interval": "5f95e4851f7b8151ecef6c635ee5dd2acd4d52946d198344b32e95df34c59bd2",
     "interval-negative-alpha": "79b5923e83cec15aa88279158f8180888083435ae10fd651d182b42808c85c7e",
+    "p-nodes-all": "3ff9741ef33d7bb4b7aaaa0f7b1abf3ca6aeb212796b6b20a267ab297409ba9c",
+    "p-sides-all": "fba908cef0ec1de54bec41b2a6e6683fb4d1934e96598b2966ea938737b78708",
     "p-sides-left-top": "5d7bf09e117354af79ba018dbb51347474c25531ffe05dda97ed565c1a3e492d",
     "q-edges-all": "17cbf61e59764e1b6eff75a9cb1784b87ebd8f4b8ada073cd07637ec8dbde617",
     "q-segments": "31f5c866991ffeb518130c7c1f9a45e93b37a8000b1547b58181447c3330a14d",

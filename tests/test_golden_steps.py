@@ -3,7 +3,8 @@
 Each digest is a sha256 over the bytes of a 200-step trajectory's energy
 series, its outputs and its final state, then the JSON of its
 `node_solve` record.  They pin the stepper bit for bit on both node-solve
-routes and on a model with feedthrough (D != 0): a refactoring of
+routes, on a model with feedthrough (D != 0) and on one with no q-type
+inputs (m = 0): a refactoring of
 `MidpointStepper` or of the node coupling it is built from must leave them
 unchanged.  Like `test_golden`, they hold for one build of numpy, scipy
 and their BLAS (the energy is a BLAS dot product).
@@ -42,12 +43,14 @@ RUNS = {
     "24x24-bottom-superlu": ("cli-roundtrip", 1.0, sinusoidal_ports, True, "superlu"),
     "20x20-wave": ("wave", 0.05, corner_pulse_port, False, "superlu"),
     "golo-1/12": ("golo", 0.01, sinusoidal_ports, True, "superlu"),
+    "3x3-p-sides-all": ("p-sides-all", 0.05, sinusoidal_ports, True, "superlu"),
 }
 
 GOLDEN = {
     "20x20-wave": "bea805664860395090d1da81871d588b6af13e42b9469be7b3dfc915bbfafba6",
     "24x24-bottom-chebyshev": "ebe23797f403dc8c6384bd094eed837e6364fecb23f5af1ac89a5ce7342229b8",
     "24x24-bottom-superlu": "92e49b34abeb69ccaf4bb1bff705e6d2fe3d765693e271e171c6b0938ff5fdc1",
+    "3x3-p-sides-all": "78b6017f745bc0fc90412e5438d266fb9a8a2a35421429b4917d09834ab2c4e7",
     "golo-1/12": "c4f1d385cf7796ccb90b18c054ae9ed31767948b1991f371c20baf22817c5deb",
 }
 

@@ -201,11 +201,13 @@ class TestModelAssembly:
     @pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS))
     def test_matrices_are_canonical_csr(self, name):
         """Sorted indices, no duplicates and no stored zeros, read off the
-        arrays rather than scipy's cached flags."""
+        arrays rather than scipy's cached flags, and int32 index arrays,
+        which the golden digests do not pin (they hash them as int64)."""
         model = sim.build_model(GOLDEN_CONFIGS[name]).model
         for key in "JQBCD":
             mat = getattr(model, key)
             assert mat.format == "csr", key
+            assert mat.indices.dtype == mat.indptr.dtype == np.int32, key
             rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
             same_row = np.diff(rows) == 0
             assert np.all(np.diff(mat.indices)[same_row] > 0), key
