@@ -89,6 +89,15 @@ def _positive_ints(values, what: str) -> tuple:
     return values
 
 
+def _distinct(values: list | tuple, what: str) -> None:
+    """InvalidArgumentError naming the first value that repeats: a repeat
+    would overwrite a table column or an error row, or count twice in a
+    slope fit."""
+    repeated = [v for i, v in enumerate(values) if v in values[:i]]
+    if repeated:
+        raise InvalidArgumentError(f"repeated {what}{repeated[0]!r}")
+
+
 def spectrum(model: PHModel, k: int | None = None) -> np.ndarray:
     """Positive frequencies of the model, ascending: all of them, or the
     lowest k when k is an integer >= 1 (fewer when the model has fewer).
@@ -179,10 +188,7 @@ def spectrum(model: PHModel, k: int | None = None) -> np.ndarray:
     J_p, q_p, q_q = model.node_blocks()
     # S = diag(q_p)^(1/2) J_p diag(q_q)^(1/2), scaled entry by entry
     row, col = np.repeat(np.arange(J_p.shape[0]), np.diff(J_p.indptr)), J_p.indices
-    S = sp.csr_matrix(
-        (J_p.data * np.sqrt(q_p)[row] * np.sqrt(q_q)[col], col, J_p.indptr),
-        shape=J_p.shape,
-    )
+    S = csr(J_p.data * np.sqrt(q_p)[row] * np.sqrt(q_q)[col], col, J_p.indptr, J_p.shape)
     w = np.abs(S.data)
     beta = np.sqrt(np.bincount(row, w).max(initial=0) * np.bincount(col, w).max(initial=0))
     floor = ZERO_MODE_RTOL * beta
@@ -223,7 +229,7 @@ def _narrow_band(S):
     order, in LAPACK's lower storage, or None when its half-width b has
     b^2 > min(n_p, n_q)."""
     n_p, n_q = S.shape
-    data, indices, indptr = transposed(S)
+    data, indices, indptr, _ = transposed(S)
     H = csr(
         np.concatenate([S.data, data]),
         np.concatenate([S.indices + n_p, indices]),
@@ -355,6 +361,7 @@ def eig_table(method: str, parameters, Ns, ks=TABLE_KS) -> EigTable:
 
     parameters is a sequence of (label, value) pairs; method selects the
     model family ("mixed" -> build_1d_model, "golo" -> build_golo_1d_model).
+    The labels and the Ns must each be distinct: every (label, N) is a column.
     """
     builders: dict[str, Callable[[int, float], PHModel]] = {
         "mixed": build_1d_model,
@@ -363,7 +370,7 @@ def eig_table(method: str, parameters, Ns, ks=TABLE_KS) -> EigTable:
     if not isinstance(method, str) or method not in builders:
         raise InvalidArgumentError(f"unknown method {method!r}")
     Ns, ks = _positive_ints(Ns, "grid size N"), _positive_ints(ks, "mode index")
-    columns = {}
+    pairs = []
     for entry in parameters:
         try:
             label, value = entry
@@ -371,6 +378,11 @@ def eig_table(method: str, parameters, Ns, ks=TABLE_KS) -> EigTable:
         except (TypeError, ValueError):
             msg = f"parameters entry {entry!r} is not a (label, value) pair with a hashable label"
             raise InvalidArgumentError(msg) from None
+        pairs.append((label, value))
+    _distinct([label for label, _ in pairs], "label ")
+    _distinct(Ns, "N = ")
+    columns = {}
+    for label, value in pairs:
         for N in Ns:
             freqs = spectrum(builders[method](N, value))
             columns[(method, label, N)] = np.array(
@@ -436,12 +448,15 @@ def convergence_study(alphas, Ns, ks) -> ConvergenceStudy:
     """Sweep build_1d_model over alphas x Ns and fit convergence orders.
 
     Each model is asked for its lowest max(ks) frequencies only (the
-    bisection or the Lanczos route of `spectrum`)."""
+    bisection or the Lanczos route of `spectrum`).  The alphas, the Ns and
+    the ks must each be distinct, and the Ns at least two."""
     alphas = scalars(alphas, "alphas")
     Ns, ks = _positive_ints(Ns, "grid size N"), _positive_ints(ks, "mode index")
     if not alphas or not ks:
         raise InvalidArgumentError("alphas and ks must be nonempty")
-    if len(set(Ns)) < 2:
+    for values, what in ((alphas, "alpha = "), (Ns, "N = "), (ks, "k = ")):
+        _distinct(values, what)
+    if len(Ns) < 2:
         raise InvalidArgumentError(
             f"a convergence slope needs at least two distinct N, got {Ns}"
         )

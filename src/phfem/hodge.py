@@ -15,6 +15,9 @@ Consistency fixes the entries from the geometry of the reduction maps:
 
 In 1D the same reasoning gives (1/h) diagonals with a single 1/(1-alpha)
 entry at the inflow end of each family; alpha = 1 makes that entry blow up.
+
+A `HodgePair` holds the two diagonals as vectors; `statespace.assemble_model`
+builds the model's one Hodge matrix Q = diag(Q_p, Q_q) from them.
 """
 
 from __future__ import annotations
@@ -32,13 +35,18 @@ WEIGHT_FLOOR = 1e-14
 
 
 class HodgePair(NamedTuple):
-    """Diagonal Hodge matrices (sparse) for the reduced state [p~; q~]."""
+    """The diagonals q_p and q_q of the Hodge matrices Q_p and Q_q of the
+    reduced state [p~; q~], as vectors: the model's one Hodge matrix
+    Q = diag(Q_p, Q_q) is built from them (`as_block`), once."""
 
-    Q_p: sp.csr_matrix
-    Q_q: sp.csr_matrix
+    q_p: np.ndarray
+    q_q: np.ndarray
 
     def as_block(self) -> sp.csr_matrix:
-        return _diagonal(np.concatenate([self.Q_p.diagonal(), self.Q_q.diagonal()]))
+        """Q = diag(Q_p, Q_q) as a diagonal CSR matrix."""
+        q = np.concatenate([self.q_p, self.q_q])
+        n = len(q)
+        return csr(q, np.arange(n), np.arange(n + 1), (n, n))
 
 
 def _pair(q_p: np.ndarray, q_q: np.ndarray) -> HodgePair:
@@ -50,13 +58,7 @@ def _pair(q_p: np.ndarray, q_q: np.ndarray) -> HodgePair:
             raise SingularHodgeError(
                 f"Hodge entry {name}[{bad[0]}] = {q[bad[0]]:.6g} is not finite and positive"
             )
-    return HodgePair(_diagonal(q_p), _diagonal(q_q))
-
-
-def _diagonal(values: np.ndarray) -> sp.csr_matrix:
-    """Diagonal CSR matrix with the given entries, built from index arrays."""
-    n = len(values)
-    return csr(values, np.arange(n), np.arange(n + 1), (n, n))
+    return HodgePair(q_p, q_q)
 
 
 def hodge_2d(mesh: SimplexMesh, maps: MapSet) -> HodgePair:

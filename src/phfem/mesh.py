@@ -26,12 +26,18 @@ edge differences (-1 at the tail, +1 at the head); d_p maps edge values to
 oriented face boundary sums (sign +1 where the CCW face traversal agrees
 with the edge orientation).  They satisfy d_p @ d_q == 0 exactly.
 
-Model construction (incidences, reduction maps, Hodge, `assemble_model`)
-builds each sparse matrix once, in final CSR form, from index arrays
-(`csr`), and reads a transpose off the arrays (`transposed`).  The node
-coupling J_p Q_q J_p^T (`statespace.node_coupling`, one builder for the
-midpoint stepper and the lowest-k spectrum) and the stepper's maps are
-composed with scipy's sparse operators.
+Model construction constructs a scipy matrix only for what it keeps, each
+once, in final CSR form from index arrays (`csr`): the incidences, the map
+set, Q, and J, B, C and D.  Its intermediates (the effort stacks, their
+products, the resolved rows, the residuals' products) stay `CSRArrays`:
+products run scipy's own CSR kernel (`product`) and transposes are read off
+the arrays (`transposed`).  A 1-D build makes 14 constructions (d_q, eight
+maps, Q, J, B, C, D), the comparison scheme 15 (its two flow maps are one
+identity, and each LU resolve hands SuperLU one CSC matrix), the 24 x 24
+CLI rectangle 50 (42 in `power_maps.build_2d_maps`).  The node coupling
+J_p Q_q J_p^T (`statespace.node_coupling`, one builder for the midpoint
+stepper and the lowest-k spectrum) and the stepper's maps are composed with
+scipy's sparse operators.
 """
 
 from __future__ import annotations
@@ -40,6 +46,7 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 from .errors import InvalidArgumentError, fields, scalar, scalars
 
@@ -237,6 +244,18 @@ def _signed_rows(cols: np.ndarray, signs: np.ndarray, n_cols: int) -> sp.csr_mat
 # CSR arrays, shared by every stage that builds a matrix
 
 
+class CSRArrays(NamedTuple):
+    """The arrays and shape of a CSR matrix, under scipy's attribute names:
+    what the construction stages pass between the matrices they keep, so
+    that an intermediate costs no scipy construction (and no format check).
+    `csr(*arrays)` makes the matrix."""
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    shape: tuple
+
+
 def csr(data, indices, indptr, shape: tuple) -> sp.csr_matrix:
     """The CSR matrix with these arrays, in one construction.  The index
     arrays are passed as int32, the type scipy keeps below 2**31 rows,
@@ -247,29 +266,68 @@ def csr(data, indices, indptr, shape: tuple) -> sp.csr_matrix:
     )
 
 
-def transposed(A: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The CSR arrays (data, indices, indptr) of A^T, with no construction:
-    A's entries grouped by column, each column's in storage order, as
-    scipy's `tocsc` stores them."""
-    order = np.argsort(A.indices, kind="stable")
-    rows = np.repeat(np.arange(A.shape[0], dtype=A.indices.dtype), np.diff(A.indptr))
-    counts = np.bincount(A.indices, minlength=A.shape[1])
-    return A.data[order], rows[order], np.concatenate([[0], np.cumsum(counts)])
+def transposed(A) -> CSRArrays:
+    """The CSR arrays of A^T (A a CSR matrix or `CSRArrays`), with no
+    construction, from the kernel of scipy's `tocsc`: A's entries grouped
+    by column, each column's in storage order, so the rows come out sorted
+    whether or not A's are."""
+    (M, N), index = A.shape, np.promote_types(A.indptr.dtype, A.indices.dtype)
+    indptr, indices = np.empty(N + 1, dtype=index), np.empty(len(A.data), dtype=index)
+    data = np.empty_like(A.data)
+    _sparsetools.csr_tocsc(
+        M, N, A.indptr.astype(index, copy=False), A.indices.astype(index, copy=False), A.data,
+        indptr, indices, data,
+    )
+    return CSRArrays(data, indices, indptr, (N, M))
 
 
-def max_abs_sum(A: sp.csr_matrix, B: sp.csr_matrix, sign: float = 1.0) -> float:
-    """Max-abs entry of A + sign B^T.  When B^T stores the same pattern as
-    A (a skew J, and C = B^T up to round-off), the stored values are added
-    in one array operation; otherwise a sparse sum is formed.  An overflow
-    gives inf or NaN, which the callers' `not residual <= tol` tests reject."""
-    data, indices, indptr = transposed(B)
-    if np.array_equal(A.indptr, indptr) and np.array_equal(A.indices, indices):
-        total = data
+def product(A, B) -> CSRArrays:
+    """The arrays of A @ B (CSR matrices or `CSRArrays`) from the compiled
+    kernel that scipy's product of two CSR matrices runs: the same entries,
+    summed and stored in the same order (rows unsorted), without the copy
+    of B and the construction of the result around that kernel."""
+    (M, _), N = A.shape, B.shape[1]
+    index = np.int32 if max(M, N, len(A.data), len(B.data)) < 2**31 else np.int64
+    arrays = [np.asarray(a, dtype=index) for a in (A.indptr, A.indices, B.indptr, B.indices)]
+    nnz = _sparsetools.csr_matmat_maxnnz(M, N, *arrays)
+    if nnz >= 2**31:
+        index, arrays = np.int64, [a.astype(np.int64) for a in arrays]
+    indptr, indices = np.empty(M + 1, dtype=index), np.empty(nnz, dtype=index)
+    data = np.empty(nnz, dtype=np.result_type(A.data, B.data))
+    a_ptr, a_idx, b_ptr, b_idx = arrays
+    _sparsetools.csr_matmat(
+        M, N, a_ptr, a_idx, A.data, b_ptr, b_idx, B.data, indptr, indices, data
+    )
+    return CSRArrays(data[: indptr[-1]], indices[: indptr[-1]], indptr, (M, N))
+
+
+def kept(A, keep: np.ndarray) -> CSRArrays:
+    """The arrays of A with only its entries where `keep` holds, each row's
+    in storage order."""
+    ends = np.concatenate([[0], np.cumsum(keep)])[A.indptr].astype(A.indptr.dtype)
+    return CSRArrays(A.data[keep], A.indices[keep], ends, A.shape)
+
+
+def sort_rows(A) -> None:
+    """Sort each row of A's arrays by column, in place, with scipy's
+    `sort_indices` kernel."""
+    _sparsetools.csr_sort_indices(len(A.indptr) - 1, A.indptr, A.indices, A.data)
+
+
+def max_abs_sum(A, B, sign: float = 1.0) -> float:
+    """Max-abs entry of A + sign B^T, A with sorted rows.  When B^T stores
+    the same pattern as A (a skew J, and C = B^T up to round-off), the
+    stored values are added in one array operation; otherwise a sparse sum
+    is formed.  An overflow gives inf or NaN, which the callers'
+    `not residual <= tol` tests reject."""
+    Bt = transposed(B)
+    if np.array_equal(A.indptr, Bt.indptr) and np.array_equal(A.indices, Bt.indices):
+        total = Bt.data
         total *= sign
         with np.errstate(over="ignore", invalid="ignore"):
             total += A.data
     else:
-        Bt = csr(data, indices, indptr, B.shape[::-1])
+        A, Bt = csr(A.data, A.indices, A.indptr, A.shape), csr(*Bt)
         total = (A - Bt if sign < 0 else A + Bt).data
     return float(np.abs(total, out=total).max(initial=0.0))
 

@@ -33,7 +33,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import InvalidArgumentError, fields, scalar
-from .mesh import BoundaryPartition, IncidencePair, SimplexMesh, csr, max_abs_sum, transposed
+from .mesh import BoundaryPartition, CSRArrays, IncidencePair, SimplexMesh, csr
+from .mesh import max_abs_sum, product, sort_rows, transposed
 
 RESIDUAL_TOL = 1e-12
 
@@ -165,9 +166,9 @@ def _two_per_row(cols, vals, n_cols: int) -> sp.csr_matrix:
     )
 
 
-def _stack(top: sp.csr_matrix, bottom: sp.csr_matrix) -> sp.csr_matrix:
-    """[top; bottom] from the two blocks' CSR arrays."""
-    return csr(
+def _stack(top, bottom) -> CSRArrays:
+    """The arrays of [top; bottom], from the two blocks' CSR arrays."""
+    return CSRArrays(
         np.concatenate([top.data, bottom.data]),
         np.concatenate([top.indices, bottom.indices]),
         np.concatenate([top.indptr, bottom.indptr[1:] + top.indptr[-1]]),
@@ -198,14 +199,15 @@ def _build_Pfp_full(mesh: SimplexMesh, w: TriangleWeights) -> sp.csr_matrix:
 class EffortStacks(NamedTuple):
     """Each law's flow and output rows over its stacked effort map: the
     q-law pair F_q = [(-1)^r P_fp d_p; S_q_hat] over Pi_q = [P_eq; T_q] and
-    the p-law pair F_p = [P_fq d_q; S_p] over Pi_p = [P_ep; T_p_hat].
-    n_p and n_q are the rows of P_fp and P_fq, the reduced state sizes;
-    the remaining rows of F_q and F_p are the p- and q-type outputs."""
+    the p-law pair F_p = [P_fq d_q; S_p] over Pi_p = [P_ep; T_p_hat], as
+    CSR arrays (no matrix is constructed for them).  n_p and n_q are the
+    rows of P_fp and P_fq, the reduced state sizes; the remaining rows of
+    F_q and F_p are the p- and q-type outputs."""
 
-    F_q: sp.csr_matrix
-    Pi_q: sp.csr_matrix
-    F_p: sp.csr_matrix
-    Pi_p: sp.csr_matrix
+    F_q: CSRArrays
+    Pi_q: CSRArrays
+    F_p: CSRArrays
+    Pi_p: CSRArrays
     n_p: int
     n_q: int
 
@@ -214,12 +216,12 @@ def effort_stacks(maps: MapSet, inc: IncidencePair) -> EffortStacks:
     """The stacks `statespace.assemble_model` resolves (F Pi^{-1}).  A float
     map times an integer incidence is exact, and the sign (-1)^r scales the
     product's own values in place."""
-    PdP = maps.P_fp @ inc.d_p
-    PdP.data *= (-1.0) ** maps.r
+    PdP = product(maps.P_fp, inc.d_p)
+    PdP.data[:] *= (-1.0) ** maps.r
     return EffortStacks(
         _stack(PdP, maps.S_q_hat),
         _stack(maps.P_eq, maps.T_q),
-        _stack(maps.P_fq @ inc.d_q, maps.S_p),
+        _stack(product(maps.P_fq, inc.d_q), maps.S_p),
         _stack(maps.P_ep, maps.T_p_hat),
         maps.P_fp.shape[0],
         maps.P_fq.shape[0],
@@ -230,11 +232,10 @@ def power_residual(stacks: EffortStacks) -> float:
     """Max-abs entry of the power-preservation matrix condition, which in
     terms of the effort stacks reads Pi_q^T F_p + F_q^T Pi_p = 0: the
     entries of Pi_q^T F_p plus those of the transpose of Pi_p^T F_q, each
-    product formed from the CSR arrays of a Pi^T."""
-    P = csr(*transposed(stacks.Pi_q), stacks.Pi_q.shape[::-1]) @ stacks.F_p
-    Rt = csr(*transposed(stacks.Pi_p), stacks.Pi_p.shape[::-1]) @ stacks.F_q
-    P.sort_indices()  # Rt^T comes out sorted
-    return max_abs_sum(P, Rt)
+    product formed from the CSR arrays of a Pi^T, with no construction."""
+    P = product(transposed(stacks.Pi_q), stacks.F_p)
+    sort_rows(P)  # Rt^T comes out sorted
+    return max_abs_sum(P, product(transposed(stacks.Pi_p), stacks.F_q))
 
 
 def build_2d_maps(
@@ -389,7 +390,7 @@ def build_1d_maps(N: int, alpha: float) -> MapSet:
         (N, N),
     )
     P_fq.eliminate_zeros()
-    P_fp = csr(*transposed(P_fq), (N, N))
+    P_fp = csr(*transposed(P_fq))
 
     S_p = _two_per_row([0, 1], [1.0 - alpha, alpha], n_nodes)
     S_q_hat = _two_per_row([N - 1, N], [alpha, 1.0 - alpha], n_nodes)

@@ -15,6 +15,10 @@ conjugated boundary flows, C = B^T and D skew (zero whenever the
 effort/input split is a plain permutation).  The discrete Hamiltonian
 H_d = (1/2) x^T Q x then satisfies dH_d/dt = y^T u exactly along
 trajectories.
+
+The system matrix exists only as CSR arrays (`mesh.CSRArrays`) inside
+`assemble_model`: a `PHModel` holds its four blocks J, B, C and D and the
+Hodge block Q, each a canonical CSR matrix constructed once.
 """
 
 from __future__ import annotations
@@ -34,15 +38,16 @@ from .errors import (
     StructureViolationError,
 )
 from .hodge import HodgePair
-from .mesh import csr, max_abs_sum
+from .mesh import CSRArrays, csr, kept, max_abs_sum, sort_rows
 from .power_maps import EffortStacks
 
 SKEW_TOL = 1e-12
 
 
-def _resolve(stack: sp.csr_matrix, Pi: sp.csr_matrix) -> sp.csr_matrix:
-    """Right-multiply by Pi^{-1}, giving a canonical CSR matrix (sorted
-    indices, no duplicates, no stored zeros).
+def _resolve(stack, Pi) -> CSRArrays:
+    """The CSR arrays of the stack right-multiplied by Pi^{-1} (both CSR
+    matrices or `CSRArrays`), canonical: sorted indices, no duplicates,
+    no stored zeros.
 
     A signed permutation Pi (one nonzero per row, +1 or -1, in a column no
     other row uses; the selectors of every mixed model) has Pi^{-1} = Pi^T,
@@ -50,7 +55,7 @@ def _resolve(stack: sp.csr_matrix, Pi: sp.csr_matrix) -> sp.csr_matrix:
     arrays, with zeros dropped and indices sorted.  The gather reuses the
     stack's arrays, so the stack is consumed: its memory becomes the
     product's.  Any other Pi (the comparison scheme's effort maps, 1D and
-    small) takes a dense LU solve.
+    small) takes a dense LU solve, whose nonzeros are read off row by row.
     """
     n = Pi.shape[0]
     nonzero = Pi.data != 0
@@ -62,14 +67,20 @@ def _resolve(stack: sp.csr_matrix, Pi: sp.csr_matrix) -> sp.csr_matrix:
         # stack column cols[i] becomes column rows[i] of the product, times signs[i]
         target, sign = np.empty(n, dtype=stack.indices.dtype), np.empty(n)
         target[cols], sign[cols] = rows, signs
-        stack.data *= sign[stack.indices]
+        stack.data[:] *= sign[stack.indices]
         stack.indices[:] = target[stack.indices]
-        X = sp.csr_matrix((stack.data, stack.indices, stack.indptr), shape=stack.shape)
-        X.eliminate_zeros()
-        X.sum_duplicates()
+        X = CSRArrays(stack.data, stack.indices, stack.indptr, stack.shape)
+        if not X.data.all():
+            X = kept(X, X.data != 0)
+        sort_rows(X)
         return X
-    lu = spla.splu(Pi.T)
-    return sp.csr_matrix(lu.solve(stack.toarray().T).T)
+    lu = spla.splu(sp.csc_matrix((Pi.data, Pi.indices, Pi.indptr), shape=Pi.shape[::-1]))
+    dense = np.zeros(stack.shape)
+    dense[np.repeat(np.arange(stack.shape[0]), np.diff(stack.indptr)), stack.indices] = stack.data
+    X = lu.solve(dense.T).T
+    rows, cols = np.nonzero(X)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=X.shape[0]))])
+    return CSRArrays(X[rows, cols], cols, indptr, X.shape)
 
 
 class PHModel(NamedTuple):
@@ -107,7 +118,7 @@ class PHModel(NamedTuple):
         when J = [[0, J_p], [J_q, 0]] with exactly zero diagonal blocks and
         |J_q + J_p^T| <= SKEW_TOL, and Q is diagonal, finite and positive;
         else StructureViolationError naming the condition that failed."""
-        n_p, J, q = self.n_p, self.J.tocsr(), self.Q.diagonal()
+        n_p, J, q = self.n_p, self.J, self.Q.diagonal()
         rows = np.repeat(np.arange(J.shape[0]), np.diff(J.indptr))
         # with zero diagonal blocks, J + J^T holds J_q + J_p^T and its transpose
         skew = max_abs_sum(J, J)
@@ -123,7 +134,10 @@ class PHModel(NamedTuple):
                 raise StructureViolationError(
                     f"model outside the mixed structure: {condition}"
                 )
-        return J[:n_p, n_p:].tocsr(), q[:n_p], q[n_p:]
+        # J_p: the first n_p rows' entries in the columns of x_q, in order
+        J_p = kept(J, (rows < n_p) & (J.indices >= n_p))
+        J_p = csr(J_p.data, J_p.indices - n_p, J_p.indptr[: n_p + 1], (n_p, J.shape[1] - n_p))
+        return J_p, q[:n_p], q[n_p:]
 
 
 def node_coupling(J_p: sp.csr_matrix, q_q: np.ndarray) -> tuple:
@@ -144,21 +158,22 @@ def assemble_model(
     The flow and output rows of each law are right-multiplied by the
     inverse of its stacked effort map [P_e; T] (`_resolve`, which consumes
     the stacks: their memory becomes the model's).  Both products are
-    canonical CSR.  Their rows, flows negated, are written once into the
+    canonical CSR arrays.  Their rows, flows negated, are the rows of the
     system matrix [[J, B], [C, D]] (rows p flows, q flows, p-type outputs,
-    q-type outputs; columns x_p, x_q, u_p, u_q), and J, B, C and D are its
-    four blocks, sliced off it.  The power balance of the result is checked
-    by the callers that build (`sim.build_model`) or load (`load_model`) a
-    model, each once.
+    q-type outputs; columns x_p, x_q, u_p, u_q), and J, B, C and D are cut
+    out of those arrays (a column mask, then a row cut), one construction
+    each; Q is built from the Hodge diagonals.  The power balance of the
+    result is checked by the callers that build (`sim.build_model`) or load
+    (`load_model`) a model, each once.
     """
     F_q, Pi_q, F_p, Pi_p, n_p, n_q = stacks
     if Pi_q.shape[0] != Pi_q.shape[1] or Pi_p.shape[0] != Pi_p.shape[1]:
         raise InvalidArgumentError(
             "effort selectors and input traces do not tile the effort spaces"
         )
-    if hodge.Q_p.shape[0] != n_p or hodge.Q_q.shape[0] != n_q:
+    if hodge.q_p.size != n_p or hodge.q_q.size != n_q:
         raise InvalidArgumentError(
-            f"Hodge blocks ({hodge.Q_p.shape[0]}, {hodge.Q_q.shape[0]}) do not "
+            f"Hodge blocks ({hodge.q_p.size}, {hodge.q_q.size}) do not "
             f"match state dimensions ({n_p}, {n_q})"
         )
     m_hat, m = Pi_p.shape[0] - n_p, Pi_q.shape[0] - n_q
@@ -173,7 +188,7 @@ def assemble_model(
         cut = X.indptr[n_flows]
         X.data[:cut] *= -1.0
         X.indices[X.indices >= n_efforts] += input_shift
-        X.indices += shift
+        X.indices[:] += shift
         lengths = np.diff(X.indptr)
         return (
             (X.data[:cut], X.indices[:cut], lengths[:n_flows]),
@@ -183,18 +198,27 @@ def assemble_model(
     (flows_q, outputs_q), (flows_p, outputs_p) = (
         rows(F_q, Pi_q, n_p, n_q, n_p, m_hat), rows(F_p, Pi_p, n_q, n_p, 0, n_q)
     )
+
     data, indices, lengths = (
         np.concatenate(arrays) for arrays in zip(flows_q, flows_p, outputs_q, outputs_p)
     )
-    system = csr(data, indices, np.concatenate([[0], np.cumsum(lengths)]), (n + n_u, n + n_u))
-    J, B, C, D = system[:n, :n], system[:n, n:], system[n:, :n], system[n:, n:]
+    system = CSRArrays(data, indices, np.concatenate([[0], np.cumsum(lengths)]), (n + n_u,) * 2)
+    blocks = []  # [J; C] over the state columns, then [B; D] over the input columns
+    state = indices < n
+    for part, shift, width in ((kept(system, state), 0, n), (kept(system, ~state), n, n_u)):
+        cut = part.indptr[n]
+        blocks += [
+            csr(part.data[:cut], part.indices[:cut] - shift, part.indptr[: n + 1], (n, width)),
+            csr(part.data[cut:], part.indices[cut:] - shift, part.indptr[n:] - cut, (n_u, width)),
+        ]
+    J, C, B, D = blocks
     return PHModel(J, hodge.as_block(), B, C, D, n_p, n_q, m_hat, m, dict(meta or {}))
 
 
 def power_balance_residual(model: PHModel) -> float:
     """Max-abs violation of skew-symmetry (J, D) and collocation (C = B^T):
     zero means dH_d/dt = y^T u holds exactly along trajectories."""
-    J, B, C, D = (mat.tocsr() for mat in (model.J, model.B, model.C, model.D))
+    J, B, C, D = model.J, model.B, model.C, model.D
     return max(max_abs_sum(J, J), max_abs_sum(D, D), max_abs_sum(C, B, -1.0))
 
 

@@ -455,5 +455,5 @@ def dense_model(maps, inc, hodge) -> dict:
     B[:n_p, m_hat:], B[n_p:, :m_hat] = -X_q[:n_p, n_q:], -X_p[:n_q, n_p:]
     C[:m_hat, n_p:], C[m_hat:, :n_p] = X_q[n_p:, :n_q], X_p[n_q:, :n_p]
     D[:m_hat, m_hat:], D[m_hat:, :m_hat] = X_q[n_p:, n_q:], X_p[n_q:, n_p:]
-    Q = np.diag(np.concatenate([hodge.Q_p.diagonal(), hodge.Q_q.diagonal()]))
+    Q = np.diag(np.concatenate([hodge.q_p, hodge.q_q]))
     return {"J": J, "Q": Q, "B": B, "C": C, "D": D}

@@ -1,6 +1,7 @@
 """Spectral analysis: frequency tables, comparison scheme, convergence."""
 
 import csv
+import hashlib
 import tracemalloc
 from types import SimpleNamespace
 
@@ -23,6 +24,40 @@ from phfem.mesh import build_interval_mesh, incidence
 from phfem.statespace import power_balance_residual
 
 HALF_PI = np.pi / 2.0
+
+#: sha256 of the float64 bytes of every `table3()` and `table4()` column,
+#: recorded before the 1-D builds were cut down to a few constructions
+TABLE_DIGESTS = {
+    ("mixed", "-1/12", 20): "b72e9cb93769df73bc81f45ead0fd6444e48e4ecd8fd0ce4dd87c10f10662f71",
+    ("mixed", "-1/12", 40): "2c70f3e0e3f729fe0248fa1329cb7104e8bb32f427b2804620a36e6b39cf1270",
+    ("mixed", "-1/12", 80): "b7c9d881116ab30eed32b53c58dd219b21646be483e63ece3ff976f5a670e2c4",
+    ("mixed", "0", 20): "7746e3f9d8899fd8ea07d967649c33e0701ae6e52bb38548aa50c69b88cd6040",
+    ("mixed", "0", 40): "9d2743194eef28778d26d442fcf377e6063a1731a0194c09d7f78db683892701",
+    ("mixed", "0", 80): "7535b18d0fee1fa04bc6dd25292de8d01aafa3f14a2bcd641091884111c17ed3",
+    ("mixed", "1/6", 20): "0afc419d3bf8363cf0eb0b7508b5890df9af3b32da072641eb9f96bb7639ba62",
+    ("mixed", "1/6", 40): "0697eb2c569716a58a1269510ed3a323a8c1435548a999405dddbc319749e873",
+    ("mixed", "1/6", 80): "316d393e4e9ac0a840b93172e09c4407fff316c478937c7c0e4a2ae4e2863716",
+    ("golo", "1/12", 20): "73f9303e37c5947c87fd127b1117bbb79d533b5db547cb49303d2feb69b3cb15",
+    ("golo", "1/12", 40): "4af3564ce42810d776346e6c27d551e3ca3d96e30e76864d972d47d50e4ab7f7",
+    ("golo", "1/12", 80): "76d86bec038ed663d3c21b8cb1d3c0d3e5df0c13f29195e335f4fa714faf13bd",
+    ("golo", "0", 20): "7746e3f9d8899fd8ea07d967649c33e0701ae6e52bb38548aa50c69b88cd6040",
+    ("golo", "0", 40): "9d2743194eef28778d26d442fcf377e6063a1731a0194c09d7f78db683892701",
+    ("golo", "0", 80): "7535b18d0fee1fa04bc6dd25292de8d01aafa3f14a2bcd641091884111c17ed3",
+    ("golo", "-1/6", 20): "0f2edfb38936f2ea0b0240783f638b4e9cc53c1f231bf80aca6e0e6e26b434ae",
+    ("golo", "-1/6", 40): "a36ae180d58ca215e764f63a235de13cd89250a1247efa8eb9d0612644b46fdc",
+    ("golo", "-1/6", 80): "164f1140df5c752194aba91e6441de76c59867113098331c6f9f7be8a62fd6f8",
+}
+
+#: the same digests of the errors of `convergence_study((0.0, 0.5),
+#: (20, 40, 80, 160, 320, 640), (1,))`, the spectra1d benchmark's study
+CONVERGENCE_DIGESTS = {
+    (0.0, 1): "6a7933d73bb23dbfd71897f250a76a9d2d0851193a2e1e05d77e11391f8d97e8",
+    (0.5, 1): "f21a01cabb9ab6f93a3903f12b9850c3d77f839735af9791abf6ff982f2599ea",
+}
+
+
+def digest(values) -> str:
+    return hashlib.sha256(np.asarray(values, dtype=np.float64).tobytes()).hexdigest()
 
 
 class TestSpectrum:
@@ -658,6 +693,23 @@ class TestTables:
         with pytest.raises(InvalidArgumentError):
             an.eig_table("mixed", [("0", 0.0)], [20], ks=ks)
 
+    def test_columns_bitwise(self):
+        columns = {**an.table3().columns, **an.table4().columns}
+        assert {key: digest(col) for key, col in columns.items()} == TABLE_DIGESTS
+
+    @pytest.mark.parametrize(
+        "parameters, Ns, repeated",
+        [([("a", 0.0), ("a", 0.5)], (20, 40), "'a'"),
+         ([("a", 0.0)], (20, 20, 40), "N = 20")],
+        ids=["label", "N"],
+    )
+    def test_repeated_column_key_rejected(self, parameters, Ns, repeated, monkeypatch):
+        """A repeated label or N would overwrite a column: rejected before
+        any model is built."""
+        monkeypatch.setattr(an, "build_1d_model", None)
+        with pytest.raises(InvalidArgumentError, match=f"repeated.*{repeated}"):
+            an.eig_table("mixed", parameters, Ns)
+
 
 class TestConvergence:
     def test_first_order_at_zero_weight(self):
@@ -702,3 +754,21 @@ class TestConvergence:
     def test_one_distinct_grid_rejected(self, Ns):
         with pytest.raises(InvalidArgumentError):
             an.convergence_study([0.0], Ns, [1])
+
+    @pytest.mark.parametrize(
+        "alphas, Ns, ks, repeated",
+        [((0.0, 0.0), (20, 40), (1,), "alpha = 0.0"),
+         ((0.0,), (20, 20, 40), (1,), "N = 20"),
+         ((0.0,), (20, 40), (1, 2, 1), "k = 1")],
+        ids=["alpha", "N", "k"],
+    )
+    def test_repeated_value_rejected(self, alphas, Ns, ks, repeated, monkeypatch):
+        """A repeated alpha or k would merge two error rows, and a repeated N
+        would count twice in the slope fit: rejected before any model is built."""
+        monkeypatch.setattr(an, "build_1d_model", None)
+        with pytest.raises(InvalidArgumentError, match=f"repeated {repeated}"):
+            an.convergence_study(alphas, Ns, ks)
+
+    def test_errors_bitwise(self):
+        study = an.convergence_study((0.0, 0.5), (20, 40, 80, 160, 320, 640), (1,))
+        assert {key: digest(e) for key, e in study.errors.items()} == CONVERGENCE_DIGESTS

@@ -47,8 +47,6 @@ CONFIGS = {
         "alpha_prime": 0.0,
     },
     "interval-negative-alpha": {"mesh": {"kind": "interval", "N": 40}, "alpha": -1 / 12},
-    "p-nodes-all": "3ff9741ef33d7bb4b7aaaa0f7b1abf3ca6aeb212796b6b20a267ab297409ba9c",
-    "p-sides-all": "fba908cef0ec1de54bec41b2a6e6683fb4d1934e96598b2966ea938737b78708",
     "p-sides-left-top": _rect(5, 4, 1.0, {"p_sides": ["left", "top"]}, "set2"),
     # top (reversed), left, bottom, right: segments keep their order
     "q-segments": _rect(
@@ -82,6 +80,26 @@ GOLDEN = {
 }
 
 
+#: `BuiltModel.residuals` (power preservation, power balance) of each
+#: config, as exact floats: a value that moves by one unit in the last
+#: place fails
+RESIDUALS = {
+    "build-determinism": (5.551115123125783e-17, 5.551115123125783e-17),
+    "cli-roundtrip": (0.0, 0.0),
+    "explicit-weights": (5.551115123125783e-17, 5.551115123125783e-17),
+    "golo": (0.0, 2.220446049250313e-16),
+    "golo-zero": (0.0, 0.0),
+    "interval": (0.0, 0.0),
+    "interval-negative-alpha": (0.0, 0.0),
+    "p-nodes-all": (0.0, 0.0),
+    "p-sides-all": (0.0, 0.0),
+    "p-sides-left-top": (0.0, 0.0),
+    "q-edges-all": (5.551115123125783e-17, 5.551115123125783e-17),
+    "q-segments": (5.551115123125783e-17, 5.551115123125783e-17),
+    "wave": (0.0, 0.0),
+}
+
+
 def model_digest(model) -> str:
     hsh = hashlib.sha256()
     for name in ("J", "Q", "B", "C", "D"):
@@ -98,3 +116,9 @@ def model_digest(model) -> str:
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_model_digest(name):
     assert model_digest(build_model(CONFIGS[name]).model) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_residuals(name):
+    residuals = build_model(CONFIGS[name]).residuals
+    assert (residuals["power_preservation"], residuals["power_balance"]) == RESIDUALS[name]

@@ -5,9 +5,11 @@ import json
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse._compressed as compressed
 from scipy.io import mmwrite
 
 import oracles
+from phfem import analysis as an
 from phfem import hodge as hg
 from phfem import sim
 from phfem import mesh as msh
@@ -159,7 +161,7 @@ class TestDenseReference:
         Pi = sp.csr_matrix((data, cols, indptr), shape=(3, 3))
         monkeypatch.setattr(ss.spla, "splu", None)
         stack = sp.csr_matrix(np.random.default_rng(1).standard_normal((4, 3)))
-        X = ss._resolve(stack.copy(), Pi)  # the gather consumes its stack
+        X = msh.csr(*ss._resolve(stack.copy(), Pi))  # the gather consumes its stack
         assert X.has_sorted_indices
         assert np.array_equal(X.toarray(), stack.toarray() @ Pi.toarray().T)
 
@@ -175,7 +177,7 @@ class TestDenseReference:
             ss.spla, "splu", lambda *a, **k: calls.append(1) or splu(*a, **k)
         )
         stack = sp.csr_matrix(np.random.default_rng(2).standard_normal((4, 3)))
-        X = ss._resolve(stack, Pi)
+        X = msh.csr(*ss._resolve(stack, Pi))
         assert calls == [1]
         want = np.linalg.solve(Pi.toarray().T, stack.toarray().T).T
         np.testing.assert_allclose(X.toarray(), want, rtol=0, atol=1e-15)
@@ -237,6 +239,43 @@ class TestModelAssembly:
         maps = pm.build_1d_maps(6, 0.0)
         with pytest.raises(InvalidArgumentError):
             ss.assemble_model(pm.effort_stacks(maps, inc), hg.hodge_1d(5, 0.0, 0.2))
+
+
+def constructions(build, *args) -> int:
+    """The number of scipy compressed-matrix (CSR or CSC) constructions one
+    call build(*args) makes, counted by a spy on their common `__init__`."""
+    init, count = compressed._cs_matrix.__init__, [0]
+
+    def spy(self, *a, **k):
+        count[0] += 1
+        init(self, *a, **k)
+
+    compressed._cs_matrix.__init__ = spy
+    try:
+        build(*args)
+    finally:
+        compressed._cs_matrix.__init__ = init
+    return count[0]
+
+
+class TestConstructionCount:
+    """Each scipy construction checks its arrays again (index dtype,
+    format, pruning), and on the 1-D builds those checks cost about as much
+    as the spectrum: a later change must not add constructions silently."""
+
+    @pytest.mark.parametrize(
+        "build, args",
+        [(an.build_1d_model, (20, 0.0)), (an.build_1d_model, (640, 0.5)),
+         (an.build_golo_1d_model, (80, 1 / 12))],
+        ids=["mixed-20", "mixed-640", "golo-80"],
+    )
+    def test_1d_builds(self, build, args):
+        assert constructions(build, *args) <= 15
+
+    def test_rect_build_no_more_than_before(self):
+        """The 24 x 24 cli-roundtrip config took 69 constructions before the
+        1-D builds were cut down; the shared assembly must not add any."""
+        assert constructions(sim.build_model, GOLDEN_CONFIGS["cli-roundtrip"]) <= 69
 
 
 class TestStaggeredVolumeCoincidence:
