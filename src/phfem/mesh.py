@@ -37,7 +37,8 @@ identity, and each LU resolve hands SuperLU one CSC matrix), the 24 x 24
 CLI rectangle 50 (42 in `power_maps.build_2d_maps`).  The node coupling
 J_p Q_q J_p^T (`statespace.node_coupling`, one builder for the midpoint
 stepper and the lowest-k spectrum) and the stepper's maps are composed with
-scipy's sparse operators.
+scipy's sparse operators.  The midpoint loop's matrix-vector products run
+scipy's CSR kernel through `matvec`, into buffers the loop owns.
 """
 
 from __future__ import annotations
@@ -299,6 +300,20 @@ def product(A, B) -> CSRArrays:
         M, N, a_ptr, a_idx, A.data, b_ptr, b_idx, B.data, indptr, indices, data
     )
     return CSRArrays(data[: indptr[-1]], indices[: indptr[-1]], indptr, (M, N))
+
+
+def matvec(A, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """A @ x (A a CSR matrix or `CSRArrays`) into the float64 vector `out`,
+    which is returned, from the compiled kernel that scipy's `A @ x` runs:
+    `out` is zeroed, then each row's products are summed onto it in
+    storage order, so the bits are those of `A @ x`, without scipy's
+    dispatch and result allocation around that kernel.  The kernel reads x
+    and writes out unchecked, so their lengths are checked here."""
+    if x.shape != A.shape[1:] or out.shape != A.shape[:1]:
+        raise ValueError(f"matvec of a {A.shape} matrix: x {x.shape}, out {out.shape}")
+    out.fill(0.0)
+    _sparsetools.csr_matvec(*A.shape, A.indptr, A.indices, A.data, x, out)
+    return out
 
 
 def kept(A, keep: np.ndarray) -> CSRArrays:

@@ -78,7 +78,6 @@ index says which grid step each kept row belongs to.
 
 from __future__ import annotations
 
-import csv
 import math
 import pathlib
 from collections.abc import Callable, Sequence
@@ -104,6 +103,7 @@ from .mesh import (
     build_interval_mesh,
     build_rect_mesh,
     incidence,
+    matvec,
     partition_boundary,
 )
 from .power_maps import (
@@ -283,9 +283,10 @@ class Trajectory(NamedTuple):
     node_solve: dict
 
 
-#: fixed cost of one call, a product with K~ or a SuperLU solve, counted in
-#: stored matrix entries: about 9 us of call overhead at about 1.1 ns per
-#: entry (the CFL sweep in CHANGES.md)
+#: the fixed cost per call, a product with K~ or a SuperLU solve, that the
+#: route rule `_chebyshev_pays` charges, in stored matrix entries: calibrated
+#: on the CFL sweep in CHANGES.md, where the routes it picks are the faster
+#: ones.  It is the rule's constant, not a measured product overhead.
 CALL_OVERHEAD_ENTRIES = 8000
 
 #: relative 2-norm error of the node solve the iteration count certifies
@@ -412,34 +413,43 @@ class MidpointStepper:
             self._solve, route = lu.solve, "superlu"
         self.node_solve = {"route": route, "iterations": k, "interval": [a, b]}
         self._n_p, self._n, self._n_u = n_p, n, model.n_u
+        # every product of a step runs `matvec` into these: the [x_q; u_mid]
+        # gather, the Chebyshev vectors K~ d, beta res and d, and the z part
+        self._xu = np.empty(n_q + model.n_u)
+        self._Kd, self._beta_res, self._d = np.empty((3, n_p))
+        self._dz = np.empty(n)
 
     def _chebyshev(self, r: np.ndarray) -> np.ndarray:
         """y with K~ y = r to CHEBYSHEV_TOL: k Chebyshev steps from y = 0
         (`_chebyshev_updates`).  r is overwritten by the residual."""
         y = r * self._inv_theta
-        d, res = y.copy(), r
+        d, Kd, beta_res, res = self._d, self._Kd, self._beta_res, r
+        d[:] = y
         for alpha, beta in self._updates:
-            res -= self._K @ d
+            res -= matvec(self._K, d, Kd)
             d *= alpha
-            d += beta * res
+            d += np.multiply(res, beta, out=beta_res)
             y += d
         return y
 
     def step(self, x: np.ndarray, u_mid: np.ndarray) -> np.ndarray:
-        """x_{k+1} from x_k with the input held at its midpoint value."""
+        """x_{k+1} from x_k with the input held at its midpoint value, as a
+        new array.  The stepper computes in buffers it owns, so one stepper
+        must not step from two threads at once."""
         if np.shape(x) != (self._n,) or np.shape(u_mid) != (self._n_u,):
             raise InvalidArgumentError(
                 f"step takes x of shape ({self._n},) and u_mid of shape "
                 f"({self._n_u},), got {np.shape(x)} and {np.shape(u_mid)}"
             )
         n_p = self._n_p
-        s = self._from_xu @ np.concatenate([x[n_p:], u_mid])
+        xu = np.concatenate([x[n_p:], u_mid], out=self._xu)
+        s = matvec(self._from_xu, xu, np.empty(self._n))
         r = 0.5 * s[:n_p]
         r += x[:n_p]
         r *= self._w
         y = self._solve(r)
         y *= self._w
-        s += self._from_z @ y
+        s += matvec(self._from_z, y, self._dz)
         s += x
         return s
 
@@ -536,28 +546,31 @@ def simulate(model: PHModel, cfg: SimConfig) -> Trajectory:
     row_of_step[x_steps] = np.arange(x_steps.size)
     xs = np.empty((x_steps.size, model.n))
     q = model.Q.diagonal()
-    # y = C Q x + D u in one product on [x; u]
+    # y = C Q x + D u in one product on [x; u], written into its row of ys
     output = sp.hstack([model.C @ model.Q, model.D], format="csr")
+    xu = np.empty(model.n + n_u)
 
-    def record(k: int, x: np.ndarray) -> None:
-        ys[k] = output @ np.concatenate([x, u_grid[k]])
-        energy[k] = 0.5 * float(x @ (q * x))
+    def record(k: int, x: np.ndarray) -> float:
+        matvec(output, np.concatenate([x, u_grid[k]], out=xu), ys[k])
+        energy[k] = H = 0.5 * float(x @ (q * x))
         if row_of_step[k] >= 0:
             xs[row_of_step[k]] = x
+        return H
 
     # an overflowing state is reported as a NumericalFailureError below,
-    # an overflowing energy as inf, neither as a RuntimeWarning
+    # an overflowing energy as inf, neither as a RuntimeWarning.  A finite
+    # energy screens the state: with q > 0 it is finite only if x is, so
+    # only a non-finite energy looks at x itself.
     with np.errstate(over="ignore", invalid="ignore"):
         record(0, x)
         for k in range(n_steps):
             x_next = stepper.step(x, u_mid[k])
-            if not np.all(np.isfinite(x_next)):
+            if not math.isfinite(record(k + 1, x_next)) and not np.all(np.isfinite(x_next)):
                 raise NumericalFailureError(
                     f"non-finite state at step {k + 1} (t = {ts[k + 1]:.6g}); "
                     f"max |x| before failure {np.abs(x).max():.3e}"
                 )
             x = x_next
-            record(k + 1, x)
 
     power = np.einsum("ij,ij->i", ys, u_grid)
     supplied = np.concatenate(
@@ -648,11 +661,15 @@ def diagonal_front_radius(snapshot: np.ndarray, h: float) -> float:
 
 
 def write_energy_csv(traj: Trajectory, path) -> pathlib.Path:
+    """`energy.csv`: a t, H_d, E_supplied header, then one row per grid
+    time, written row by row as `csv.writer` writes them (comma separated,
+    `\\r\\n` line ends; no number needs quoting)."""
     path = pathlib.Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="") as f:
-        wr = csv.writer(f)
-        wr.writerow(["t", "H_d", "E_supplied"])
-        for tk, hk, wk in zip(traj.t, traj.energy, traj.supplied):
-            wr.writerow([f"{tk:.10g}", f"{hk:.16e}", f"{wk:.16e}"])
+        f.write("t,H_d,E_supplied\r\n")
+        f.writelines(
+            f"{tk:.10g},{hk:.16e},{wk:.16e}\r\n"
+            for tk, hk, wk in zip(traj.t, traj.energy, traj.supplied)
+        )
     return path

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from phfem import mesh as msh
 from phfem.errors import InvalidArgumentError
@@ -325,3 +326,61 @@ def test_rect_mesh_numbering_and_invariants(N, M):
 def test_interval_mesh_has_no_2d_fields():
     m = msh.build_interval_mesh(4, 1.0)
     assert m.face_nodes is None and m.edge_class is None
+
+
+class TestMatvec:
+    """`matvec` gives the bits of scipy's `A @ x`: the same kernel, each
+    row's products summed in storage order onto a zeroed `out`."""
+
+    @staticmethod
+    def check(A, x):
+        want = msh.csr(*A) @ x if isinstance(A, msh.CSRArrays) else A @ x
+        out = np.full(A.shape[0], np.nan)
+        got = msh.matvec(A, x, out)
+        assert got is out
+        assert got.tobytes() == want.tobytes()
+
+    @staticmethod
+    def vector(n, seed=0):
+        """Entries across many magnitudes, so that the summation order shows
+        in the last bits."""
+        rng = np.random.default_rng(seed)
+        return rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9, n)
+
+    def test_unsorted_rows_from_product(self):
+        rng = np.random.default_rng(1)
+        A = sp.random(40, 30, density=0.2, format="csr", random_state=rng)
+        B = sp.random(30, 50, density=0.2, format="csr", random_state=rng)
+        P = msh.product(A, B)
+        assert not msh.csr(*P).has_sorted_indices
+        self.check(P, self.vector(50))
+
+    def test_int64_indices(self):
+        A = sp.random(30, 20, density=0.3, format="csr", random_state=2)
+        A.indices, A.indptr = A.indices.astype(np.int64), A.indptr.astype(np.int64)
+        assert A.indices.dtype == A.indptr.dtype == np.int64
+        self.check(A, self.vector(20))
+
+    def test_empty_rows(self):
+        A = sp.random(30, 20, density=0.3, format="lil", random_state=3)
+        A[::3] = 0.0
+        A = A.tocsr()
+        assert np.any(np.diff(A.indptr) == 0)
+        self.check(A, self.vector(20))
+
+    @pytest.mark.parametrize("shape", [(0, 7), (7, 0)])
+    def test_empty_shapes(self, shape):
+        self.check(sp.csr_matrix(shape), self.vector(shape[1]))
+
+    def test_out_is_zeroed(self):
+        """`check` pre-fills `out` with NaN; zero rows must come out 0."""
+        A = sp.csr_matrix((np.ones(1), ([1], [0])), shape=(3, 2))
+        out = msh.matvec(A, np.array([2.0, 5.0]), np.full(3, np.nan))
+        assert out.tolist() == [0.0, 2.0, 0.0]
+
+    @pytest.mark.parametrize("x_len, out_len", [(2, 4), (3, 3), (3, 5)])
+    def test_lengths_checked(self, x_len, out_len):
+        """The kernel indexes x and out unchecked; a wrong length raises."""
+        A = sp.csr_matrix(np.ones((4, 3)))
+        with pytest.raises(ValueError, match=r"matvec of a \(4, 3\) matrix"):
+            msh.matvec(A, np.ones(x_len), np.empty(out_len))

@@ -1,11 +1,13 @@
 """Implicit midpoint integration: conservation, oracle agreement, wave run."""
 
 import csv
+import hashlib
 import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse._compressed as compressed
 import scipy.sparse.linalg as spla
 
 import oracles
@@ -78,6 +80,34 @@ def hand_built_model(J, Q):
         m=n_u - 1,
         meta={},
     )
+
+
+def vector_products(run, *args) -> int:
+    """The number of scipy sparse matrix-vector products one call
+    run(*args) makes, counted by a spy on `_matmul_vector`, where every
+    `A @ x` of a CSR or CSC matrix ends."""
+    matmul, count = compressed._cs_matrix._matmul_vector, [0]
+
+    def spy(self, other):
+        count[0] += 1
+        return matmul(self, other)
+
+    compressed._cs_matrix._matmul_vector = spy
+    try:
+        run(*args)
+    finally:
+        compressed._cs_matrix._matmul_vector = matmul
+    return count[0]
+
+
+def loop_products(steps: int) -> int:
+    """`vector_products` of a `steps`-step `simulate` of the cli-roundtrip
+    model as `phfem simulate` runs it there: dt = 0.01, zero input, a
+    random x0 and no kept state."""
+    model = sim.build_model(GOLDEN_CONFIGS["cli-roundtrip"]).model
+    x0 = np.random.default_rng(0).standard_normal(model.n)
+    cfg = sim.SimConfig(dt=0.01, T=steps * 0.01, x0=x0, snapshot_times=())
+    return vector_products(sim.simulate, model, cfg)
 
 
 def outside_mixed_structure(kind):
@@ -295,6 +325,45 @@ class TestStepperRoutes:
         second = sim.MidpointStepper(model, dt).step(x, u_mid)
         assert first.tobytes() == second.tobytes()
 
+    @pytest.mark.parametrize("dt", [0.01, 1.0], ids=["chebyshev", "superlu"])
+    def test_step_inputs_step_as_float64_copies(self, dt):
+        """A strided x, a float32 x and an integer u_mid give the bits of
+        their contiguous float64 copies, and each step returns a new array
+        that a later step leaves alone."""
+        model = sim.build_model(BOTTOM_24X24).model
+        stepper = sim.MidpointStepper(model, dt)
+        rng = np.random.default_rng(16)
+        strided = rng.standard_normal((model.n, 2))[:, 0]
+        x32 = rng.standard_normal(model.n).astype(np.float32)
+        u_int = rng.integers(-3, 4, model.n_u)
+        u = rng.standard_normal(model.n_u)
+        for x, u_mid in [(strided, u), (x32, u), (strided, u_int)]:
+            want = stepper.step(np.array(x, dtype=float), np.array(u_mid, dtype=float))
+            got = stepper.step(x, u_mid)
+            assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+            kept = got.copy()
+            assert stepper.step(got, u_mid) is not got
+            assert got.tobytes() == kept.tobytes()
+
+    def test_interleaved_steppers_match_each_alone(self):
+        """Two steppers of one model at different dt, stepped in turn, step
+        as each does alone: they share no buffer."""
+        model = sim.build_model(BOTTOM_24X24).model
+        rng = np.random.default_rng(17)
+        x0, us = rng.standard_normal(model.n), rng.standard_normal((5, model.n_u))
+
+        def run(stepper):
+            x = x0
+            for u_mid in us:
+                x = stepper.step(x, u_mid)
+                yield x
+
+        steppers = [sim.MidpointStepper(model, dt) for dt in (0.005, 0.01)]
+        assert [s.node_solve["route"] for s in steppers] == ["chebyshev"] * 2
+        alone = [list(run(sim.MidpointStepper(model, dt))) for dt in (0.005, 0.01)]
+        for pair, want in zip(zip(*map(run, steppers)), zip(*alone)):
+            assert [x.tobytes() for x in pair] == [x.tobytes() for x in want]
+
     def test_identity_node_system_takes_one_iteration(self):
         """With J = 0 and Q = I the scaled node matrix is I: kappa = 1."""
         model = hand_built_model(np.zeros((6, 6)), np.eye(6))
@@ -420,6 +489,12 @@ class TestSimulate:
         assert traj.node_solve["route"] == route
         h0 = traj.energy[0]
         assert np.abs(traj.energy - h0).max() <= 1e-14 * h0
+
+    def test_loop_makes_no_scipy_product(self):
+        """Every product of a step and of `record` runs `mesh.matvec`: a
+        100-step cli-roundtrip run makes only the scipy matrix-vector
+        products of its set-up, as many as a 1-step run."""
+        assert loop_products(100) == loop_products(1)
 
     def test_matches_matrix_exponential_oracle(self):
         model = model_1d(20, 0.0)
@@ -675,6 +750,15 @@ class TestSnapshots:
         ):
             sim.simulate(model, cfg)
 
+    def test_finite_state_with_overflowing_energy_recorded(self):
+        """A finite state whose energy overflows is no failure: the energy
+        screen falls back to the state itself and records H as inf."""
+        model = model_1d(6, 0.0)
+        cfg = sim.SimConfig(dt=0.1, T=1.0, x0=np.full(model.n, 1e200))
+        traj = sim.simulate(model, cfg)
+        assert traj.t.size == 11 and np.all(np.isfinite(traj.x))
+        assert np.all(traj.energy == np.inf)
+
     def test_memory_does_not_grow_with_steps(self):
         """With no kept state the run never holds the (steps + 1) x n
         history: its traced peak stays below a quarter of it."""
@@ -760,6 +844,22 @@ class TestWaveExperiment:
 
 
 class TestWriters:
+    def test_energy_csv_bytes(self, tmp_path):
+        """The bytes of a forced run's file, whose E_supplied goes negative,
+        as `csv.writer` wrote them (sha256 recorded from that writer)."""
+        model = model_1d(8, 0.25)
+        x0 = np.random.default_rng(3).standard_normal(model.n)
+        cfg = sim.SimConfig(
+            dt=0.05, T=2.0, x0=x0,
+            input=lambda t: np.array([np.sin(3.0 * t), 0.5 * np.cos(2.0 * t)]),
+        )
+        traj = sim.simulate(model, cfg)
+        assert traj.supplied.min() < 0
+        path = sim.write_energy_csv(traj, tmp_path / "e.csv")
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "1fc6c22d497ce5093bc4c0bc25403dba432edc6475c91eae6e57d93afd87b1de"
+        )
+
     def test_energy_csv(self, tmp_path):
         model = model_1d(4, 0.0)
         traj = sim.simulate(model, sim.SimConfig(dt=0.1, T=0.5))
