@@ -26,6 +26,7 @@ from .errors import (
     MissingArtifactError,
     PhfemError,
     StructureViolationError,
+    read_json,
 )
 
 #: residual level at which `build` refuses to write a model
@@ -65,13 +66,19 @@ def load_config(path):
     path = pathlib.Path(path)
     if not path.is_file():
         raise MissingArtifactError(f"config file not found: {path}")
+    return read_json(path, "config")
+
+
+def _outdir(path) -> pathlib.Path:
+    """The output directory `path`, made with its parents: the one place
+    where an output path that cannot be a directory (a file on it or on
+    a parent) becomes an InvalidArgumentError naming it."""
+    path = pathlib.Path(path)
     try:
-        return json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise InvalidArgumentError(
-            f"config parse error in {path} at line {exc.lineno}, "
-            f"column {exc.colno}: {exc.msg}"
-        ) from None
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InvalidArgumentError(f"output directory {path}: {exc.strerror}") from None
+    return path
 
 
 def _build_from_config(cfg: dict):
@@ -130,7 +137,7 @@ def _write_manifest(outdir: pathlib.Path, run: dict) -> None:
     """Attach run info to the directory's single manifest (creating it when
     the command produced no model manifest)."""
     mf = outdir / "manifest.json"
-    manifest = json.loads(mf.read_text()) if mf.is_file() else {}
+    manifest = read_json(mf, "manifest", obj=True) if mf.is_file() else {}
     manifest["run"] = run
     mf.write_text(json.dumps(manifest, indent=2, sort_keys=True))
 
@@ -150,7 +157,7 @@ def cmd_build(args) -> int:
     from .statespace import export_model
 
     model, checks = _build_from_config(cfg)
-    outdir = export_model(model, args.out)
+    outdir = export_model(model, _outdir(args.out))
     _write_manifest(outdir, _run_info("build", cfg, outdir, {"checks": checks}))
     print(f"model written to {outdir} (states = {model.n}, inputs = {model.n_u})")
     return 0
@@ -173,8 +180,7 @@ def cmd_simulate(args) -> int:
         model, SimConfig(dt=args.dt, T=args.t_end, x0=x0, snapshot_times=())
     )
 
-    outdir = pathlib.Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _outdir(args.out)
     write_energy_csv(traj, outdir / "energy.csv")
     scale = max(abs(traj.energy[0]), 1e-30)
     drift = abs(traj.energy[-1] - traj.energy[0]) / scale
@@ -239,8 +245,7 @@ def cmd_eigs(args) -> int:
     exact = analysis.exact_frequencies(np.arange(1, freqs.size + 1), L)
     with_exact = model.meta.get("method") in ("mixed", "golo")
 
-    outdir = pathlib.Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _outdir(args.out)
     path = outdir / "eigs.csv"
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
@@ -260,8 +265,7 @@ def cmd_table(args) -> int:
 
     which = args.which
     table = analysis.table3() if which == "table3" else analysis.table4()
-    outdir = pathlib.Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _outdir(args.out)
     path = analysis.write_eig_csv(table, outdir / f"{which}.csv")
     _write_manifest(outdir, _run_info(which, {}, outdir))
     print(f"wrote {path}")

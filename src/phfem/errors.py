@@ -10,14 +10,16 @@ failures onto its documented process exit codes:
 
 Every public entry point passes each scalar argument through `scalar`,
 each list of numbers through `scalars` and each config object through
-`fields`, and then applies only its own range rule.  Only the standard
-library is imported here, so the command-line front end can load this
-before numpy.
+`fields`, and then applies only its own range rule.  Every JSON file
+(a config, a model manifest, an output directory's manifest) is read
+through `read_json`.  Only the standard library is imported here, so the
+command-line front end can load this before numpy.
 """
 
 from __future__ import annotations
 
 import contextlib
+import json
 import math
 import numbers
 from collections.abc import Sequence
@@ -73,6 +75,28 @@ def fields(obj, name: str, known) -> dict:
         if key not in known:
             raise InvalidArgumentError(f"unknown {name} key {key!r}")
     return obj
+
+
+def read_json(path, what: str, obj: bool = False):
+    """The JSON value of the UTF-8 file at `path` (a pathlib.Path), which
+    must be an object when `obj`.  Text that is not UTF-8 or not JSON, or
+    a value that is not the object asked for, raises InvalidArgumentError
+    naming `what`, the path and, for JSON, the line and column."""
+    try:
+        value = json.loads(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise InvalidArgumentError(
+            f"{what} {path} is not UTF-8 text (byte {exc.start}: {exc.reason})"
+        ) from None
+    except json.JSONDecodeError as exc:
+        raise InvalidArgumentError(
+            f"{what} parse error in {path} at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+        ) from None
+    if obj and not isinstance(value, dict):
+        raise InvalidArgumentError(
+            f"{path} must hold a JSON object, not a {type(value).__name__}"
+        )
+    return value
 
 
 class SingularHodgeError(PhfemError):

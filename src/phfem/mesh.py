@@ -31,14 +31,16 @@ once, in final CSR form from index arrays (`csr`): the incidences, the map
 set, Q, and J, B, C and D.  Its intermediates (the effort stacks, their
 products, the resolved rows, the residuals' products) stay `CSRArrays`:
 products run scipy's own CSR kernel (`product`) and transposes are read off
-the arrays (`transposed`).  A 1-D build makes 14 constructions (d_q, eight
-maps, Q, J, B, C, D), the comparison scheme 15 (its two flow maps are one
-identity, and each LU resolve hands SuperLU one CSC matrix), the 24 x 24
-CLI rectangle 50 (42 in `power_maps.build_2d_maps`).  The node coupling
-J_p Q_q J_p^T (`statespace.node_coupling`, one builder for the midpoint
-stepper and the lowest-k spectrum) and the stepper's maps are composed with
-scipy's sparse operators.  The midpoint loop's matrix-vector products run
-scipy's CSR kernel through `matvec`, into buffers the loop owns.
+the arrays (`transposed`).  The structural checks run on the same kernels:
+the power-preservation, skew-symmetry and collocation residuals are each
+one compiled sparse sum (`max_abs_sum`), and the rank certificate's
+elimination rounds are `product`s of arrays (`whitney.rank_mod_p`).
+`tests/test_statespace.py::TestConstructionCount` bounds the constructions
+that a build and the structure gate make.  The node coupling J_p Q_q J_p^T
+(`statespace.node_coupling`, shared by the midpoint stepper and the
+lowest-k spectrum) and the stepper's maps are composed with scipy's sparse
+operators.  The midpoint loop's matrix-vector products run scipy's CSR
+kernel through `matvec`, into buffers the loop owns.
 """
 
 from __future__ import annotations
@@ -286,7 +288,10 @@ def product(A, B) -> CSRArrays:
     """The arrays of A @ B (CSR matrices or `CSRArrays`) from the compiled
     kernel that scipy's product of two CSR matrices runs: the same entries,
     summed and stored in the same order (rows unsorted), without the copy
-    of B and the construction of the result around that kernel."""
+    of B and the construction of the result around that kernel.  The kernel
+    reads B's rows at A's columns unchecked, so the shapes are checked here."""
+    if A.shape[1] != B.shape[0]:
+        raise ValueError(f"product of a {A.shape} and a {B.shape} matrix")
     (M, _), N = A.shape, B.shape[1]
     index = np.int32 if max(M, N, len(A.data), len(B.data)) < 2**31 else np.int64
     arrays = [np.asarray(a, dtype=index) for a in (A.indptr, A.indices, B.indptr, B.indices)]
@@ -330,20 +335,25 @@ def sort_rows(A) -> None:
 
 
 def max_abs_sum(A, B, sign: float = 1.0) -> float:
-    """Max-abs entry of A + sign B^T, A with sorted rows.  When B^T stores
-    the same pattern as A (a skew J, and C = B^T up to round-off), the
-    stored values are added in one array operation; otherwise a sparse sum
-    is formed.  An overflow gives inf or NaN, which the callers'
-    `not residual <= tol` tests reject."""
-    Bt = transposed(B)
-    if np.array_equal(A.indptr, Bt.indptr) and np.array_equal(A.indices, Bt.indices):
-        total = Bt.data
-        total *= sign
-        with np.errstate(over="ignore", invalid="ignore"):
-            total += A.data
-    else:
-        A, Bt = csr(A.data, A.indices, A.indptr, A.shape), csr(*Bt)
-        total = (A - Bt if sign < 0 else A + Bt).data
+    """Max-abs entry of A + sign B^T (CSR matrices or `CSRArrays`, any
+    patterns and row orders) from scipy's compiled sparse sum, `csr_plus_csr`
+    (`csr_minus_csr` for sign < 0), which casts its inputs to the types of
+    its outputs: each entry is the a + b or a - b that scipy's own sum
+    stores.  The kernel reads both by A's rows unchecked, so the shapes are
+    checked here.  An overflow gives inf, and inf - inf NaN, which the
+    callers' `not residual <= tol` tests reject."""
+    Bt, (M, N) = transposed(B), A.shape
+    if Bt.shape != (M, N):
+        raise ValueError(f"max_abs_sum of a {A.shape} and a transposed {B.shape} matrix")
+    nnz = len(A.data) + len(Bt.data)
+    index = np.result_type(A.indptr, A.indices, Bt.indices, np.int32 if nnz < 2**31 else np.int64)
+    indptr, indices = np.empty(M + 1, dtype=index), np.empty(nnz, dtype=index)
+    total = np.empty(nnz, dtype=np.result_type(A.data, Bt.data))
+    kernel = _sparsetools.csr_minus_csr if sign < 0 else _sparsetools.csr_plus_csr
+    kernel(
+        M, N, A.indptr, A.indices, A.data, Bt.indptr, Bt.indices, Bt.data, indptr, indices, total
+    )
+    total = total[: indptr[-1]]
     return float(np.abs(total, out=total).max(initial=0.0))
 
 

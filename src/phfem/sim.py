@@ -301,8 +301,11 @@ def chebyshev_iterations(a: float, b: float) -> int:
     leave an error e_k = p_k(K) y with |p_k| <= 1 / T_k((b + a) / (b - a))
     <= 2 rho^k on [a, b], so |e_k|_K <= 2 rho^k |y|_K.  Since
     a |e|_2^2 <= |e|_K^2 and |y|_K^2 <= b |y|_2^2, the 2-norm error is at
-    most 2 rho^k sqrt(kappa) |y|_2.
+    most 2 rho^k sqrt(kappa) |y|_2.  Needs finite 0 < a <= b.
     """
+    a, b = scalar(a, "a"), scalar(b, "b")
+    if not 0.0 < a <= b:
+        raise InvalidArgumentError(f"need a spectral interval 0 < a <= b, got [{a}, {b}]")
     kappa = b / a
     rho = (math.sqrt(kappa) - 1.0) / (math.sqrt(kappa) + 1.0)
     if rho <= 0.0:
@@ -650,7 +653,13 @@ def wave2d_experiment(
 
 def diagonal_front_radius(snapshot: np.ndarray, h: float) -> float:
     """Distance from the origin of the strongest effort along the main
-    diagonal of the nodal grid (the wavefront location for a corner pulse)."""
+    diagonal of the nodal grid (the wavefront location for a corner pulse):
+    a non-empty square 2-D snapshot and a node spacing h > 0."""
+    h, snapshot = scalar(h, "h"), np.asarray(snapshot)
+    if h <= 0 or snapshot.ndim != 2 or snapshot.shape[0] != snapshot.shape[1] or not snapshot.size:
+        raise InvalidArgumentError(
+            f"need a non-empty square 2-D snapshot and h > 0, got shape {snapshot.shape}, h={h}"
+        )
     diag = np.abs(np.diagonal(snapshot))
     i = int(np.argmax(diag))
     return float(i * h * np.sqrt(2.0))

@@ -36,6 +36,7 @@ from .errors import (
     MissingArtifactError,
     SingularHodgeError,
     StructureViolationError,
+    read_json,
 )
 from .hodge import HodgePair
 from .mesh import CSRArrays, csr, kept, max_abs_sum, sort_rows
@@ -263,17 +264,7 @@ def load_model(indir) -> PHModel:
     mf = indir / "manifest.json"
     if not mf.is_file():
         raise MissingArtifactError(f"no manifest.json under {indir}")
-    try:
-        manifest = json.loads(mf.read_text())
-    except json.JSONDecodeError as exc:
-        raise InvalidArgumentError(
-            f"manifest parse error in {mf} at line {exc.lineno}, "
-            f"column {exc.colno}: {exc.msg}"
-        ) from None
-    if not isinstance(manifest, dict):
-        raise InvalidArgumentError(
-            f"{mf} must hold a JSON object, not a {type(manifest).__name__}"
-        )
+    manifest = read_json(mf, "manifest", obj=True)
     if manifest.get("format") != _FORMAT:
         raise InvalidArgumentError(
             f"{mf}: format must be {_FORMAT!r}, got {manifest.get('format')!r}"

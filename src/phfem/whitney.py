@@ -35,9 +35,9 @@ halves, sixths), whatever h and the weights.  `verify_structure` uses this
 for its rank table on every 2D grid: each matrix, the incidences d_p and
 d_q included, is scaled to integers and its rank is certified exactly
 modulo the prime 2^31 - 1 by sparse elimination in rounds of independent
-pivots (`rank_mod_p`: about ten exact Schur updates per matrix), with no
-array denser than a fixed multiple of the remaining nonzeros and no
-singular-value threshold.
+pivots (`rank_mod_p`: about ten exact Schur updates per matrix, each one
+product of CSR arrays, `mesh.product`), with no array denser than a fixed
+multiple of the remaining nonzeros and no singular-value threshold.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import IncidencePair, SimplexMesh, boundary_edges
+from .mesh import CSRArrays, IncidencePair, SimplexMesh, boundary_edges, csr, kept, product
 
 
 class GalerkinMatrices(NamedTuple):
@@ -249,15 +249,16 @@ def _dense_rank_mod_p(a: np.ndarray) -> int:
     return rank
 
 
-def _compact(a: sp.csr_matrix) -> sp.csr_matrix:
-    """The matrix without its zero entries and its empty rows and columns."""
-    a.eliminate_zeros()
+def _compact(a) -> CSRArrays:
+    """The arrays of a without its zero entries and its empty rows and
+    columns."""
+    a = kept(a, a.data != 0)
     live = np.diff(a.indptr) > 0
     used = np.bincount(a.indices, minlength=a.shape[1]) > 0
     col = np.cumsum(used, dtype=a.indices.dtype) - 1
-    return sp.csr_matrix(
-        (a.data, col[a.indices], np.concatenate([[0], a.indptr[1:][live]])),
-        shape=(int(live.sum()), int(used.sum())),
+    return CSRArrays(
+        a.data, col[a.indices], np.concatenate([a.indptr[:1], a.indptr[1:][live]]),
+        (int(live.sum()), int(used.sum())),
     )
 
 
@@ -311,9 +312,10 @@ def _independent_pivots(a, row, rng) -> np.ndarray:
     return cand[rows]
 
 
-def _schur_complement(a, row, piv) -> sp.csr_matrix:
-    """A22 - A21 D^-1 A12 mod p for the diagonal pivot block D at piv, one
-    sparse product of integer matrices, without zeros or empty rows/columns.
+def _schur_complement(a, row, piv) -> CSRArrays:
+    """A22 - A21 D^-1 A12 mod p for the diagonal pivot block D at piv (a
+    and the result CSR arrays), one `mesh.product` of integer arrays,
+    without zeros or empty rows/columns.
 
     With X = -D^-1 A12 mod p split into 16-bit limbs X_lo + 2^16 X_hi,
 
@@ -327,7 +329,7 @@ def _schur_complement(a, row, piv) -> sp.csr_matrix:
     p = RANK_PRIME
     m, n = a.shape
     k = piv.size
-    idx = a.indices.dtype  # scipy keeps index arrays of a's type uncopied
+    idx = a.indices.dtype  # the factors' index arrays in a's type: no cast in `product`
     in_piv_row = np.full(m, -1, dtype=idx)
     in_piv_row[row[piv]] = np.arange(k)  # increasing: pivots are in row order
     in_piv_col = np.full(n, -1, dtype=idx)
@@ -339,13 +341,11 @@ def _schur_complement(a, row, piv) -> sp.csr_matrix:
     x = a.data[a12] * (p - _inverse_mod_p(a.data[piv]))[pr[a12]] % p
     x_col = a.indices[a12]
     x_count = np.bincount(pr[a12], minlength=k)
-    right = sp.csr_matrix(
-        (
-            np.concatenate([x & (2**_LIMB_BITS - 1), x >> _LIMB_BITS, np.ones(n, dtype=np.int64)]),
-            np.concatenate([x_col, x_col, np.arange(n, dtype=idx)]),
-            np.cumsum(np.concatenate([[0], x_count, x_count, np.ones(n, dtype=np.int64), [0]])),
-        ),
-        shape=(2 * k + n + 1, n),
+    right = CSRArrays(
+        np.concatenate([x & (2**_LIMB_BITS - 1), x >> _LIMB_BITS, np.ones(n, dtype=np.int64)]),
+        np.concatenate([x_col, x_col, np.arange(n, dtype=idx)]),
+        np.cumsum(np.concatenate([[0], x_count, x_count, np.ones(n, dtype=np.int64), [0]])),
+        (2 * k + n + 1, n),
     )
     # left factor in A's layout, two entries per nonzero A_ij: in A21, A_ij
     # and 2^16 A_ij at the limb columns c, k + c of its pivot c; in A22, A_ij
@@ -353,17 +353,16 @@ def _schur_complement(a, row, piv) -> sp.csr_matrix:
     a21 = (pr < 0) & (pc >= 0)
     lo = np.where(pr >= 0, 2 * k + n, np.where(a21, pc, 2 * k + a.indices))
     hi = np.where(a21, pc + k, 2 * k + n)
-    left = sp.csr_matrix(
-        (
-            np.column_stack([a.data, a.data * 2**_LIMB_BITS % p]).ravel(),
-            np.column_stack([lo, hi]).ravel(),
-            2 * a.indptr.astype(np.int64),
-        ),
-        shape=(m, 2 * k + n + 1),
+    left = CSRArrays(
+        np.column_stack([a.data, a.data * 2**_LIMB_BITS % p]).ravel(),
+        np.column_stack([lo, hi]).ravel(),
+        2 * a.indptr.astype(np.int64),
+        (m, 2 * k + n + 1),
     )
     del pr, pc, lo, hi, a12, a21, x, x_col  # before the product's peak
-    out = left @ right
-    out.data %= p
+    out = product(left, right)
+    del left, right  # before the compaction's copies
+    out.data[:] %= p
     return _compact(out)
 
 
@@ -377,10 +376,14 @@ def rank_mod_p(mat, scale: int) -> int:
     per column, then a fixed-seed priority contest), adds its size to the
     rank and replaces the matrix by the Schur complement A22 - A21 D^-1 A12
     mod p, one sparse product kept without zero entries or empty rows and
-    columns (`_schur_complement`).  The rounds stop once the nonzeros fill
-    at least 1/5 of the remaining rows x columns; a dense elimination mod p
-    finishes that remainder.  So no array is denser than five times the
-    remaining nonzeros, and the Whitney matrices take about ten rounds.
+    columns (`_schur_complement`).  A round runs on the matrix's CSR arrays
+    (`mesh.CSRArrays`) and its product on scipy's `csr_matmat` kernel
+    (`mesh.product`): scipy matrices are built only for the float copy on
+    entry and for the dense finish, never inside a round.  The rounds stop
+    once the nonzeros fill at least 1/5 of the remaining rows x columns; a
+    dense elimination mod p finishes that remainder.  So no array is denser
+    than five times the remaining nonzeros, and the Whitney matrices take
+    about ten rounds.
 
     Termination: keys are distinct, so the candidate of least key wins its
     contest, and every round eliminates at least one pivot.  Exactness:
@@ -403,9 +406,9 @@ def rank_mod_p(mat, scale: int) -> int:
     a = _compact(a)
     rng = np.random.default_rng(0)
     rank = 0
-    while a.nnz:
-        if _DENSE_SHARE * a.nnz >= a.shape[0] * a.shape[1]:
-            return rank + _dense_rank_mod_p(a.toarray())
+    while len(a.data):
+        if _DENSE_SHARE * len(a.data) >= a.shape[0] * a.shape[1]:
+            return rank + _dense_rank_mod_p(csr(*a).toarray())
         row = np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
         piv = _independent_pivots(a, row, rng)
         rank += piv.size

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import pathlib
 import subprocess
 import sys
 
@@ -682,6 +683,63 @@ class TestTables:
         rows = list(csv.reader((out / "table4.csv").open()))
         k1 = {name: val for name, val in zip(rows[0], rows[1])}
         assert float(k1["alpha_prime=1/12 N=20"]) == pytest.approx(1.5387, abs=5e-4)
+
+
+def put(path, data: bytes) -> pathlib.Path:
+    """`path` holding `data`, its directory made if missing."""
+    path.parent.mkdir(exist_ok=True)
+    path.write_bytes(data)
+    return path
+
+
+#: a JSON object in Latin-1: valid JSON, but not UTF-8 text
+LATIN1 = '{"mesh": {"kind": "interval", "N": 4}, "x": "\u00e9"}'.encode("latin-1")
+
+
+class TestPathAndJsonErrors:
+    """An output path that cannot be a directory, a JSON file that is not
+    UTF-8, and an output directory whose manifest is not a JSON object each
+    exit 2 with one `error:` line naming the file, and no traceback."""
+
+    #: case: (tmp_path, config) -> (argv, the path the error names)
+    CASES = {
+        "table3-out-file": lambda t, cfg: (["table3", "--out", t / "afile"], t / "afile"),
+        "build-out-file": lambda t, cfg: (
+            ["build", "--config", cfg, "--out", t / "afile"], t / "afile"),
+        "simulate-out-file": lambda t, cfg: (
+            ["simulate", t / "model", "--dt", "0.1", "--t-end", "0.2", "--out", t / "afile"],
+            t / "afile"),
+        "eigs-out-under-file": lambda t, cfg: (
+            ["eigs", "--n", "10", "--out", t / "afile" / "sub"], t / "afile" / "sub"),
+        "config-not-utf8": lambda t, cfg: (
+            ["build", "--config", put(t / "latin1.json", LATIN1), "--out", t / "m"],
+            t / "latin1.json"),
+        "model-manifest-not-utf8": lambda t, cfg: (
+            ["simulate", t / "model", "--dt", "0.1", "--t-end", "0.2", "--out", t / "r"],
+            put(t / "model" / "manifest.json", LATIN1)),
+        "out-manifest-not-json": lambda t, cfg: (
+            ["eigs", "--n", "10", "--out", t / "o"], put(t / "o" / "manifest.json", b"{not json")),
+        "out-manifest-not-object": lambda t, cfg: (
+            ["eigs", "--n", "10", "--out", t / "o"], put(t / "o" / "manifest.json", b"[1, 2]")),
+    }
+
+    @pytest.fixture
+    def setup(self, tmp_path):
+        """A built interval model under "model", its config, and a plain
+        file "afile"."""
+        cfg = write_cfg(tmp_path, INTERVAL)
+        assert cli.main(["build", "--config", str(cfg), "--out", str(tmp_path / "model")]) == 0
+        put(tmp_path / "afile", b"")
+        return tmp_path, cfg
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_exits_2_naming_the_path(self, setup, capsys, case):
+        argv, named = self.CASES[case](*setup)
+        capsys.readouterr()
+        assert cli.main([str(a) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert str(named) in err and "Traceback" not in err
 
 
 class TestProcess:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -384,3 +386,141 @@ class TestMatvec:
         A = sp.csr_matrix(np.ones((4, 3)))
         with pytest.raises(ValueError, match=r"matvec of a \(4, 3\) matrix"):
             msh.matvec(A, np.ones(x_len), np.empty(out_len))
+
+
+def same_arrays(got, want) -> bool:
+    """Equal shapes, index arrays and data bits (index types may differ)."""
+    return (
+        tuple(got.shape) == tuple(want.shape)
+        and np.array_equal(got.indptr, want.indptr)
+        and np.array_equal(got.indices, want.indices)
+        and got.data.dtype == want.data.dtype
+        and got.data.tobytes() == want.data.tobytes()
+    )
+
+
+def unsorted(seed=1) -> msh.CSRArrays:
+    """A product whose rows come out unsorted, with entries over many
+    magnitudes."""
+    rng = np.random.default_rng(seed)
+    A = sp.random(40, 30, density=0.2, format="csr", random_state=rng)
+    B = sp.random(30, 50, density=0.2, format="csr", random_state=rng)
+    A.data *= 10.0 ** rng.integers(-8, 9, A.nnz)
+    P = msh.product(A, B)
+    assert not msh.csr(*P).has_sorted_indices
+    return P
+
+
+def int64_indices(A: sp.csr_matrix) -> sp.csr_matrix:
+    A.indices, A.indptr = A.indices.astype(np.int64), A.indptr.astype(np.int64)
+    return A
+
+
+class TestProductAndTranspose:
+    """`product` and `transposed` give the arrays of scipy's `A @ B` and
+    `A.T.tocsr()`: the same kernels, entries in the same order."""
+
+    def test_product_of_unsorted_rows(self):
+        P = unsorted()
+        C = sp.random(50, 20, density=0.3, format="csr", random_state=4)
+        assert same_arrays(msh.product(P, C), msh.csr(*P) @ C)
+
+    def test_product_int64_indices(self):
+        A = int64_indices(sp.random(30, 20, density=0.3, format="csr", random_state=2))
+        B = int64_indices(sp.random(20, 25, density=0.3, format="csr", random_state=3))
+        assert same_arrays(msh.product(A, B), A @ B)
+
+    @pytest.mark.parametrize("m, k, n", [(0, 5, 3), (3, 0, 4), (3, 5, 0)])
+    def test_product_empty_shapes(self, m, k, n):
+        A = sp.random(m, k, density=0.5, format="csr", random_state=5)
+        B = sp.random(k, n, density=0.5, format="csr", random_state=6)
+        P = msh.product(A, B)
+        assert same_arrays(P, A @ B) and P.indptr.shape == (m + 1,)
+
+    def test_product_shapes_checked(self):
+        """The kernel indexes B's rows unchecked; unlike shapes raise."""
+        with pytest.raises(ValueError, match=r"product of a \(3, 4\) and a \(5, 2\)"):
+            msh.product(sp.csr_matrix((3, 4)), sp.csr_matrix((5, 2)))
+
+    def test_transpose_of_unsorted_rows(self):
+        P = unsorted()
+        T = msh.transposed(P)
+        assert same_arrays(T, msh.csr(*P).T.tocsr())
+        assert msh.csr(*T).has_sorted_indices
+
+    def test_transpose_int64_indices(self):
+        A = int64_indices(sp.random(30, 20, density=0.3, format="csr", random_state=7))
+        T = msh.transposed(A)
+        assert T.indices.dtype == np.int64 and same_arrays(T, A.T.tocsr())
+
+    @pytest.mark.parametrize("shape", [(0, 7), (7, 0)])
+    def test_transpose_empty_shapes(self, shape):
+        T = msh.transposed(sp.csr_matrix(shape))
+        assert T.shape == shape[::-1] and same_arrays(T, sp.csr_matrix(shape).T.tocsr())
+
+    def test_kept_and_sort_rows(self):
+        P = unsorted()
+        K = msh.kept(P, P.data > 0.5)
+        dense = msh.csr(*P).toarray()
+        assert np.array_equal(msh.csr(*K).toarray(), np.where(dense > 0.5, dense, 0.0))
+        msh.sort_rows(K)
+        want = msh.csr(*msh.kept(P, P.data > 0.5)).sorted_indices()
+        assert msh.csr(*K).has_sorted_indices and same_arrays(K, want)
+
+
+class TestMaxAbsSum:
+    """`max_abs_sum(A, B, sign)` is the max-abs entry of A + sign B^T, each
+    entry the one float a + b or a - b, whatever the two patterns or row
+    orders: equal to a dense reference bit for bit."""
+
+    @staticmethod
+    def dense(A, B, sign):
+        A, B = (msh.csr(*M) if isinstance(M, msh.CSRArrays) else M for M in (A, B))
+        a, bt = A.toarray(), B.toarray().T
+        return float(np.abs(a + bt if sign > 0 else a - bt).max(initial=0.0))
+
+    def test_skew_with_one_stored_round_off_entry(self):
+        A = sp.random(20, 20, density=0.2, format="csr", random_state=8)
+        B = (-A.T).tolil()
+        row, col = next((i, j) for i in range(20) for j in range(20) if A[j, i] == 0)
+        B[row, col] = 3e-17  # B^T stores (col, row), which A does not
+        B = B.tocsr()
+        assert msh.max_abs_sum(A, B) == self.dense(A, B, 1.0) == 3e-17
+
+    def test_same_pattern_cancels_exactly(self):
+        A = sp.random(20, 20, density=0.2, format="csr", random_state=9)
+        assert msh.max_abs_sum(A, -A.T.tocsr()) == 0.0
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_unsorted_rows(self, sign):
+        P = unsorted()
+        B = sp.random(50, 40, density=0.2, format="csr", random_state=10)
+        got = msh.max_abs_sum(P, B, sign)
+        assert got == self.dense(P, B, sign) and got > 0.0
+        assert msh.max_abs_sum(P, msh.transposed(P), -1.0) == 0.0
+
+    def test_sign_minus_one(self):
+        """C = B^T exactly gives 0 with sign -1, and 2 max|B| with +1."""
+        B = sp.random(15, 6, density=0.4, format="csr", random_state=11)
+        C = B.T.tocsr()
+        assert msh.max_abs_sum(C, B, -1.0) == 0.0
+        assert msh.max_abs_sum(C, B, 1.0) == 2 * np.abs(B.data).max()
+
+    def test_empty(self):
+        assert msh.max_abs_sum(sp.csr_matrix((3, 4)), sp.csr_matrix((4, 3))) == 0.0
+
+    def test_shapes_checked(self):
+        """The kernel indexes both by A's rows unchecked; unlike shapes raise."""
+        with pytest.raises(ValueError, match=r"a \(3, 4\) and a transposed \(3, 4\)"):
+            msh.max_abs_sum(sp.csr_matrix((3, 4)), sp.csr_matrix((3, 4)))
+
+    @pytest.mark.parametrize(
+        "a, b, sign, check",
+        [(1e308, 1e308, 1.0, math.isinf), (math.inf, math.inf, -1.0, math.isnan)],
+        ids=["overflow-inf", "inf-minus-inf-nan"],
+    )
+    def test_non_finite_fails_the_gate(self, a, b, sign, check):
+        A = sp.csr_matrix(([a, 1.0], ([0, 1], [1, 0])), shape=(2, 2))
+        B = sp.csr_matrix(([b], ([1], [0])), shape=(2, 2))
+        r = msh.max_abs_sum(A, B, sign)
+        assert check(r) and not r <= 1e-12

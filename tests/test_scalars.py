@@ -4,6 +4,7 @@ with an InvalidArgumentError naming the parameter."""
 
 import math
 
+import numpy as np
 import pytest
 
 from phfem import analysis as an
@@ -46,6 +47,10 @@ ENTRY_POINTS = [
     ("eig_table", "k", "mode index", True,
      lambda v: an.eig_table("mixed", [("0", 0.0)], (20,), ks=(1, v))),
     ("exact_frequencies", "L", "length L", False, lambda v: an.exact_frequencies([1], v)),
+    ("chebyshev_iterations", "a", "a", False, lambda v: sim.chebyshev_iterations(v, 2.0)),
+    ("chebyshev_iterations", "b", "b", False, lambda v: sim.chebyshev_iterations(0.5, v)),
+    ("diagonal_front_radius", "h", "h", False,
+     lambda v: sim.diagonal_front_radius(np.eye(3), v)),
 ]
 
 COMMON = {"bool": True, "string": "1", "none": None}
@@ -82,3 +87,22 @@ def test_scalar_accepts_numbers(value, integer, expected):
 def test_scalar_rejects(value, integer):
     with pytest.raises(InvalidArgumentError, match="^x must be"):
         scalar(value, "x", integer)
+
+
+@pytest.mark.parametrize("a, b", [(0.0, 1.0), (-1.0, 1.0), (2.0, 1.0)])
+def test_chebyshev_interval_range(a, b):
+    """The certified count needs a spectral interval 0 < a <= b."""
+    with pytest.raises(InvalidArgumentError, match="0 < a <= b"):
+        sim.chebyshev_iterations(a, b)
+
+
+@pytest.mark.parametrize(
+    "snapshot, h",
+    [(np.eye(3), 0.0), (np.eye(3), -1.0), (np.ones(4), 0.5), (np.ones((3, 4)), 0.5),
+     (np.ones((2, 2, 2)), 0.5), (np.ones((0, 0)), 0.5)],
+    ids=["h-zero", "h-negative", "1-d", "not-square", "3-d", "empty"],
+)
+def test_front_radius_range(snapshot, h):
+    """The front radius needs a non-empty square 2-D snapshot and h > 0."""
+    with pytest.raises(InvalidArgumentError, match="square 2-D snapshot and h > 0"):
+        sim.diagonal_front_radius(snapshot, h)

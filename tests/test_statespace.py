@@ -15,6 +15,7 @@ from phfem import sim
 from phfem import mesh as msh
 from phfem import power_maps as pm
 from phfem import statespace as ss
+from phfem import whitney as wh
 from phfem.errors import (
     InvalidArgumentError,
     MissingArtifactError,
@@ -258,6 +259,13 @@ def constructions(build, *args) -> int:
     return count[0]
 
 
+def gate_constructions(config) -> int:
+    """`constructions` of the structure gate `phfem build` runs on the
+    model of `config`: `whitney.verify_structure` on its assembled mesh."""
+    built = sim.build_model(config)
+    return constructions(wh.verify_structure, built.mesh, wh.assemble(built.mesh), built.inc)
+
+
 class TestConstructionCount:
     """Each scipy construction checks its arrays again (index dtype,
     format, pruning), and on the 1-D builds those checks cost about as much
@@ -273,9 +281,21 @@ class TestConstructionCount:
         assert constructions(build, *args) <= 15
 
     def test_rect_build_no_more_than_before(self):
-        """The 24 x 24 cli-roundtrip config took 69 constructions before the
-        1-D builds were cut down; the shared assembly must not add any."""
-        assert constructions(sim.build_model, GOLDEN_CONFIGS["cli-roundtrip"]) <= 69
+        """The 24 x 24 cli-roundtrip config makes at most 50 constructions,
+        42 of them in `power_maps.build_2d_maps`."""
+        assert constructions(sim.build_model, GOLDEN_CONFIGS["cli-roundtrip"]) <= 50
+
+    @pytest.mark.parametrize("name", ["build-determinism", "q-segments"])
+    def test_rect_builds_with_unlike_residual_patterns(self, name):
+        """Builds whose power residuals sum two products of unlike patterns
+        (one compiled sum each, with no construction)."""
+        assert constructions(sim.build_model, GOLDEN_CONFIGS[name]) <= 50
+
+    def test_structure_gate(self):
+        """The 24 x 24 cli-roundtrip gate: the factorization residuals'
+        sums and products, the float copy of each ranked matrix on entry and
+        its dense finish; none inside an elimination round."""
+        assert gate_constructions(GOLDEN_CONFIGS["cli-roundtrip"]) <= 51
 
 
 class TestStaggeredVolumeCoincidence:
